@@ -20,7 +20,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+import math
+import numbers
+import os
+from dataclasses import asdict, dataclass, field, fields
 from itertools import product
 
 import numpy as np
@@ -31,6 +34,10 @@ from . import tps
 
 class CorruptCheckpointError(RuntimeError):
     """Raised when a checkpoint fails structural or checksum validation."""
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 # ---------------------------------------------------------------------------
@@ -51,8 +58,19 @@ class PrNetConfig:
     dtype: str = "float32"
 
     def __post_init__(self):
-        if self.dim not in (2, 3):
-            raise ValueError(f"PrNetConfig: dim must be 2 or 3, got {self.dim}")
+        if not _is_int(self.dim) or self.dim not in (2, 3):
+            raise ValueError(f"PrNetConfig: dim must be 2 or 3, got {self.dim!r}")
+        for name in ("grid_shape", "mlp_widths", "conv_channels", "conv_kernels"):
+            sizes = getattr(self, name)
+            if not isinstance(sizes, (tuple, list)) or not sizes \
+                    or not all(_is_int(s) and s >= 1 for s in sizes):
+                raise ValueError(f"PrNetConfig: {name} must be positive integers, got {sizes!r}")
+        if not _is_int(self.fc_hidden) or self.fc_hidden < 1:
+            raise ValueError(f"PrNetConfig: fc_hidden must be a positive integer, got {self.fc_hidden!r}")
+        if not isinstance(self.leaky_slope, numbers.Real) or isinstance(self.leaky_slope, bool):
+            raise ValueError(f"PrNetConfig: leaky_slope must be a number, got {self.leaky_slope!r}")
+        if self.dtype not in ("float32", "float64"):
+            raise ValueError(f"PrNetConfig: dtype must be float32 or float64, got {self.dtype!r}")
         if len(self.grid_shape) != self.dim or any(r < 2 for r in self.grid_shape):
             raise ValueError(f"PrNetConfig: grid_shape {self.grid_shape} invalid for dim {self.dim}")
         if len(self.conv_kernels) != len(self.conv_channels):
@@ -177,61 +195,66 @@ class PrNetWeights:
         return out
 
 
-def _uniform_init(rng, shape, fan_in, dtype):
-    limit = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-limit, limit, size=shape).astype(dtype)
+def _build_weights(config: PrNetConfig, array) -> PrNetWeights:
+    """Assemble the network layer by layer from ``array(name, shape, fan_in, fill)``.
 
+    This is the one place the layer structure is written down.
+    ``init_weights`` draws each array (uniform by ``fan_in`` where one is
+    given, else the constant ``fill``) and ``load_model`` takes it from a
+    checkpoint. Arrays are requested in layer order, weight first; that
+    order fixes which random stream each initial weight is drawn from.
+    """
 
-def _bn_layer(features, dtype):
-    return (
-        ad.Tensor(np.ones(features, dtype=dtype), requires_grad=True),
-        ad.Tensor(np.zeros(features, dtype=dtype), requires_grad=True),
-        ad.init_batch_norm(features, dtype),
-    )
+    def layer(prefix, weight_shape, fan_in, width, with_bn=True):
+        weight = ad.Tensor(array(f"{prefix}.weight", weight_shape, fan_in, 0.0), requires_grad=True)
+        bias = ad.Tensor(array(f"{prefix}.bias", (width,), None, 0.0), requires_grad=True)
+        if not with_bn:
+            return _Layer(weight, bias)
+        return _Layer(
+            weight, bias,
+            ad.Tensor(array(f"{prefix}.bn_scale", (width,), None, 1.0), requires_grad=True),
+            ad.Tensor(array(f"{prefix}.bn_shift", (width,), None, 0.0), requires_grad=True),
+            ad.BatchNormState(
+                running_mean=array(f"{prefix}.bn_mean", (width,), None, 0.0),
+                running_var=array(f"{prefix}.bn_var", (width,), None, 1.0),
+            ),
+        )
+
+    weights = PrNetWeights(config=config)
+    in_w = 2 * config.dim
+    for i, width in enumerate(config.mlp_widths):
+        weights.mlp.append(layer(f"mlp{i}", (in_w, width), in_w, width))
+        in_w = width
+
+    in_c = config.grid_count
+    for i, (ch, k) in enumerate(zip(config.conv_channels, config.conv_kernels)):
+        kshape = (ch, in_c) + (k,) * config.dim
+        weights.convs.append(layer(f"conv{i}", kshape, in_c * k**config.dim, ch))
+        in_c = ch
+
+    flat = config.flat_features()
+    weights.fc1 = layer("fc1", (flat, config.fc_hidden), flat, config.fc_hidden)
+    # the output layer starts at zero: an untrained model is the identity warp
+    weights.out = layer("out", (config.fc_hidden, config.output_size), None,
+                        config.output_size, with_bn=False)
+    return weights
 
 
 def init_weights(config: PrNetConfig, seed: int) -> PrNetWeights:
     """Fan-in-scaled uniform init everywhere; the output layer starts at zero."""
     dt = config.np_dtype()
-    weights = PrNetWeights(config=config)
     stream = 0
 
-    def layer_rng():
+    def array(name, shape, fan_in, fill):
         nonlocal stream
+        if fan_in is None:
+            return np.full(shape, fill, dtype=dt)
         stream += 1
-        return np.random.default_rng([int(seed), stream])
+        limit = np.sqrt(6.0 / fan_in)
+        rng = np.random.default_rng([int(seed), stream])
+        return rng.uniform(-limit, limit, size=shape).astype(dt)
 
-    in_w = 2 * config.dim
-    for width in config.mlp_widths:
-        rng = layer_rng()
-        w = ad.Tensor(_uniform_init(rng, (in_w, width), in_w, dt), requires_grad=True)
-        b = ad.Tensor(np.zeros(width, dtype=dt), requires_grad=True)
-        sc, sh, st = _bn_layer(width, dt)
-        weights.mlp.append(_Layer(w, b, sc, sh, st))
-        in_w = width
-
-    in_c = config.grid_count
-    for ch, k in zip(config.conv_channels, config.conv_kernels):
-        rng = layer_rng()
-        kshape = (ch, in_c) + (k,) * config.dim
-        fan_in = in_c * k**config.dim
-        kern = ad.Tensor(_uniform_init(rng, kshape, fan_in, dt), requires_grad=True)
-        b = ad.Tensor(np.zeros(ch, dtype=dt), requires_grad=True)
-        sc, sh, st = _bn_layer(ch, dt)
-        weights.convs.append(_Layer(kern, b, sc, sh, st))
-        in_c = ch
-
-    flat = config.flat_features()
-    rng = layer_rng()
-    w1 = ad.Tensor(_uniform_init(rng, (flat, config.fc_hidden), flat, dt), requires_grad=True)
-    b1 = ad.Tensor(np.zeros(config.fc_hidden, dtype=dt), requires_grad=True)
-    sc, sh, st = _bn_layer(config.fc_hidden, dt)
-    weights.fc1 = _Layer(w1, b1, sc, sh, st)
-
-    w2 = ad.Tensor(np.zeros((config.fc_hidden, config.output_size), dtype=dt), requires_grad=True)
-    b2 = ad.Tensor(np.zeros(config.output_size, dtype=dt), requires_grad=True)
-    weights.out = _Layer(w2, b2)
-    return weights
+    return _build_weights(config, array)
 
 
 # ---------------------------------------------------------------------------
@@ -594,88 +617,124 @@ def forward(source, target, weights: PrNetWeights):
 # checkpoint container
 
 _MAGIC = b"PTREGCK1"
+_HEADER_SIZE = len(_MAGIC) + 4  # magic, then the <u4 manifest length
+_ARRAY_DTYPES = ("<f4", "<f8")
 
 
 def write_checkpoint(path, arrays: dict, meta: dict) -> None:
     """Write named arrays plus JSON metadata; bit-exact on round-trip.
 
-    Layout: magic, manifest length, JSON manifest (array names, shapes,
-    dtypes, payload checksum, user metadata), then the raw little-endian
-    array payload in manifest order.
+    Layout: magic, ``<u4`` manifest length, sorted-key JSON manifest (array
+    names, shapes, dtypes, payload checksum, user metadata), then the raw
+    little-endian arrays in name order.
+
+    The payload is never assembled in memory: the checksum is updated array
+    by array and each array is then written from its own buffer, so the data
+    is not copied at all (an array that is not C-contiguous is copied once
+    into C order first).
     """
-    names = sorted(arrays)
-    payload = bytearray()
     entries = []
-    for name in names:
+    blocks = []
+    digest = hashlib.sha256()
+    for name in sorted(arrays):
         arr = np.ascontiguousarray(arrays[name])
         if arr.dtype not in (np.float32, np.float64):
             raise ValueError(f"write_checkpoint: array {name} has non-float dtype {arr.dtype}")
         le = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
         entries.append({"name": name, "shape": list(arr.shape), "dtype": le.dtype.str})
-        payload.extend(le.tobytes())
+        digest.update(le)
+        blocks.append(le)
     manifest = {
         "version": 1,
         "arrays": entries,
         "meta": meta,
-        "payload_sha256": hashlib.sha256(bytes(payload)).hexdigest(),
+        "payload_sha256": digest.hexdigest(),
     }
     blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as f:
         f.write(_MAGIC)
-        f.write(np.array(len(blob), dtype="<u4").tobytes())
+        f.write(len(blob).to_bytes(4, "little"))
         f.write(blob)
-        f.write(bytes(payload))
+        for le in blocks:
+            f.write(le)
+
+
+def _parse_manifest(path, blob: bytes) -> tuple:
+    """``(entries, meta, checksum)`` from the manifest bytes, with every
+    entry checked: a string name used once, a ``<f4`` or ``<f8`` dtype and a
+    shape of non-negative integers."""
+    try:
+        manifest = json.loads(blob.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise CorruptCheckpointError(f"{path}: unreadable manifest ({exc})") from exc
+    if not isinstance(manifest, dict):
+        raise CorruptCheckpointError(f"{path}: manifest is not a JSON object")
+    listed = manifest.get("arrays")
+    if not isinstance(listed, list):
+        raise CorruptCheckpointError(f"{path}: manifest has no list of arrays")
+    meta = manifest.get("meta")
+    if not isinstance(meta, dict):
+        raise CorruptCheckpointError(f"{path}: manifest meta is not a JSON object")
+    entries = []
+    names = set()
+    for i, entry in enumerate(listed):
+        if not isinstance(entry, dict) or not {"name", "shape", "dtype"} <= entry.keys():
+            raise CorruptCheckpointError(f"{path}: array entry {i} lacks a name, shape or dtype")
+        name, shape, dtype = entry["name"], entry["shape"], entry["dtype"]
+        if not isinstance(name, str) or name in names:
+            raise CorruptCheckpointError(f"{path}: array entry {i} has a bad or repeated name")
+        if dtype not in _ARRAY_DTYPES:
+            raise CorruptCheckpointError(f"{path}: array {name} has unsupported dtype {dtype!r}")
+        if not isinstance(shape, list) or not all(_is_int(d) and d >= 0 for d in shape):
+            raise CorruptCheckpointError(f"{path}: array {name} has invalid shape {shape!r}")
+        names.add(name)
+        entries.append((name, tuple(shape), np.dtype(dtype)))
+    return entries, meta, manifest.get("payload_sha256")
 
 
 def read_checkpoint(path) -> tuple:
-    """Read a checkpoint written by ``write_checkpoint``; verifies the checksum."""
+    """Read a checkpoint written by ``write_checkpoint``; verifies the checksum.
+
+    The manifest is checked against the file size before any payload byte
+    is read. Each array then gets its own new buffer (aligned, C-contiguous,
+    writable), which ``readinto`` fills straight from the file and the
+    checksum reads in place: the data is copied once, from the file into
+    the array that is returned, and no two arrays share memory. The whole
+    payload's sha256 is verified before any array is returned. The file is
+    read, never memory-mapped, so it may be overwritten once this returns.
+    """
     with open(path, "rb") as f:
-        raw = f.read()
-    if raw[: len(_MAGIC)] != _MAGIC:
-        raise CorruptCheckpointError(f"{path}: bad magic, not a checkpoint file")
-    off = len(_MAGIC)
-    (mlen,) = np.frombuffer(raw[off : off + 4], dtype="<u4")
-    off += 4
-    try:
-        manifest = json.loads(raw[off : off + int(mlen)].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CorruptCheckpointError(f"{path}: unreadable manifest ({exc})") from exc
-    off += int(mlen)
-    payload = raw[off:]
-    digest = hashlib.sha256(payload).hexdigest()
-    if digest != manifest.get("payload_sha256"):
+        size = os.fstat(f.fileno()).st_size
+        header = f.read(_HEADER_SIZE)
+        if header[: len(_MAGIC)] != _MAGIC:
+            raise CorruptCheckpointError(f"{path}: bad magic, not a checkpoint file")
+        if len(header) != _HEADER_SIZE:
+            raise CorruptCheckpointError(f"{path}: file ends inside the header")
+        mlen = int.from_bytes(header[len(_MAGIC):], "little")
+        payload_size = size - _HEADER_SIZE - mlen
+        if payload_size < 0:
+            raise CorruptCheckpointError(f"{path}: manifest length {mlen} runs past the end of the file")
+        entries, meta, checksum = _parse_manifest(path, f.read(mlen))
+        listed = sum(math.prod(shape) * dtype.itemsize for _, shape, dtype in entries)
+        if listed != payload_size:
+            raise CorruptCheckpointError(
+                f"{path}: manifest lists {listed} payload bytes, the file holds {payload_size}"
+            )
+        digest = hashlib.sha256()
+        arrays = {}
+        for name, shape, dtype in entries:
+            arr = np.empty(shape, dtype)
+            if f.readinto(arr) != arr.nbytes:
+                raise CorruptCheckpointError(f"{path}: truncated payload at array {name}")
+            digest.update(arr)
+            arrays[name] = arr
+    if digest.hexdigest() != checksum:
         raise CorruptCheckpointError(f"{path}: payload checksum mismatch")
-    arrays = {}
-    cursor = 0
-    for entry in manifest["arrays"]:
-        dtype = np.dtype(entry["dtype"])
-        count = int(np.prod(entry["shape"])) if entry["shape"] else 1
-        nbytes = count * dtype.itemsize
-        chunk = payload[cursor : cursor + nbytes]
-        if len(chunk) != nbytes:
-            raise CorruptCheckpointError(f"{path}: truncated payload at array {entry['name']}")
-        arrays[entry["name"]] = np.frombuffer(chunk, dtype=dtype).reshape(entry["shape"]).copy()
-        cursor += nbytes
-    if cursor != len(payload):
-        raise CorruptCheckpointError(f"{path}: {len(payload) - cursor} trailing payload bytes")
-    return arrays, manifest["meta"]
+    return arrays, meta
 
 
 def save_model(path, weights: PrNetWeights, extra_meta: dict = None, extra_arrays: dict = None) -> None:
-    cfg = weights.config
-    meta = {
-        "kind": "pointreg-model",
-        "config": {
-            "dim": cfg.dim,
-            "grid_shape": list(cfg.grid_shape),
-            "mlp_widths": list(cfg.mlp_widths),
-            "conv_channels": list(cfg.conv_channels),
-            "conv_kernels": list(cfg.conv_kernels),
-            "fc_hidden": cfg.fc_hidden,
-            "leaky_slope": cfg.leaky_slope,
-            "dtype": cfg.dtype,
-        },
-    }
+    meta = {"kind": "pointreg-model", "config": asdict(weights.config)}
     if extra_meta:
         meta.update(extra_meta)
     arrays = weights.named_arrays()
@@ -687,32 +746,41 @@ def save_model(path, weights: PrNetWeights, extra_meta: dict = None, extra_array
     write_checkpoint(path, arrays, meta)
 
 
+def _config_from_meta(path, meta: dict) -> PrNetConfig:
+    c = meta.get("config")
+    if not isinstance(c, dict):
+        raise CorruptCheckpointError(f"{path}: model meta has no config")
+    names = [f.name for f in fields(PrNetConfig)]
+    missing = [n for n in names if n not in c]
+    if missing:
+        raise CorruptCheckpointError(f"{path}: config lacks {', '.join(missing)}")
+    try:
+        return PrNetConfig(**{n: tuple(c[n]) if isinstance(c[n], list) else c[n] for n in names})
+    except (TypeError, ValueError) as exc:
+        raise CorruptCheckpointError(f"{path}: invalid config ({exc})") from exc
+
+
 def load_model(path) -> tuple:
-    """Load weights plus (meta, extra arrays not belonging to the model)."""
+    """Load weights plus (meta, extra arrays not belonging to the model).
+
+    The weights are built around the arrays ``read_checkpoint`` returns,
+    each checked for name, shape and dtype, with no further copy.
+    """
     arrays, meta = read_checkpoint(path)
     if meta.get("kind") != "pointreg-model":
         raise CorruptCheckpointError(f"{path}: not a model checkpoint")
-    c = meta["config"]
-    cfg = PrNetConfig(
-        dim=c["dim"],
-        grid_shape=tuple(c["grid_shape"]),
-        mlp_widths=tuple(c["mlp_widths"]),
-        conv_channels=tuple(c["conv_channels"]),
-        conv_kernels=tuple(c["conv_kernels"]),
-        fc_hidden=c["fc_hidden"],
-        leaky_slope=c["leaky_slope"],
-        dtype=c["dtype"],
-    )
-    weights = init_weights(cfg, seed=0)
-    consumed = set()
-    for name, target in weights.named_arrays().items():
-        if name not in arrays:
+    cfg = _config_from_meta(path, meta)
+    dt = cfg.np_dtype()
+
+    def array(name, shape, fan_in, fill):
+        arr = arrays.pop(name, None)
+        if arr is None:
             raise CorruptCheckpointError(f"{path}: missing array {name}")
-        if tuple(arrays[name].shape) != tuple(target.shape):
-            raise CorruptCheckpointError(
-                f"{path}: array {name} has shape {arrays[name].shape}, expected {target.shape}"
-            )
-        target[...] = arrays[name]
-        consumed.add(name)
-    extras = {k: v for k, v in arrays.items() if k not in consumed}
-    return weights, meta, extras
+        if arr.shape != shape:
+            raise CorruptCheckpointError(f"{path}: array {name} has shape {arr.shape}, expected {shape}")
+        if arr.dtype != dt:
+            raise CorruptCheckpointError(f"{path}: array {name} has dtype {arr.dtype}, expected {dt}")
+        return arr
+
+    weights = _build_weights(cfg, array)
+    return weights, meta, arrays

@@ -106,27 +106,38 @@ def save_checkpoint(weights, adam_state: ad.AdamState, epoch: int, path) -> None
 def load_checkpoint(path):
     """Returns ``(weights, adam_state, epoch)``.
 
-    Plain model files (no optimizer arrays) load with a fresh optimizer at
-    epoch 0, so the same loader serves both resuming and evaluation.
+    The optimizer moments are the checkpoint's own arrays, each checked
+    against its parameter's shape and dtype, so a resumed run trains them
+    in place. Plain model files (no optimizer arrays) load with a fresh
+    optimizer at epoch 0, so the same loader serves both resuming and
+    evaluation.
     """
     weights, meta, extras = prnet.load_model(path)
     params = weights.params()
-    epoch = int(meta.get("epoch", 0))
-    state = ad.init_adam(
-        params,
-        learning_rate=float(meta.get("adam_learning_rate", 1e-4)),
-        decay=float(meta.get("adam_decay", 1.0)),
-    )
-    if any(k.startswith("adam.") for k in extras):
-        for i in range(len(params)):
-            for kind, dest in (("m", state.first_moment), ("v", state.second_moment)):
-                key = f"adam.{kind}.{i:03d}"
-                if key not in extras:
-                    raise prnet.CorruptCheckpointError(f"{path}: missing optimizer array {key}")
-                if extras[key].shape != dest[i].shape:
-                    raise prnet.CorruptCheckpointError(f"{path}: optimizer array {key} has wrong shape")
-                dest[i][...] = extras[key]
-        state.step_count = int(meta.get("adam_step_count", 0))
+    try:
+        epoch = int(meta.get("epoch", 0))
+        learning_rate = float(meta.get("adam_learning_rate", 1e-4))
+        decay = float(meta.get("adam_decay", 1.0))
+        step_count = int(meta.get("adam_step_count", 0))
+    except (TypeError, ValueError) as exc:
+        raise prnet.CorruptCheckpointError(f"{path}: invalid training meta ({exc})") from exc
+    if not any(k.startswith("adam.") for k in extras):
+        return weights, ad.init_adam(params, learning_rate=learning_rate, decay=decay), epoch
+    state = ad.AdamState(learning_rate=learning_rate, decay=decay, step_count=step_count)
+    for i, p in enumerate(params):
+        for kind, dest in (("m", state.first_moment), ("v", state.second_moment)):
+            key = f"adam.{kind}.{i:03d}"
+            if key not in extras:
+                raise prnet.CorruptCheckpointError(f"{path}: missing optimizer array {key}")
+            moment = extras[key]
+            if moment.shape != p.data.shape:
+                raise prnet.CorruptCheckpointError(f"{path}: optimizer array {key} has wrong shape")
+            if moment.dtype != p.data.dtype:
+                raise prnet.CorruptCheckpointError(
+                    f"{path}: optimizer array {key} has dtype {moment.dtype}, "
+                    f"its parameter {p.data.dtype}"
+                )
+            dest.append(moment)
     return weights, state, epoch
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 
 from pointreg import autodiff as ad
+from pointreg import model, trainer
 
 
 def finite_difference_grads(build, tensors, h=1e-6):
@@ -38,3 +39,16 @@ def assert_grads_match(build, tensors, h=1e-6, rtol=1e-4, atol=1e-7):
     numeric = finite_difference_grads(build, tensors, h=h)
     for a, n in zip(analytic, numeric):
         np.testing.assert_allclose(a, n, rtol=rtol, atol=atol)
+
+
+def small_identity_checkpoint(path):
+    """A small identity-warp model with zeroed Adam moments, saved the way
+    ``pointreg train`` saves one; returns ``path``."""
+    cfg = model.PrNetConfig(
+        grid_shape=(7, 7), mlp_widths=(8, 16, 32),
+        conv_channels=(16, 24, 32), conv_kernels=(3, 3, 3), fc_hidden=24,
+    )
+    weights = model.init_weights(cfg, seed=1)
+    state = ad.init_adam(weights.params(), 1e-4, 0.995)
+    trainer.save_checkpoint(weights, state, 0, path)
+    return path

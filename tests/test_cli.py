@@ -4,28 +4,20 @@ All invocations go through cli.main(argv) in-process; exit codes and the
 stdout/stderr contract are asserted the way a shell user would see them.
 """
 
+import json
+
 import numpy as np
 import pytest
 
-from pointreg import autodiff as ad
 from pointreg import cli, datagen, model, trainer
+
+from conftest import small_identity_checkpoint
 
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def small_identity_checkpoint(path):
-    cfg = model.PrNetConfig(
-        grid_shape=(7, 7), mlp_widths=(8, 16, 32),
-        conv_channels=(16, 24, 32), conv_kernels=(3, 3, 3), fc_hidden=24,
-    )
-    weights = model.init_weights(cfg, seed=1)
-    state = ad.init_adam(weights.params(), 1e-4, 0.995)
-    trainer.save_checkpoint(weights, state, 0, path)
-    return path
 
 
 class TestParsing:
@@ -218,3 +210,152 @@ class TestEvalIdentityModel:
             rows = (tmp_path / name).read_text().strip().split("\n")[2].split(",")
             reports.append(rows[2:6])
         assert reports[0] == reports[1]
+
+
+def write_container(path, manifest, payload=b""):
+    """Checkpoint bytes assembled by hand: magic, ``<u4`` manifest length,
+    the JSON manifest, then ``payload``."""
+    blob = json.dumps(manifest).encode("utf-8")
+    path.write_bytes(b"PTREGCK1" + len(blob).to_bytes(4, "little") + blob + payload)
+    return path
+
+
+def rewrite_checkpoint(src, dst, edit_arrays=None, edit_meta=None):
+    """Re-save the checkpoint ``src`` to ``dst`` after editing its arrays
+    and meta in place; the result is a valid container."""
+    arrays, meta = model.read_checkpoint(src)
+    if edit_arrays:
+        edit_arrays(arrays)
+    if edit_meta:
+        edit_meta(meta)
+    model.write_checkpoint(dst, arrays, meta)
+    return dst
+
+
+def _entry(drop=None, **fields):
+    """A manifest entry for two floats, with ``fields`` replaced and the
+    field ``drop`` removed."""
+    entry = {"name": "x", "shape": [2], "dtype": "<f4", **fields}
+    entry.pop(drop, None)
+    return entry
+
+
+class TestMalformedCheckpoint:
+    """Every malformed model file ends in one ``error:`` line and exit code 1
+    from ``pointreg register``, never a traceback."""
+
+    @pytest.fixture
+    def points(self, tmp_path):
+        path = tmp_path / "pts"
+        datagen.save_points_file(path, datagen.sample_shape("fish", 20))
+        return path
+
+    @pytest.fixture
+    def valid(self, tmp_path):
+        return small_identity_checkpoint(tmp_path / "valid.ckpt")
+
+    def assert_rejected(self, capsys, path, points, match):
+        code, out, err = run(capsys, "register", "--model", str(path),
+                             "--src", str(points), "--tgt", str(points))
+        assert code == 1
+        assert out == ""
+        lines = [ln for ln in err.strip().split("\n") if ln.startswith("error: ")]
+        assert len(lines) == 1 and match in lines[0], err
+        assert "Traceback" not in err
+
+    def test_file_shorter_than_header(self, capsys, tmp_path, points):
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(b"PTREGCK1\x05\x00")
+        self.assert_rejected(capsys, path, points, "inside the header")
+
+    def test_manifest_length_past_end_of_file(self, capsys, tmp_path, points):
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(b"PTREGCK1" + (1000).to_bytes(4, "little") + b'{"arrays":[]}')
+        self.assert_rejected(capsys, path, points, "runs past the end")
+
+    def test_manifest_not_a_dict(self, capsys, tmp_path, points):
+        path = write_container(tmp_path / "m.ckpt", [{"arrays": [], "meta": {}}])
+        self.assert_rejected(capsys, path, points, "not a JSON object")
+
+    @pytest.mark.parametrize("arrays", [None, {"x": [2]}, "x"], ids=["missing", "dict", "str"])
+    def test_arrays_missing_or_not_a_list(self, capsys, tmp_path, points, arrays):
+        manifest = {"meta": {"kind": "pointreg-model"}}
+        if arrays is not None:
+            manifest["arrays"] = arrays
+        path = write_container(tmp_path / "m.ckpt", manifest)
+        self.assert_rejected(capsys, path, points, "no list of arrays")
+
+    @pytest.mark.parametrize("entry", [
+        _entry(drop="name"), _entry(drop="shape"), _entry(drop="dtype"), ["x", [2], "<f4"],
+    ], ids=["no-name", "no-shape", "no-dtype", "list"])
+    def test_entry_lacks_a_field(self, capsys, tmp_path, points, entry):
+        path = write_container(tmp_path / "m.ckpt", {"arrays": [entry], "meta": {}}, bytes(8))
+        self.assert_rejected(capsys, path, points, "lacks a name, shape or dtype")
+
+    def test_repeated_array_name(self, capsys, tmp_path, points):
+        path = write_container(tmp_path / "m.ckpt", {"arrays": [_entry(), _entry()], "meta": {}}, bytes(16))
+        self.assert_rejected(capsys, path, points, "bad or repeated name")
+
+    @pytest.mark.parametrize("dtype", ["<i4", "not a dtype", "|O", ">f4", "float32", 4, None])
+    def test_unsupported_dtype(self, capsys, tmp_path, points, dtype):
+        path = write_container(tmp_path / "m.ckpt", {"arrays": [_entry(dtype=dtype)], "meta": {}}, bytes(8))
+        self.assert_rejected(capsys, path, points, "unsupported dtype")
+
+    @pytest.mark.parametrize("shape", [[-2], [2.0], ["2"], [True, 2], 2, None])
+    def test_invalid_shape(self, capsys, tmp_path, points, shape):
+        path = write_container(tmp_path / "m.ckpt", {"arrays": [_entry(shape=shape)], "meta": {}}, bytes(8))
+        self.assert_rejected(capsys, path, points, "invalid shape")
+
+    @pytest.mark.parametrize("meta", [[1, 2], "pointreg-model", None])
+    def test_meta_not_a_dict(self, capsys, tmp_path, points, meta):
+        path = write_container(tmp_path / "m.ckpt", {"arrays": [], "meta": meta})
+        self.assert_rejected(capsys, path, points, "meta is not a JSON object")
+
+    def test_meta_without_config(self, capsys, tmp_path):
+        path = str(tmp_path / "m.ckpt")
+        f = str(tmp_path / "pts")
+        datagen.save_points_file(f, datagen.sample_shape("fish", 20))
+        model.write_checkpoint(path, {"x": np.zeros(3, np.float32)}, {"kind": "pointreg-model"})
+        code = cli.main(["register", "--model", path, "--src", f, "--tgt", f])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error: " in err and "has no config" in err
+
+    @pytest.mark.parametrize("field", ["dim", "grid_shape", "conv_kernels", "dtype"])
+    def test_config_field_missing(self, capsys, tmp_path, points, valid, field):
+        path = rewrite_checkpoint(valid, tmp_path / "m.ckpt",
+                                  edit_meta=lambda m: m["config"].pop(field))
+        self.assert_rejected(capsys, path, points, f"config lacks {field}")
+
+    @pytest.mark.parametrize("field,value", [
+        ("dim", "2"), ("dim", 2.0), ("grid_shape", 7), ("grid_shape", [7, "7"]),
+        ("mlp_widths", [8, -16, 32]), ("conv_channels", []), ("conv_kernels", [3, 3]),
+        ("fc_hidden", 24.5), ("leaky_slope", "0.1"), ("dtype", "int32"), ("dtype", ["float32"]),
+    ])
+    def test_config_field_ill_typed(self, capsys, tmp_path, points, valid, field, value):
+        def edit(meta):
+            meta["config"][field] = value
+
+        path = rewrite_checkpoint(valid, tmp_path / "m.ckpt", edit_meta=edit)
+        self.assert_rejected(capsys, path, points, "invalid config")
+
+    def test_model_array_dtype_differs_from_config(self, capsys, tmp_path, points, valid):
+        def edit(arrays):
+            arrays["fc1.bias"] = arrays["fc1.bias"].astype(np.float64)
+
+        path = rewrite_checkpoint(valid, tmp_path / "m.ckpt", edit_arrays=edit)
+        self.assert_rejected(capsys, path, points, "array fc1.bias has dtype float64")
+
+    def test_optimizer_array_dtype_differs_from_parameter(self, capsys, tmp_path, points, valid):
+        def edit(arrays):
+            arrays["adam.v.004"] = arrays["adam.v.004"].astype(np.float64)
+
+        path = rewrite_checkpoint(valid, tmp_path / "m.ckpt", edit_arrays=edit)
+        self.assert_rejected(capsys, path, points, "optimizer array adam.v.004 has dtype float64")
+
+    def test_optimizer_meta_ill_typed(self, capsys, tmp_path, points, valid):
+        def edit(meta):
+            meta["adam_step_count"] = [3]
+
+        path = rewrite_checkpoint(valid, tmp_path / "m.ckpt", edit_meta=edit)
+        self.assert_rejected(capsys, path, points, "invalid training meta")
