@@ -20,20 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-try:
-    from numba import njit as _njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - the accelerator is a hard dependency
-    _HAVE_NUMBA = False
-
-    def _njit(*args, **kwargs):
-        def wrap(f):
-            return f
-
-        return wrap
-
-
 _FLOAT_DTYPES = (np.float32, np.float64)
 
 
@@ -163,11 +149,6 @@ class _BufferPool:
 
 
 _scratch = _BufferPool()
-
-
-def clear_scratch() -> None:
-    """Release all pooled scratch arrays back to the allocator."""
-    _scratch.clear()
 
 
 def _needs_grad(t) -> bool:
@@ -408,13 +389,8 @@ def max_pool_rows(x: Tensor, group_size: int) -> Tensor:
     blocks = x.data.reshape(groups, group_size, d)
     if not _needs_grad(x):
         return Tensor(blocks.max(axis=1))
-    if _HAVE_NUMBA:
-        out_data = np.empty((groups, d), x.data.dtype)
-        idx = np.empty((groups, d), np.int64)
-        _k_pool_fwd(blocks, out_data, idx)
-    else:
-        idx = np.argmax(blocks, axis=1)
-        out_data = np.take_along_axis(blocks, idx[:, None, :], axis=1)[:, 0, :]
+    idx = np.argmax(blocks, axis=1)
+    out_data = np.take_along_axis(blocks, idx[:, None, :], axis=1)[:, 0, :]
 
     def grad_fn(gradient):
         g = _scratch.take((n, d), x.data.dtype)
@@ -423,16 +399,6 @@ def max_pool_rows(x: Tensor, group_size: int) -> Tensor:
         _accumulate(x, g, fresh=True)
 
     return _make_node(out_data, (x,), grad_fn)
-
-
-def max_pool_over_set(x: Tensor) -> Tensor:
-    """Columnwise max of a ``[K, d]`` tensor, giving a ``[d]`` vector."""
-    if x.data.ndim != 2:
-        raise ShapeError(f"max_pool_over_set: expected 2-d input, got {x.data.shape}")
-    if x.data.shape[0] == 0:
-        raise ShapeError("max_pool_over_set: empty point set")
-    pooled = max_pool_rows(x, x.data.shape[0])
-    return reshape(pooled, (x.data.shape[1],))
 
 
 # ---------------------------------------------------------------------------
@@ -540,83 +506,6 @@ def batch_norm(
     return _make_node(out_data, (x, scale_t, shift_t), grad_fn)
 
 
-# ---------------------------------------------------------------------------
-# compiled kernels for the fused layers
-#
-# The training loop is memory-bound on the big [rows, features] activations;
-# these collapse numpy's one-pass-per-op sequences into single passes. Column
-# statistics accumulate in float64 regardless of the activation dtype.
-
-
-@_njit(cache=True)
-def _k_col_stats(z):
-    n, f = z.shape
-    s = np.zeros(f, np.float64)
-    ss = np.zeros(f, np.float64)
-    for i in range(n):
-        for j in range(f):
-            v = np.float64(z[i, j])
-            s[j] += v
-            ss[j] += v * v
-    mean = s / n
-    var = ss / n - mean * mean
-    for j in range(f):
-        if var[j] < 0.0:
-            var[j] = 0.0
-    return mean, var
-
-
-@_njit(cache=True)
-def _k_center_affine_act(z, mean, alpha, shift, slope, out):
-    n, f = z.shape
-    for i in range(n):
-        for j in range(f):
-            c = z[i, j] - mean[j]
-            z[i, j] = c
-            v = c * alpha[j] + shift[j]
-            out[i, j] = v if v > 0 else v * slope
-    return out
-
-
-@_njit(cache=True)
-def _k_bn_act_bwd_reduce(gradient, out, z, slope, dy):
-    n, f = gradient.shape
-    cs = np.zeros(f, np.float64)
-    cd = np.zeros(f, np.float64)
-    for i in range(n):
-        for j in range(f):
-            g = gradient[i, j]
-            if out[i, j] <= 0:
-                g = g * slope
-            dy[i, j] = g
-            cs[j] += g
-            cd[j] += g * z[i, j]
-    return cs, cd
-
-
-@_njit(cache=True)
-def _k_bn_act_bwd_apply(dy, z, alpha, c1, c2):
-    n, f = dy.shape
-    for i in range(n):
-        for j in range(f):
-            dy[i, j] = alpha[j] * dy[i, j] - c1[j] - z[i, j] * c2[j]
-
-
-@_njit(cache=True)
-def _k_pool_fwd(blocks, out, idx):
-    g, k, d = blocks.shape
-    for a in range(g):
-        for j in range(d):
-            out[a, j] = blocks[a, 0, j]
-            idx[a, j] = 0
-        for b in range(1, k):
-            for j in range(d):
-                v = blocks[a, b, j]
-                if v > out[a, j]:
-                    out[a, j] = v
-                    idx[a, j] = b
-
-
 def dense_bn_act(
     x,
     weight: Tensor,
@@ -663,87 +552,53 @@ def dense_bn_act(
         z = np.matmul(xd, weight.data, out=_scratch.take((n, f), xd.dtype))
     else:
         z = xd @ weight.data
-
-    use_fast = train and _HAVE_NUMBA
-    if use_fast:
-        # bias is constant per column, so the batch statistics absorb it:
-        # centering (z + b) by its mean equals centering z alone, and adding
-        # the bias back into the stored running mean keeps the eval-mode
-        # fold seeing the same statistics as before
-        mean64, var64 = _k_col_stats(z)
-        inv64 = 1.0 / np.sqrt(var64 + eps)
-        _update_running_stats(state, mean64 + bias.data.astype(np.float64), var64)
-        alpha64 = scale_t.data.astype(np.float64) * inv64
-        alpha = alpha64.astype(z.dtype)
-        out_data = _k_center_affine_act(
-            z, mean64.astype(z.dtype), alpha, shift_t.data.astype(z.dtype),
-            z.dtype.type(slope), _scratch.take(z.shape, z.dtype),
-        )
+    z += bias.data
+    if train:
+        mean = z.mean(axis=0)
+        z -= mean
+        var = np.einsum("nf,nf->f", z, z) / n
+        inv_std = 1.0 / np.sqrt(var + eps)
+        _update_running_stats(state, mean, var)
     else:
-        z += bias.data
-        if train:
-            mean = z.mean(axis=0)
-            z -= mean
-            var = np.einsum("nf,nf->f", z, z) / n
-            inv_std = 1.0 / np.sqrt(var + eps)
-            _update_running_stats(state, mean, var)
-        else:
-            mean = state.running_mean.astype(z.dtype)
-            inv_std = 1.0 / np.sqrt(state.running_var.astype(z.dtype) + eps)
-            z -= mean
-        # z now holds the centered pre-norm values; alpha folds the 1/std and
-        # the learned scale into one broadcast multiply
-        alpha = scale_t.data * inv_std
-        out_data = np.multiply(z, alpha, out=_scratch.take(z.shape, z.dtype))
-        out_data += shift_t.data
-        low = np.multiply(out_data, slope, out=_scratch.take(z.shape, z.dtype))
-        np.maximum(out_data, low, out=out_data)
-        _scratch.give(low)
-        del low
+        mean = state.running_mean.astype(z.dtype)
+        inv_std = 1.0 / np.sqrt(state.running_var.astype(z.dtype) + eps)
+        z -= mean
+    # z now holds the centered pre-norm values; alpha folds the 1/std and
+    # the learned scale into one broadcast multiply
+    alpha = scale_t.data * inv_std
+    out_data = np.multiply(z, alpha, out=_scratch.take(z.shape, z.dtype))
+    out_data += shift_t.data
+    low = np.multiply(out_data, slope, out=_scratch.take(z.shape, z.dtype))
+    np.maximum(out_data, low, out=out_data)
+    _scratch.give(low)
+    del low
 
     def grad_fn(gradient):
         nonlocal z
         if z is None:
             raise GraphError("dense_bn_act: graph already consumed by backward()")
-        if use_fast:
-            dy = _scratch.take(gradient.shape, gradient.dtype)
-            cs64, cd64 = _k_bn_act_bwd_reduce(
-                gradient, out_data, z, gradient.dtype.type(slope), dy
-            )
-            if _needs_grad(scale_t):
-                _accumulate(scale_t, (cd64 * inv64).astype(scale_t.data.dtype))
-            if _needs_grad(shift_t):
-                _accumulate(shift_t, cs64.astype(shift_t.data.dtype))
-            c1 = (alpha64 * (cs64 / n)).astype(z.dtype)
-            c2 = (alpha64 * inv64 * inv64 * (cd64 / n)).astype(z.dtype)
-            _k_bn_act_bwd_apply(dy, z, alpha, c1, c2)
-            _scratch.give(z)
-            z = None
-            # the bias gradient is the column sum of the corrected dy, which
-            # the centering makes exactly zero; no reduction is spent on it
-        else:
-            # leaky ReLU keeps the sign of its input, so the output's sign
-            # recovers which branch was active
-            mask = np.greater(out_data, 0, out=_scratch.take(out_data.shape, np.bool_))
-            dy = np.multiply(gradient, slope, out=_scratch.take(gradient.shape, gradient.dtype))
-            np.copyto(dy, gradient, where=mask)
-            _scratch.give(mask)
-            # every reduction the norm's backward needs comes from these sums
-            col_sum = dy.sum(axis=0)
-            col_dot = np.einsum("nf,nf->f", dy, z)
-            if _needs_grad(scale_t):
-                _accumulate(scale_t, col_dot * inv_std)
-            if _needs_grad(shift_t):
-                _accumulate(shift_t, col_sum)
-            dy *= alpha
-            if train:
-                dy -= alpha * (col_sum / n)
-                low2 = np.multiply(z, alpha * inv_std * inv_std * (col_dot / n), out=z)
-                dy -= low2
-            _scratch.give(z)
-            z = None
-            if _needs_grad(bias):
-                _accumulate(bias, dy.sum(axis=0))
+        # leaky ReLU keeps the sign of its input, so the output's sign
+        # recovers which branch was active
+        mask = np.greater(out_data, 0, out=_scratch.take(out_data.shape, np.bool_))
+        dy = np.multiply(gradient, slope, out=_scratch.take(gradient.shape, gradient.dtype))
+        np.copyto(dy, gradient, where=mask)
+        _scratch.give(mask)
+        # every reduction the norm's backward needs comes from these sums
+        col_sum = dy.sum(axis=0)
+        col_dot = np.einsum("nf,nf->f", dy, z)
+        if _needs_grad(scale_t):
+            _accumulate(scale_t, col_dot * inv_std)
+        if _needs_grad(shift_t):
+            _accumulate(shift_t, col_sum)
+        dy *= alpha
+        if train:
+            dy -= alpha * (col_sum / n)
+            low2 = np.multiply(z, alpha * inv_std * inv_std * (col_dot / n), out=z)
+            dy -= low2
+        _scratch.give(z)
+        z = None
+        if _needs_grad(bias):
+            _accumulate(bias, dy.sum(axis=0))
         if _needs_grad(weight):
             _accumulate(weight, xd.T @ dy, fresh=True)
         if _needs_grad(x):
@@ -943,7 +798,6 @@ def conv_valid(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
         if _needs_grad(x):
             dcols = (gf @ w2).reshape(out_spatial + (c_in,) + ksize)
             dx = np.zeros_like(xd)
-            spatial_axes = tuple(range(nd))
             for offset in np.ndindex(*ksize):
                 piece = dcols[(...,) + offset]
                 piece = np.moveaxis(piece, nd, 0)

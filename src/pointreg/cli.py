@@ -81,8 +81,6 @@ def _add_globals(parser, suppress=False):
                         help="key=value config file; flags override its entries")
     parser.add_argument("--seed", type=int, default=default,
                         help="random seed (default: 0)")
-    parser.add_argument("--threads", type=_positive_int, default=default,
-                        help="parallelism bound; results are independent of it (default: 1)")
     parser.add_argument("--verbose", action="store_true",
                         default=argparse.SUPPRESS if suppress else False,
                         help="debug-level logging (default: off)")
@@ -298,10 +296,6 @@ def main(argv=None) -> int:
     if args.subcommand is None:
         parser.print_usage(sys.stderr)
         return 2
-    if args.threads is not None and args.threads != 1:
-        # accepted for interface stability; execution is serial either way,
-        # which is what makes results independent of this flag
-        log.debug("running serially; --threads %d is a bound, not a demand", args.threads)
     try:
         return _COMMANDS[args.subcommand](args)
     except (ValueError, OSError, datagen.DatasetError, datagen.PointFileError,

@@ -10,6 +10,7 @@ order and parallelism cannot change the output.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -96,6 +97,8 @@ def load_points_file(path) -> np.ndarray:
                 row = [float(tok) for tok in tokens]
             except ValueError:
                 raise PointFileError(f"{path}:{lineno}: non-numeric coordinate in {line!r}") from None
+            if not all(map(math.isfinite, row)):
+                raise PointFileError(f"{path}:{lineno}: non-finite coordinate in {line!r}")
             if ncols is None:
                 ncols = len(row)
             elif len(row) != ncols:

@@ -426,41 +426,24 @@ def compute_sdt(points, grid: ReferenceGrid, weights: PrNetWeights, train: bool 
     return ad.Tensor(_sdt_eval([canonical_order(pts)], grid, weights))
 
 
-def compute_correlation(f_s: ad.Tensor, f_g: ad.Tensor, normalize: bool = True) -> ad.Tensor:
-    """All-to-all inner products of descriptor rows.
+def compute_correlation(f_s: ad.Tensor, f_g_all: ad.Tensor, grid_count: int) -> ad.Tensor:
+    """Correlation tensors of one source against a stack of targets.
 
-    Row i holds the response of source grid point i against every target
-    grid point. With ``normalize`` each row is scaled to unit norm, the form
-    consumed by the prediction head.
+    ``f_s`` is the source descriptor ``[G, d]``; ``f_g_all`` stacks the
+    targets' descriptors as ``[B*G, d]``. The result is ``[B*G, G]`` in conv
+    layout: in each pair's block, row j (a target grid point, the channel)
+    holds its inner products with every source grid point (the spatial
+    position), and each column of the block is scaled to unit norm.
     """
-    if f_s.data.shape[1] != f_g.data.shape[1]:
+    if f_s.data.shape[1] != f_g_all.data.shape[1]:
         raise ValueError(
-            f"compute_correlation: feature dims differ, {f_s.data.shape} vs {f_g.data.shape}"
+            f"compute_correlation: feature dims differ, {f_s.data.shape} vs {f_g_all.data.shape}"
         )
-    c = ad.matmul(f_s, f_g, transpose_b=True)
-    return ad.l2_normalize_rows(c) if normalize else c
+    return ad.l2_normalize_block_cols(ad.matmul(f_g_all, f_s, transpose_b=True), grid_count)
 
 
 # ---------------------------------------------------------------------------
 # prediction head
-
-
-def _conv_stack(c: ad.Tensor, weights: PrNetWeights, train: bool) -> ad.Tensor:
-    """Correlation [G_s, t] -> conv features, flattened to a single row.
-
-    Batch norm over a conv output treats spatial positions as the batch, so
-    each layer's feature map is flattened to [positions, channels] and back.
-    """
-    cfg = weights.config
-    h = ad.reshape(ad.transpose2d(c), (c.data.shape[1],) + cfg.grid_shape)
-    for layer in weights.convs:
-        h = ad.conv_valid(h, layer.weight, layer.bias)
-        shape = h.data.shape
-        flat = ad.transpose2d(ad.reshape(h, (shape[0], int(np.prod(shape[1:])))))
-        flat = ad.batch_norm(flat, layer.bn_scale, layer.bn_shift, layer.bn_state, train)
-        flat = ad.leaky_relu(flat, cfg.leaky_slope)
-        h = ad.reshape(ad.transpose2d(flat), shape)
-    return ad.reshape(h, (1, cfg.flat_features()))
 
 
 def _fc_head(flat_rows: ad.Tensor, weights: PrNetWeights, train: bool) -> ad.Tensor:
@@ -470,19 +453,6 @@ def _fc_head(flat_rows: ad.Tensor, weights: PrNetWeights, train: bool) -> ad.Ten
         weights.fc1.bn_shift, weights.fc1.bn_state, train, cfg.leaky_slope,
     )
     return ad.linear(h, weights.out.weight, weights.out.bias)
-
-
-def predict_theta(c: ad.Tensor, weights: PrNetWeights, train: bool = False) -> ad.Tensor:
-    """Regress TPS targets from one correlation tensor: theta = theta0 + head(c).
-
-    Train-mode use requires batching (the FC batch-norm needs more than one
-    row); see ``forward_shared_source``.
-    """
-    cfg = weights.config
-    flat = _conv_stack(c, weights, train)
-    delta = _fc_head(flat, weights, train)
-    theta0 = tps.make_control_grid(cfg.dim).points.astype(delta.data.dtype)
-    return ad.add(ad.reshape(delta, (cfg.theta_count, cfg.dim)), theta0)
 
 
 # ---------------------------------------------------------------------------
@@ -567,11 +537,7 @@ def forward_shared_source(
         f_s = ad.Tensor(cache.sdt_eval)
         f_g_all = ad.Tensor(_sdt_eval(ordered, grid, weights))
 
-    # Rows of f_g_all are target grid points; against the source descriptor
-    # this directly yields each pair's correlation in conv layout
-    # (channel = target grid point, spatial = source grid point).
-    corr = ad.matmul(f_g_all, f_s, transpose_b=True)
-    corr = ad.l2_normalize_block_cols(corr, g)
+    corr = compute_correlation(f_s, f_g_all, g)
     h = ad.reshape(corr, (batch, g) + cfg.grid_shape)
     for layer in weights.convs:
         h = ad.conv_bn_act_batch(
@@ -638,8 +604,8 @@ def write_checkpoint(path, arrays: dict, meta: dict) -> None:
     digest = hashlib.sha256()
     for name in sorted(arrays):
         arr = np.ascontiguousarray(arrays[name])
-        if arr.dtype not in (np.float32, np.float64):
-            raise ValueError(f"write_checkpoint: array {name} has non-float dtype {arr.dtype}")
+        if arr.dtype.kind != "f" or arr.dtype.itemsize not in (4, 8):
+            raise ValueError(f"write_checkpoint: array {name} has dtype {arr.dtype}, not float32 or float64")
         le = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
         entries.append({"name": name, "shape": list(arr.shape), "dtype": le.dtype.str})
         digest.update(le)

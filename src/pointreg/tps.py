@@ -118,11 +118,6 @@ class TpsWarp:
             raise ValueError(f"TpsWarp: theta shape {tuple(shape)} != {expected}")
 
 
-def identity_warp(dim: int) -> TpsWarp:
-    grid = make_control_grid(dim)
-    return TpsWarp(grid=grid, theta=grid.points.copy())
-
-
 def apply_warp(warp: TpsWarp, points):
     """Evaluate the warp at ``points`` ([N, dim]).
 

@@ -84,7 +84,7 @@ def write_history_csv(history, path) -> None:
 # ---------------------------------------------------------------------------
 # checkpointing
 
-_ADAM_META = ("step_count",)
+_TRAINING_META = ("epoch", "adam_learning_rate", "adam_decay", "adam_step_count")
 
 
 def save_checkpoint(weights, adam_state: ad.AdamState, epoch: int, path) -> None:
@@ -108,12 +108,16 @@ def load_checkpoint(path):
 
     The optimizer moments are the checkpoint's own arrays, each checked
     against its parameter's shape and dtype, so a resumed run trains them
-    in place. Plain model files (no optimizer arrays) load with a fresh
-    optimizer at epoch 0, so the same loader serves both resuming and
-    evaluation.
+    in place; such a file must also carry every ``_TRAINING_META`` key.
+    Plain model files (no optimizer arrays) load with a fresh optimizer at
+    epoch 0, so the same loader serves both resuming and evaluation.
     """
     weights, meta, extras = prnet.load_model(path)
     params = weights.params()
+    resumable = any(k.startswith("adam.") for k in extras)
+    missing = [k for k in _TRAINING_META if k not in meta] if resumable else []
+    if missing:
+        raise prnet.CorruptCheckpointError(f"{path}: training meta lacks {', '.join(missing)}")
     try:
         epoch = int(meta.get("epoch", 0))
         learning_rate = float(meta.get("adam_learning_rate", 1e-4))
@@ -121,7 +125,7 @@ def load_checkpoint(path):
         step_count = int(meta.get("adam_step_count", 0))
     except (TypeError, ValueError) as exc:
         raise prnet.CorruptCheckpointError(f"{path}: invalid training meta ({exc})") from exc
-    if not any(k.startswith("adam.") for k in extras):
+    if not resumable:
         return weights, ad.init_adam(params, learning_rate=learning_rate, decay=decay), epoch
     state = ad.AdamState(learning_rate=learning_rate, decay=decay, step_count=step_count)
     for i, p in enumerate(params):

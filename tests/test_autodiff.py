@@ -77,20 +77,20 @@ class TestLeakyRelu:
 
 class TestMaxPool:
     def test_columnwise_max(self):
-        out = ad.max_pool_over_set(f64([[1.0, 5.0], [3.0, 2.0]]))
-        np.testing.assert_array_equal(out.data, [3.0, 5.0])
+        out = ad.max_pool_rows(f64([[1.0, 5.0], [3.0, 2.0]]), 2)
+        np.testing.assert_array_equal(out.data, [[3.0, 5.0]])
 
     def test_single_row_is_identity(self):
-        out = ad.max_pool_over_set(f64([[7.0, 8.0]]))
-        np.testing.assert_array_equal(out.data, [7.0, 8.0])
+        out = ad.max_pool_rows(f64([[7.0, 8.0]]), 1)
+        np.testing.assert_array_equal(out.data, [[7.0, 8.0]])
 
     def test_empty_set_rejected(self):
-        with pytest.raises(ad.ShapeError, match="empty"):
-            ad.max_pool_over_set(f64(np.zeros((0, 3))))
+        with pytest.raises(ad.ShapeError, match="blocks of 0"):
+            ad.max_pool_rows(f64(np.zeros((0, 3))), 0)
 
     def test_gradient_routes_to_first_argmax_on_ties(self):
         x = f64([[2.0, 1.0], [2.0, 3.0]], requires_grad=True)
-        ad.tensor_sum(ad.max_pool_over_set(x)).backward()
+        ad.tensor_sum(ad.max_pool_rows(x, 2)).backward()
         np.testing.assert_array_equal(x.grad, [[1.0, 0.0], [0.0, 1.0]])
 
     def test_grouped_pool_matches_per_group(self, rng):
@@ -109,8 +109,8 @@ class TestMaxPool:
     )
     @settings(max_examples=50, deadline=None)
     def test_permutation_invariance(self, x, perm):
-        a = ad.max_pool_over_set(ad.Tensor(x, dtype=np.float64))
-        b = ad.max_pool_over_set(ad.Tensor(x[list(perm)], dtype=np.float64))
+        a = ad.max_pool_rows(ad.Tensor(x, dtype=np.float64), x.shape[0])
+        b = ad.max_pool_rows(ad.Tensor(x[list(perm)], dtype=np.float64), x.shape[0])
         np.testing.assert_array_equal(a.data, b.data)
 
 

@@ -78,6 +78,23 @@ class TestLayout:
         assert path.read_bytes() == expected
 
 
+    @pytest.mark.parametrize("dtype", [">f4", ">f8"])
+    def test_big_endian_arrays_round_trip(self, tmp_path, dtype):
+        little = np.linspace(-2.0, 3.0, 6).reshape(2, 3).astype("<" + dtype[1:])
+        big = little.astype(dtype)
+        model.write_checkpoint(tmp_path / "big.ckpt", {"x": big}, {})
+        model.write_checkpoint(tmp_path / "little.ckpt", {"x": little}, {})
+        assert (tmp_path / "big.ckpt").read_bytes() == (tmp_path / "little.ckpt").read_bytes()
+        arrays, _ = model.read_checkpoint(tmp_path / "big.ckpt")
+        assert arrays["x"].dtype == little.dtype
+        np.testing.assert_array_equal(arrays["x"], big)
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.int32, np.int64])
+    def test_other_dtypes_rejected(self, tmp_path, dtype):
+        with pytest.raises(ValueError, match="not float32 or float64"):
+            model.write_checkpoint(tmp_path / "c.ckpt", {"x": np.arange(3, dtype=dtype)}, {})
+
+
 class TestLoaderContract:
     def test_read_checkpoint_mixed_dtypes(self, tmp_path):
         path = tmp_path / "c.ckpt"
@@ -118,6 +135,15 @@ class TestLoaderContract:
         trainer.load_checkpoint(path)
         for name, arr in expected.named_arrays().items():
             assert weights.named_arrays()[name].tobytes() == arr.tobytes(), name
+
+    @pytest.mark.parametrize("key", ["epoch", "adam_learning_rate", "adam_decay", "adam_step_count"])
+    def test_training_checkpoint_missing_meta_key_is_rejected(self, tmp_path, key):
+        path = small_identity_checkpoint(tmp_path / "m.ckpt")
+        arrays, meta = model.read_checkpoint(path)
+        del meta[key]
+        model.write_checkpoint(path, arrays, meta)
+        with pytest.raises(model.CorruptCheckpointError, match=f"training meta lacks {key}"):
+            trainer.load_checkpoint(path)
 
     def test_file_can_be_overwritten_while_arrays_live(self, tmp_path):
         path = small_identity_checkpoint(tmp_path / "m.ckpt")

@@ -37,7 +37,7 @@ class TestParsing:
             "eval": ["--model", "--data", "--report"],
             "plot": ["--model", "--data", "--out-dir", "--limit"],
         }[sub]
-        for flag in flags + ["--config", "--seed", "--threads", "--verbose"]:
+        for flag in flags + ["--config", "--seed", "--verbose"]:
             assert flag in text, flag
         assert "default:" in text
 
@@ -196,20 +196,40 @@ class TestEvalIdentityModel:
         cd_pre_mean, cd_post_mean = float(row[2]), float(row[4])
         assert cd_post_mean == pytest.approx(cd_pre_mean, abs=1e-9)
 
-    def test_threads_flag_does_not_change_results(self, capsys, tmp_path):
+
+
+class TestNonFinitePoints:
+    """A NaN or infinite coordinate in any points file ends in one
+    ``error:`` line naming file and line, and exit code 1."""
+
+    def test_register_rejects_non_finite_target(self, capsys, tmp_path):
         ckpt = small_identity_checkpoint(tmp_path / "id.ckpt")
-        assert cli.main(["synth", "--count", "4", "--points", "40",
-                        "--seed", "8", "--out", str(tmp_path / "d")]) == 0
-        reports = []
-        for threads, name in [("1", "a.csv"), ("4", "b.csv")]:
-            code, _, _ = run(
-                capsys, "eval", "--model", str(ckpt), "--data", str(tmp_path / "d"),
-                "--threads", threads, "--report", str(tmp_path / name),
-            )
-            assert code == 0
-            rows = (tmp_path / name).read_text().strip().split("\n")[2].split(",")
-            reports.append(rows[2:6])
-        assert reports[0] == reports[1]
+        src = tmp_path / "src"
+        datagen.save_points_file(src, datagen.sample_shape("fish", 20))
+        tgt = tmp_path / "tgt"
+        tgt.write_text(src.read_text() + "0.5 nan\n")
+        out_points = tmp_path / "warped"
+        code, out, err = run(capsys, "register", "--model", str(ckpt), "--src", str(src),
+                             "--tgt", str(tgt), "--out-points", str(out_points))
+        assert code == 1
+        assert out == ""
+        lines = [ln for ln in err.strip().split("\n") if ln.startswith("error: ")]
+        assert len(lines) == 1 and f"{tgt}:21: non-finite" in lines[0], err
+        assert not out_points.exists()
+
+    def test_eval_rejects_dataset_with_non_finite_pair(self, capsys, tmp_path):
+        ckpt = small_identity_checkpoint(tmp_path / "id.ckpt")
+        data = tmp_path / "d"
+        assert cli.main(["synth", "--count", "3", "--points", "30",
+                         "--seed", "5", "--out", str(data)]) == 0
+        bad = data / "pair_000001_tgt"
+        bad.write_text("inf 0.0\n" + bad.read_text())
+        report = tmp_path / "r.csv"
+        code, _, err = run(capsys, "eval", "--model", str(ckpt), "--data", str(data),
+                           "--report", str(report))
+        assert code == 1
+        assert "error: " in err and f"{bad}:1: non-finite" in err
+        assert not report.exists()
 
 
 def write_container(path, manifest, payload=b""):

@@ -104,6 +104,13 @@ class TestPointFiles:
         with pytest.raises(datagen.PointFileError, match=r":2:"):
             datagen.load_points_file(path)
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_reported_with_line(self, tmp_path, token):
+        path = tmp_path / "p.txt"
+        path.write_text(f"1.0 2.0\n3.0 {token}\n")
+        with pytest.raises(datagen.PointFileError, match=r"p\.txt:2: non-finite"):
+            datagen.load_points_file(path)
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "p.txt"
         path.write_text("# nothing here\n")

@@ -184,35 +184,26 @@ class TestDescriptor:
 
 class TestCorrelation:
     def test_matches_double_loop_oracle(self):
+        # two targets stacked; each block is checked on its own, in the
+        # transposed (channel = target grid point) layout
         rng = np.random.default_rng(17)
-        f_s = ad.Tensor(rng.normal(size=(12, 7)))
-        f_g = ad.Tensor(rng.normal(size=(15, 7)))
-        corr = model.compute_correlation(f_s, f_g)
-        expected = np.zeros((12, 15))
-        for i in range(12):
-            for j in range(15):
-                expected[i, j] = np.dot(f_s.data[i], f_g.data[j])
-        expected /= np.linalg.norm(expected, axis=1, keepdims=True)
-        np.testing.assert_allclose(corr.data, expected, atol=1e-12)
-
-    def test_unnormalized_variant(self):
-        rng = np.random.default_rng(18)
-        f_s = ad.Tensor(rng.normal(size=(4, 3)))
-        corr = model.compute_correlation(f_s, f_s, normalize=False)
-        np.testing.assert_allclose(corr.data, f_s.data @ f_s.data.T, atol=1e-14)
-
-    def test_self_correlation_diagonal_of_unit_rows(self):
-        # unit-norm descriptors correlate with themselves at exactly 1 on
-        # the diagonal before row normalization
-        rng = np.random.default_rng(19)
-        f = rng.normal(size=(10, 6))
-        f /= np.linalg.norm(f, axis=1, keepdims=True)
-        corr = model.compute_correlation(ad.Tensor(f), ad.Tensor(f), normalize=False)
-        np.testing.assert_allclose(np.diag(corr.data), 1.0, atol=1e-12)
+        g = 12
+        f_s = ad.Tensor(rng.normal(size=(g, 7)), dtype=np.float64)
+        f_g_all = ad.Tensor(rng.normal(size=(2 * g, 7)), dtype=np.float64)
+        corr = model.compute_correlation(f_s, f_g_all, g)
+        assert corr.data.shape == (2 * g, g)
+        for b in range(2):
+            f_g = f_g_all.data[b * g : (b + 1) * g]
+            expected = np.zeros((g, g))
+            for j in range(g):
+                for i in range(g):
+                    expected[j, i] = np.dot(f_g[j], f_s.data[i])
+            expected /= np.linalg.norm(expected, axis=0, keepdims=True)
+            np.testing.assert_allclose(corr.data[b * g : (b + 1) * g], expected, atol=1e-12)
 
     def test_feature_dim_mismatch(self):
         with pytest.raises(ValueError, match="feature dims"):
-            model.compute_correlation(ad.Tensor(np.zeros((3, 4))), ad.Tensor(np.zeros((3, 5))))
+            model.compute_correlation(ad.Tensor(np.zeros((3, 4))), ad.Tensor(np.zeros((3, 5))), 3)
 
 
 class TestIdentityAtInitialization:

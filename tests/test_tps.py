@@ -151,7 +151,8 @@ class TestWarp:
     def test_identity_warp_returns_input(self):
         rng = np.random.default_rng(0)
         pts = rng.uniform(-1, 1, size=(50, 2))
-        out = tps.apply_warp(tps.identity_warp(2), pts)
+        grid = tps.make_control_grid(2)
+        out = tps.apply_warp(tps.TpsWarp(grid=grid, theta=grid.points), pts)
         np.testing.assert_allclose(out, pts, atol=1e-9)
 
     def test_translation_warp(self):
@@ -183,6 +184,7 @@ class TestWarp:
             tps.TpsWarp(grid=grid, theta=np.zeros((8, 2)))
 
     def test_point_dimension_validated(self):
-        warp = tps.identity_warp(2)
+        grid = tps.make_control_grid(2)
+        warp = tps.TpsWarp(grid=grid, theta=grid.points)
         with pytest.raises(ValueError, match="points"):
             tps.apply_warp(warp, np.zeros((5, 3)))

@@ -109,15 +109,21 @@ class TestTrainBasics:
         with pytest.raises(datagen.DatasetError):
             trainer.train(trainer.TrainConfig(epochs=1), tmp_path / "nope", fresh_weights())
 
-    def test_non_finite_loss_aborts_with_diagnostics(self, tmp_path):
+    def test_non_finite_loss_aborts_with_diagnostics(self, tmp_path, monkeypatch):
         shape = datagen.sample_shape("fish", 32)
         ds = datagen.generate_dataset(
             shape, datagen.SynthConfig(seed=1, pair_count=8), tmp_path / "d"
         )
         # poison one training pair; the abort must name epoch, batch, and the
-        # schedule values
-        bad = ds.directory / "pair_000002_tgt"
-        bad.write_text("nan nan\n" * 32)
+        # schedule values. The points-file reader rejects NaN, so the poison
+        # goes in after it.
+        load_pair = datagen.Dataset.load_pair
+
+        def poisoned(self, index):
+            src, tgt = load_pair(self, index)
+            return (src, np.full_like(tgt, np.nan)) if index == 2 else (src, tgt)
+
+        monkeypatch.setattr(datagen.Dataset, "load_pair", poisoned)
         with pytest.raises(trainer.TrainingDivergedError, match=r"epoch 1.*sigma"):
             trainer.train(trainer.TrainConfig(epochs=1, batch_size=8), ds, fresh_weights())
 
