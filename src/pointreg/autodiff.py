@@ -405,52 +405,61 @@ def max_pool_rows(x: Tensor, group_size: int) -> Tensor:
 # normalization
 
 
+BN_EPS = 1e-5  # added to every batch-norm variance
+
+
 @dataclass
 class BatchNormState:
     """Running statistics for one batch-norm layer. Not trainable.
 
-    Every train-mode call folds its batch statistics in as
-    ``(1 - momentum) * running + momentum * batch``. During training that
-    moving average lags the moving weights, so the trainer does not keep it:
-    at the end of each epoch it recomputes the statistics from the frozen
-    weights by running this same update with ``momentum = 1/k`` on the k-th
-    call (see ``trainer.recalibrate_batch_norm``), then restores
-    ``momentum``. Eval mode reads the result.
+    The ops below normalise by batch statistics only and never write here.
+    ``trainer.recalibrate_batch_norm`` sets both arrays at the end of every
+    epoch, from the frozen weights; the model's eval forward reads them.
     """
 
     running_mean: np.ndarray
     running_var: np.ndarray
-    momentum: float = 0.1
-    eps: float = 1e-5
 
 
-def init_batch_norm(features: int, dtype=np.float32) -> BatchNormState:
-    return BatchNormState(
-        running_mean=np.zeros(features, dtype=dtype),
-        running_var=np.ones(features, dtype=dtype),
-    )
+def batch_stats(z: np.ndarray) -> tuple:
+    """Centre the columns of ``z`` in place; return their ``(mean, var)``
+    (biased variance). Every batch-norm layer takes its statistics here."""
+    mean = z.mean(axis=0)
+    z -= mean
+    return mean, np.einsum("nf,nf->f", z, z) / z.shape[0]
 
 
-def _update_running_stats(state: BatchNormState, mean: np.ndarray, var: np.ndarray) -> None:
-    mom = state.momentum
-    rm = (1.0 - mom) * state.running_mean.astype(np.float64) + mom * mean.astype(np.float64)
-    rv = (1.0 - mom) * state.running_var.astype(np.float64) + mom * var.astype(np.float64)
-    state.running_mean = rm.astype(state.running_mean.dtype)
-    state.running_var = rv.astype(state.running_var.dtype)
+def window_rows(xd: np.ndarray, ksize) -> tuple:
+    """Valid-convolution windows of ``[B, C, *spatial]`` as the rows of a
+    scratch array ``[B * P, C * prod(k)]``, batch-major, one row per output
+    position; returns ``(rows, out_spatial)``."""
+    nd = xd.ndim - 2
+    out_spatial = tuple(s - k + 1 for s, k in zip(xd.shape[2:], ksize))
+    windows = np.lib.stride_tricks.sliding_window_view(xd, ksize, axis=tuple(range(2, nd + 2)))
+    windows = np.moveaxis(windows, 1, nd + 1)  # (B, *out, C, *k)
+    rows = _scratch.take((xd.shape[0] * int(np.prod(out_spatial)), xd.shape[1] * int(np.prod(ksize))),
+                         xd.dtype)
+    np.copyto(rows.reshape(windows.shape), windows)
+    return rows, out_spatial
 
 
-def batch_norm(
-    x: Tensor,
-    scale_t: Tensor,
-    shift_t: Tensor,
-    state: BatchNormState,
-    train: bool,
-) -> Tensor:
-    """Normalize feature columns of ``[N, F]`` rows, then apply scale and shift.
+def _unwindow(drows: np.ndarray, x_shape, ksize) -> np.ndarray:
+    """Adjoint of ``window_rows``: sums the gradients of the window rows
+    back onto a fresh ``[B, C, *spatial]`` array."""
+    nd = len(ksize)
+    out_spatial = tuple(s - k + 1 for s, k in zip(x_shape[2:], ksize))
+    d = drows.reshape((x_shape[0],) + out_spatial + (x_shape[1],) + tuple(ksize))
+    dx = np.zeros(x_shape, drows.dtype)
+    for offset in np.ndindex(*ksize):
+        piece = np.moveaxis(d[(...,) + offset], nd + 1, 1)
+        region = tuple(slice(j, j + o) for j, o in zip(offset, out_spatial))
+        dx[(slice(None), slice(None)) + region] += piece
+    return dx
 
-    Train mode uses batch statistics (biased variance) and updates the
-    running statistics in ``state`` in place; eval mode only reads them.
-    """
+
+def batch_norm(x: Tensor, scale_t: Tensor, shift_t: Tensor) -> Tensor:
+    """Normalize feature columns of ``[N, F]`` rows by their batch
+    statistics, then apply scale and shift."""
     if x.data.ndim != 2:
         raise ShapeError(f"batch_norm: expected 2-d input, got {x.data.shape}")
     n, f = x.data.shape
@@ -458,36 +467,14 @@ def batch_norm(
         raise ShapeError(
             f"batch_norm: scale {scale_t.data.shape} / shift {shift_t.data.shape} do not match {f} features"
         )
-    if state.running_mean.shape != (f,):
-        raise ShapeError(f"batch_norm: state holds {state.running_mean.shape[0]} features, input has {f}")
-    eps = state.eps
-
-    if not train:
-        inv = 1.0 / np.sqrt(state.running_var.astype(x.data.dtype) + eps)
-        a = scale_t.data * inv
-        b = shift_t.data - state.running_mean.astype(x.data.dtype) * a
-        out_data = x.data * a + b
-
-        def grad_fn_eval(gradient):
-            if _needs_grad(x):
-                _accumulate(x, gradient * a, fresh=True)
-            if _needs_grad(scale_t):
-                xhat = (x.data - state.running_mean.astype(x.data.dtype)) * inv
-                _accumulate(scale_t, np.einsum("nf,nf->f", gradient, xhat))
-            if _needs_grad(shift_t):
-                _accumulate(shift_t, gradient.sum(axis=0))
-
-        return _make_node(out_data, (x, scale_t, shift_t), grad_fn_eval)
-
     if n < 2:
-        raise ShapeError(f"batch_norm: train mode needs at least 2 rows, got {n}")
+        raise ShapeError(f"batch_norm: needs at least 2 rows, got {n}")
 
-    mean = x.data.mean(axis=0)
-    var = x.data.var(axis=0)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean) * inv_std
+    xhat = x.data.copy()
+    _, var = batch_stats(xhat)
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
+    xhat *= inv_std
     out_data = xhat * scale_t.data + shift_t.data
-    _update_running_stats(state, mean, var)
 
     def grad_fn(gradient):
         if _needs_grad(scale_t):
@@ -512,11 +499,10 @@ def dense_bn_act(
     bias: Tensor,
     scale_t: Tensor,
     shift_t: Tensor,
-    state: BatchNormState,
-    train: bool,
     slope: float = 0.1,
 ) -> Tensor:
-    """Fused linear + batch norm + leaky ReLU over ``[N, in] -> [N, out]``.
+    """Fused linear + batch norm (batch statistics) + leaky ReLU over
+    ``[N, in] -> [N, out]``.
 
     Matches composing the three ops but touches the large activation arrays
     far fewer times, which is what the training loop's throughput lives on.
@@ -529,40 +515,16 @@ def dense_bn_act(
     if not 0.0 < slope < 1.0:
         raise ValueError(f"dense_bn_act: slope must lie in (0, 1), got {slope}")
     n = xd.shape[0]
-    eps = state.eps
-    parents = (x, weight, bias, scale_t, shift_t)
-    needs = any(_needs_grad(t) for t in parents)
-
-    if not train and not needs:
-        # Inference fast path: the normalisation is an affine map with fixed
-        # running statistics, so it folds into the weights and the whole layer
-        # becomes one matrix product plus an in-place activation.
-        inv_std = 1.0 / np.sqrt(state.running_var.astype(xd.dtype) + eps)
-        alpha = scale_t.data * inv_std
-        out = xd @ (weight.data * alpha)
-        out += bias.data * alpha + shift_t.data - state.running_mean.astype(xd.dtype) * alpha
-        low = out * slope
-        np.maximum(out, low, out=out)
-        return Tensor(out)
-
-    if train and n < 2:
-        raise ShapeError(f"dense_bn_act: train mode needs at least 2 rows, got {n}")
+    if n < 2:
+        raise ShapeError(f"dense_bn_act: needs at least 2 rows, got {n}")
     f = weight.data.shape[1]
     if xd.dtype == weight.data.dtype:
         z = np.matmul(xd, weight.data, out=_scratch.take((n, f), xd.dtype))
     else:
         z = xd @ weight.data
     z += bias.data
-    if train:
-        mean = z.mean(axis=0)
-        z -= mean
-        var = np.einsum("nf,nf->f", z, z) / n
-        inv_std = 1.0 / np.sqrt(var + eps)
-        _update_running_stats(state, mean, var)
-    else:
-        mean = state.running_mean.astype(z.dtype)
-        inv_std = 1.0 / np.sqrt(state.running_var.astype(z.dtype) + eps)
-        z -= mean
+    _, var = batch_stats(z)
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
     # z now holds the centered pre-norm values; alpha folds the 1/std and
     # the learned scale into one broadcast multiply
     alpha = scale_t.data * inv_std
@@ -591,10 +553,8 @@ def dense_bn_act(
         if _needs_grad(shift_t):
             _accumulate(shift_t, col_sum)
         dy *= alpha
-        if train:
-            dy -= alpha * (col_sum / n)
-            low2 = np.multiply(z, alpha * inv_std * inv_std * (col_dot / n), out=z)
-            dy -= low2
+        dy -= alpha * (col_sum / n)
+        dy -= np.multiply(z, alpha * inv_std * inv_std * (col_dot / n), out=z)
         _scratch.give(z)
         z = None
         if _needs_grad(bias):
@@ -609,7 +569,7 @@ def dense_bn_act(
             _accumulate(x, dx, fresh=True)
         _scratch.give(dy)
 
-    return _make_node(out_data, parents, grad_fn)
+    return _make_node(out_data, (x, weight, bias, scale_t, shift_t), grad_fn)
 
 
 def conv_bn_act_batch(
@@ -618,11 +578,10 @@ def conv_bn_act_batch(
     bias: Tensor,
     scale_t: Tensor,
     shift_t: Tensor,
-    state: BatchNormState,
-    train: bool,
     slope: float = 0.1,
 ) -> Tensor:
-    """Fused valid convolution + batch norm + leaky ReLU over a batch.
+    """Fused valid convolution + batch norm (batch statistics) + leaky ReLU
+    over a batch.
 
     ``x`` is ``[B, C_in, *spatial]``; normalization statistics pool every
     output position of every batch element per channel. All batch elements
@@ -634,37 +593,20 @@ def conv_bn_act_batch(
         raise ShapeError(f"conv_bn_act_batch: expected [B, C, ...] input, got {xd.shape}")
     if kd.ndim != nd + 2 or kd.shape[1] != xd.shape[1]:
         raise ShapeError(f"conv_bn_act_batch: kernel {kd.shape} does not match input {xd.shape}")
-    batch, c_in = xd.shape[0], xd.shape[1]
-    c_out = kd.shape[0]
     ksize = kd.shape[2:]
-    spatial = xd.shape[2:]
-    out_spatial = tuple(s - k + 1 for s, k in zip(spatial, ksize))
+    out_spatial = tuple(s - k + 1 for s, k in zip(xd.shape[2:], ksize))
     if any(o < 1 for o in out_spatial):
-        raise ShapeError(f"conv_bn_act_batch: kernel {ksize} larger than input extent {spatial}")
-    positions = int(np.prod(out_spatial))
-    rows = batch * positions
-    if train and rows < 2:
-        raise ShapeError(f"conv_bn_act_batch: train mode needs at least 2 rows, got {rows}")
-    eps = state.eps
+        raise ShapeError(f"conv_bn_act_batch: kernel {ksize} larger than input extent {xd.shape[2:]}")
+    batch, c_out = xd.shape[0], kd.shape[0]
+    rows = batch * int(np.prod(out_spatial))
+    if rows < 2:
+        raise ShapeError(f"conv_bn_act_batch: needs at least 2 rows, got {rows}")
 
-    windows = np.lib.stride_tricks.sliding_window_view(xd, ksize, axis=tuple(range(2, nd + 2)))
-    windows = np.moveaxis(windows, 1, nd + 1)  # (B, *out, C_in, *k)
-    k_flat = c_in * int(np.prod(ksize))
-    cols = _scratch.take((rows, k_flat), xd.dtype)
-    np.copyto(cols.reshape(windows.shape), windows)
+    cols, _ = window_rows(xd, ksize)
     w2 = kd.reshape(c_out, -1)
     z = cols @ w2.T + bias.data
-
-    if train:
-        mean = z.mean(axis=0)
-        z -= mean
-        var = np.einsum("nf,nf->f", z, z) / rows
-        inv_std = 1.0 / np.sqrt(var + eps)
-        _update_running_stats(state, mean, var)
-    else:
-        mean = state.running_mean.astype(z.dtype)
-        inv_std = 1.0 / np.sqrt(state.running_var.astype(z.dtype) + eps)
-        z -= mean
+    _, var = batch_stats(z)
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
     alpha = scale_t.data * inv_std
     act = z * alpha
     act += shift_t.data
@@ -687,9 +629,8 @@ def conv_bn_act_batch(
         if _needs_grad(shift_t):
             _accumulate(shift_t, col_sum)
         dy *= alpha
-        if train:
-            dy -= alpha * (col_sum / rows)
-            dy -= np.multiply(z, alpha * inv_std * inv_std * (col_dot / rows), out=z)
+        dy -= alpha * (col_sum / rows)
+        dy -= np.multiply(z, alpha * inv_std * inv_std * (col_dot / rows), out=z)
         _scratch.give(z)
         z = None
         if _needs_grad(bias):
@@ -699,13 +640,7 @@ def conv_bn_act_batch(
         _scratch.give(cols)
         cols = None
         if _needs_grad(x):
-            dcols = (dy @ w2).reshape((batch,) + out_spatial + (c_in,) + ksize)
-            dx = np.zeros_like(xd)
-            for offset in np.ndindex(*ksize):
-                piece = np.moveaxis(dcols[(...,) + offset], nd + 1, 1)
-                region = tuple(slice(j, j + o) for j, o in zip(offset, out_spatial))
-                dx[(slice(None), slice(None)) + region] += piece
-            _accumulate(x, dx, fresh=True)
+            _accumulate(x, _unwindow(dy @ w2, xd.shape, ksize), fresh=True)
 
     return _make_node(out_data, (x, kernel, bias, scale_t, shift_t), grad_fn)
 
@@ -771,39 +706,26 @@ def conv_valid(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(f"conv_valid: expected [C, H, W] or [C, D, H, W] input, got {xd.shape}")
     if kd.ndim != nd + 2 or kd.shape[1] != xd.shape[0]:
         raise ShapeError(f"conv_valid: kernel {kd.shape} does not match input {xd.shape}")
-    c_out, c_in = kd.shape[0], kd.shape[1]
+    c_out = kd.shape[0]
     ksize = kd.shape[2:]
-    spatial = xd.shape[1:]
-    out_spatial = tuple(s - k + 1 for s, k in zip(spatial, ksize))
-    if any(o < 1 for o in out_spatial):
-        raise ShapeError(f"conv_valid: kernel {ksize} larger than input extent {spatial}")
+    if any(k > s for s, k in zip(xd.shape[1:], ksize)):
+        raise ShapeError(f"conv_valid: kernel {ksize} larger than input extent {xd.shape[1:]}")
     if bias.data.shape != (c_out,):
         raise ShapeError(f"conv_valid: bias {bias.data.shape} does not match {c_out} output channels")
 
-    windows = np.lib.stride_tricks.sliding_window_view(xd, ksize, axis=tuple(range(1, nd + 1)))
-    # (C_in, *out, *k) -> (*out, C_in, *k) -> (P, C_in * prod(k))
-    windows = np.moveaxis(windows, 0, nd)
-    positions = int(np.prod(out_spatial))
-    cols = np.ascontiguousarray(windows).reshape(positions, c_in * int(np.prod(ksize)))
+    cols, out_spatial = window_rows(xd[None], ksize)
     w2 = kd.reshape(c_out, -1)
     flat = cols @ w2.T + bias.data
     out_data = np.ascontiguousarray(flat.T).reshape((c_out,) + out_spatial)
 
     def grad_fn(gradient):
-        gf = gradient.reshape(c_out, positions).T
+        gf = gradient.reshape(c_out, -1).T
         if _needs_grad(kernel):
             _accumulate(kernel, (gf.T @ cols).reshape(kd.shape))
         if _needs_grad(bias):
             _accumulate(bias, gf.sum(axis=0))
         if _needs_grad(x):
-            dcols = (gf @ w2).reshape(out_spatial + (c_in,) + ksize)
-            dx = np.zeros_like(xd)
-            for offset in np.ndindex(*ksize):
-                piece = dcols[(...,) + offset]
-                piece = np.moveaxis(piece, nd, 0)
-                region = tuple(slice(j, j + o) for j, o in zip(offset, out_spatial))
-                dx[(slice(None),) + region] += piece
-            _accumulate(x, dx)
+            _accumulate(x, _unwindow(gf @ w2, (1,) + xd.shape, ksize)[0])
 
     return _make_node(out_data, (x, kernel, bias), grad_fn)
 

@@ -301,41 +301,34 @@ def canonical_order(points: np.ndarray) -> np.ndarray:
     return pts[np.lexsort(pts.T[::-1])]
 
 
-def _descriptor_rows(point_sets, grid: ReferenceGrid, dtype) -> np.ndarray:
-    """Stacked MLP input rows [grid_point, set_point] for each set in order."""
-    g = grid.points.astype(dtype)
-    k_counts = [p.shape[0] for p in point_sets]
-    blocks = []
-    left = None
-    for pts, k in zip(point_sets, k_counts):
-        if left is None or left.shape[0] != grid.count * k:
-            left = np.repeat(g, k, axis=0)
-        right = np.tile(np.asarray(pts, dtype=dtype), (grid.count, 1))
-        blocks.append(np.concatenate([left, right], axis=1))
-    return np.concatenate(blocks, axis=0) if len(blocks) > 1 else blocks[0]
+def _descriptor_rows(point_sets, grid: ReferenceGrid, dtype, out=None) -> np.ndarray:
+    """Stacked MLP input rows [grid_point, set_point] for each set in order,
+    grid-point-major within a set; written into ``out`` when given."""
+    g, dim = grid.points.shape
+    if out is None:
+        out = np.empty((g * sum(p.shape[0] for p in point_sets), 2 * dim), dtype)
+    offset = 0
+    for pts in point_sets:
+        k = pts.shape[0]
+        block = out[offset:offset + g * k].reshape(g, k, 2 * dim)
+        block[:, :, :dim] = grid.points.astype(dtype)[:, None, :]
+        block[:, :, dim:] = np.asarray(pts, dtype=dtype)
+        offset += g * k
+    return out
 
 
-def _mlp_chain(rows: np.ndarray, weights: PrNetWeights, train: bool) -> ad.Tensor:
-    cfg = weights.config
-    h = rows
-    for layer in weights.mlp:
-        h = ad.dense_bn_act(
-            h, layer.weight, layer.bias, layer.bn_scale, layer.bn_shift,
-            layer.bn_state, train, cfg.leaky_slope,
-        )
-    return h
+def _descriptor_block(ordered_sets, grid: ReferenceGrid, weights: PrNetWeights) -> ad.Tensor:
+    """Training descriptors for pre-sorted sets, stacked as [(num_sets * G), d].
 
-
-def _descriptor_block(ordered_sets, grid: ReferenceGrid, weights: PrNetWeights, train: bool) -> ad.Tensor:
-    """Descriptors for pre-sorted sets, stacked as [(num_sets * G), d].
-
-    All sets share a single MLP pass (and in train mode a single set of
-    batch statistics); pooling happens per set afterwards. Runs of sets with
-    equal point counts pool together in one reshape.
+    All sets share a single MLP pass, and so one set of batch statistics;
+    pooling happens per set afterwards. Runs of sets with equal point counts
+    pool together in one reshape.
     """
     g = grid.count
-    rows = _descriptor_rows(ordered_sets, grid, weights.config.np_dtype())
-    h = _mlp_chain(rows, weights, train)
+    h = _descriptor_rows(ordered_sets, grid, weights.config.np_dtype())
+    for layer in weights.mlp:
+        h = ad.dense_bn_act(h, layer.weight, layer.bias, layer.bn_scale, layer.bn_shift,
+                            weights.config.leaky_slope)
     counts = [s.shape[0] for s in ordered_sets]
     parts = []
     offset = 0
@@ -351,79 +344,6 @@ def _descriptor_block(ordered_sets, grid: ReferenceGrid, weights: PrNetWeights, 
         i = j
     pooled = parts[0] if len(parts) == 1 else ad.concat_rows(parts)
     return ad.l2_normalize_rows(pooled)
-
-
-def _folded_mlp(weights: PrNetWeights) -> list:
-    """Per-layer (weight, bias) with the eval-mode batch norm folded in."""
-    dt = weights.config.np_dtype()
-    layers = []
-    for layer in weights.mlp:
-        st = layer.bn_state
-        inv = 1.0 / np.sqrt(st.running_var.astype(dt) + st.eps)
-        alpha = layer.bn_scale.data * inv
-        wf = np.ascontiguousarray(layer.weight.data * alpha)
-        bf = (layer.bias.data - st.running_mean.astype(dt)) * alpha + layer.bn_shift.data
-        layers.append((wf, bf))
-    return layers
-
-
-def _sdt_eval(ordered_sets, grid: ReferenceGrid, weights: PrNetWeights) -> np.ndarray:
-    """Descriptors for pre-sorted sets without graph bookkeeping.
-
-    Inference twin of ``_descriptor_block``: one set at a time so the
-    intermediates stay cache-sized, batch norm folded into the weights, and
-    all scratch recycled. Differences from the graph path are float rounding
-    only.
-    """
-    cfg = weights.config
-    dt = cfg.np_dtype()
-    slope = cfg.leaky_slope
-    gpts = grid.points.astype(dt)
-    g, dim = gpts.shape
-    layers = _folded_mlp(weights)
-    widths = [wf.shape[1] for wf, _ in layers]
-    out = np.empty((len(ordered_sets) * g, widths[-1]), dtype=dt)
-    cap = g * max(p.shape[0] for p in ordered_sets)
-    buf_in = ad._scratch.take((cap, 2 * dim), dt)
-    bufs = [ad._scratch.take((cap, wd), dt) for wd in widths]
-    lows = [ad._scratch.take((cap, wd), dt) for wd in widths]
-    for si, pts in enumerate(ordered_sets):
-        k = pts.shape[0]
-        rows = g * k
-        rin = buf_in[:rows]
-        rv = rin.reshape(g, k, 2 * dim)
-        rv[:, :, :dim] = gpts[:, None, :]
-        rv[:, :, dim:] = np.asarray(pts, dtype=dt)
-        h = rin
-        for (wf, bf), buf, low in zip(layers, bufs, lows):
-            z = np.matmul(h, wf, out=buf[:rows])
-            z += bf
-            np.multiply(z, slope, out=low[:rows])
-            np.maximum(z, low[:rows], out=z)
-            h = z
-        np.max(h.reshape(g, k, widths[-1]), axis=1, out=out[si * g:(si + 1) * g])
-    for b in [buf_in] + bufs + lows:
-        ad._scratch.give(b)
-    norms = np.sqrt(np.einsum("nd,nd->n", out, out))[:, None]
-    np.maximum(norms, 1e-12, out=norms)
-    out /= norms
-    return out
-
-
-def compute_sdt(points, grid: ReferenceGrid, weights: PrNetWeights, train: bool = False) -> ad.Tensor:
-    """Shape descriptor tensor: one unit-norm feature row per grid point.
-
-    Eval mode returns a constant tensor (no gradients flow back to the
-    weights); train mode participates in the graph.
-    """
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != grid.dim:
-        raise ValueError(f"compute_sdt: points {pts.shape} do not match grid dim {grid.dim}")
-    if pts.shape[0] == 0:
-        raise ValueError("compute_sdt: empty point set")
-    if train:
-        return _descriptor_block([canonical_order(pts)], grid, weights, train)
-    return ad.Tensor(_sdt_eval([canonical_order(pts)], grid, weights))
 
 
 def compute_correlation(f_s: ad.Tensor, f_g_all: ad.Tensor, grid_count: int) -> ad.Tensor:
@@ -443,16 +363,116 @@ def compute_correlation(f_s: ad.Tensor, f_g_all: ad.Tensor, grid_count: int) -> 
 
 
 # ---------------------------------------------------------------------------
-# prediction head
+# graph-free forward
+#
+# Two stages, descriptors and head, compute what the training graph computes
+# without recording one. Each takes ``stats``: ``None`` normalises every
+# batch-norm layer by its running statistics (eval); a list normalises by
+# the call's own batch statistics and appends each layer's ``(mean, var)``
+# to it, in layer order (recalibration).
 
 
-def _fc_head(flat_rows: ad.Tensor, weights: PrNetWeights, train: bool) -> ad.Tensor:
+def _bn_fold(layer: _Layer, mean=None, var=None) -> tuple:
+    """``(mean, alpha)`` with which batch norm by ``(mean, var)``, by
+    default the layer's running statistics, maps pre-norm values ``z`` to
+    ``(z - mean) * alpha + bn_shift``."""
+    if mean is None:
+        mean, var = layer.bn_state.running_mean, layer.bn_state.running_var
+    dt = layer.weight.data.dtype
+    return mean.astype(dt), layer.bn_scale.data * (1.0 / np.sqrt(var.astype(dt) + ad.BN_EPS))
+
+
+def _leaky_relu(z: np.ndarray, slope: float) -> np.ndarray:
+    low = np.multiply(z, slope, out=ad._scratch.take(z.shape, z.dtype))
+    np.maximum(z, low, out=z)
+    ad._scratch.give(low)
+    return z
+
+
+def _bn_act(x, w, layer: _Layer, stats, slope: float, out=None) -> np.ndarray:
+    """``leaky_relu(batch_norm(x @ w + bias))`` for rows ``x``, in ``out``
+    when given; ``w`` is the layer's weight as ``[in, out]``.
+
+    The statistics apply to the product rows, not folded into ``w``: in the
+    head, which calls this with running statistics, the weights outnumber
+    the rows (conv2 alone has 3.3M entries against 4 rows per pair).
+    """
+    z = np.matmul(x, w, out=out)
+    z += layer.bias.data
+    if stats is None:
+        mean, alpha = _bn_fold(layer)
+        z -= mean
+    else:
+        mean, var = ad.batch_stats(z)
+        stats.append((mean, var))
+        _, alpha = _bn_fold(layer, mean, var)
+    z *= alpha
+    z += layer.bn_shift.data
+    return _leaky_relu(z, slope)
+
+
+def _descriptors(ordered_sets, grid: ReferenceGrid, weights: PrNetWeights, stats) -> np.ndarray:
+    """Unit-norm descriptors of pre-sorted sets, stacked as ``[(num_sets * G), d]``.
+
+    With running statistics the sets go through one at a time, so the
+    intermediates stay cache-sized, and the statistics fold into the
+    weights once per call. With batch statistics the sets go through as one
+    block, as in training. The row buffers come from the scratch pool and go
+    back to it.
+    """
     cfg = weights.config
-    h = ad.dense_bn_act(
-        flat_rows, weights.fc1.weight, weights.fc1.bias, weights.fc1.bn_scale,
-        weights.fc1.bn_shift, weights.fc1.bn_state, train, cfg.leaky_slope,
-    )
-    return ad.linear(h, weights.out.weight, weights.out.bias)
+    dt = cfg.np_dtype()
+    g = grid.count
+    blocks = [[s] for s in ordered_sets] if stats is None else [ordered_sets]
+    folded = []
+    if stats is None:
+        for layer in weights.mlp:
+            mean, alpha = _bn_fold(layer)
+            folded.append((layer.weight.data * alpha, (layer.bias.data - mean) * alpha + layer.bn_shift.data))
+    cap = g * max(sum(s.shape[0] for s in b) for b in blocks)
+    bufs = [ad._scratch.take((cap, w), dt) for w in (2 * cfg.dim, *cfg.mlp_widths)]
+    pooled = np.empty((len(ordered_sets) * g, cfg.mlp_widths[-1]), dt)
+    i = 0
+    for block in blocks:
+        rows = g * sum(s.shape[0] for s in block)
+        h = _descriptor_rows(block, grid, dt, out=bufs[0][:rows])
+        for li, (layer, buf) in enumerate(zip(weights.mlp, bufs[1:])):
+            if stats is None:
+                wf, bf = folded[li]
+                h = np.matmul(h, wf, out=buf[:rows])
+                h += bf
+                h = _leaky_relu(h, cfg.leaky_slope)
+            else:
+                h = _bn_act(h, layer.weight.data, layer, stats, cfg.leaky_slope, out=buf[:rows])
+        offset = 0
+        for s in block:
+            k = s.shape[0]
+            np.max(h[offset:offset + g * k].reshape(g, k, -1), axis=1, out=pooled[i * g:(i + 1) * g])
+            offset += g * k
+            i += 1
+    for buf in bufs:
+        ad._scratch.give(buf)
+    norms = np.sqrt(np.einsum("nd,nd->n", pooled, pooled))[:, None]
+    pooled /= np.maximum(norms, 1e-12, out=norms)
+    return pooled
+
+
+def _head(f_s: np.ndarray, f_g_all: np.ndarray, weights: PrNetWeights, stats) -> np.ndarray:
+    """Control-point displacements ``[B, theta_count*dim]`` from the source
+    descriptor and the stacked target descriptors."""
+    cfg = weights.config
+    g = cfg.grid_count
+    batch = f_g_all.shape[0] // g
+    corr = compute_correlation(ad.Tensor(f_s), ad.Tensor(f_g_all), g)
+    h = corr.data.reshape((batch, g) + cfg.grid_shape)
+    for layer in weights.convs:
+        kd = layer.weight.data
+        cols, out_spatial = ad.window_rows(h, kd.shape[2:])
+        act = _bn_act(cols, kd.reshape(kd.shape[0], -1).T, layer, stats, cfg.leaky_slope)
+        ad._scratch.give(cols)
+        h = np.moveaxis(act.reshape((batch,) + out_spatial + (-1,)), -1, 1)
+    h = _bn_act(h.reshape(batch, -1), weights.fc1.weight.data, weights.fc1, stats, cfg.leaky_slope)
+    return h @ weights.out.weight.data + weights.out.bias.data
 
 
 # ---------------------------------------------------------------------------
@@ -462,12 +482,12 @@ def _fc_head(flat_rows: ad.Tensor, weights: PrNetWeights, train: bool) -> ad.Ten
 @dataclass
 class SourceCache:
     """Per-source constants reused across pairs: sorted points, warp basis
-    (full precision plus the network dtype), and (eval mode only) the frozen
-    source descriptor.
+    (full precision plus the network dtype), and the source descriptor,
+    which the first eval-mode forward fills in.
 
-    The descriptor belongs to the weights it was computed with; a cache must
-    not outlive a weight update (the trainer keeps descriptor-free caches
-    for exactly that reason).
+    The descriptor belongs to the weights it was computed with. Training and
+    recalibration never read or fill it, so the trainer's caches may outlive
+    weight updates; an eval cache must not.
     """
 
     ordered: np.ndarray
@@ -476,17 +496,25 @@ class SourceCache:
     sdt_eval: np.ndarray = None
 
 
-def prepare_source(source, weights: PrNetWeights, grid: ReferenceGrid,
-                   descriptor: bool = True) -> SourceCache:
-    src = canonical_order(np.asarray(source, dtype=np.float64))
-    control = tps.make_control_grid(weights.config.dim)
-    basis = tps.tps_basis(control, src)
-    cache = SourceCache(
-        ordered=src, basis=basis.astype(weights.config.np_dtype()), basis_f64=basis
-    )
-    if descriptor:
-        cache.sdt_eval = _sdt_eval([src], grid, weights)
-    return cache
+def _network_points(points, cfg: PrNetConfig, where: str, role: str) -> np.ndarray:
+    """A nonempty ``[N, dim]`` set in the network frame, canonically
+    ordered, whose coordinates fit the network dtype."""
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != cfg.dim:
+        raise ValueError(f"{where}: {role} points {pts.shape} do not match model dim {cfg.dim}")
+    if pts.shape[0] == 0:
+        raise ValueError(f"{where}: empty {role} set")
+    peak = np.abs(pts).max()
+    if peak > np.finfo(cfg.np_dtype()).max:
+        raise ValueError(f"{where}: {role} coordinate of magnitude {peak:.3g} in the network "
+                         f"frame exceeds the {cfg.dtype} range")
+    return canonical_order(pts)
+
+
+def prepare_source(source, weights: PrNetWeights, grid: ReferenceGrid) -> SourceCache:
+    src = _network_points(source, weights.config, "prepare_source", "source")
+    basis = tps.tps_basis(tps.make_control_grid(weights.config.dim), src)
+    return SourceCache(ordered=src, basis=basis.astype(weights.config.np_dtype()), basis_f64=basis)
 
 
 def forward_shared_source(
@@ -496,20 +524,19 @@ def forward_shared_source(
     train: bool = False,
     grid: ReferenceGrid = None,
     cache: SourceCache = None,
-    with_graph: bool = None,
 ):
     """Forward pass for one source against ``targets`` (list of point sets).
 
     Returns ``(deltas, transformed)``: the ``[B, theta_count*dim]`` tensor of
     predicted control-point displacements and a list of transformed source
-    sets. Target sets of equal size share one batched descriptor pass.
-    Coordinates are taken as already being in the network frame (the training
-    data is generated there); ``forward`` and the evaluator fit and invert
-    the similarity normalization around this call.
+    sets. Coordinates are taken as already being in the network frame (the
+    training data is generated there); ``forward`` and the evaluator fit and
+    invert the similarity normalization around this call.
 
-    Training always builds the autodiff graph. Eval skips it by default and
-    runs the fast inference descriptors; pass ``with_graph=True`` to get
-    eval-mode outputs that still backpropagate to the weights.
+    Training builds the autodiff graph, with the source in the same batch as
+    the targets, so its descriptor sees their batch statistics. Eval runs the
+    graph-free stages with the running statistics and returns constant
+    tensors; it computes the source descriptor once per cache.
     """
     cfg = weights.config
     if grid is None:
@@ -519,43 +546,46 @@ def forward_shared_source(
     batch = len(targets)
     if batch == 0:
         raise ValueError("forward_shared_source: no targets")
-
-    ordered = [canonical_order(np.asarray(t, dtype=np.float64)) for t in targets]
-    if any(t.shape[0] == 0 for t in ordered):
-        raise ValueError("forward_shared_source: empty target set")
+    ordered = [_network_points(t, cfg, "forward_shared_source", "target") for t in targets]
     g = grid.count
 
-    if train or with_graph:
-        # The source rides along in the same pass; in train mode its
-        # descriptor then sees the same batch statistics as the targets'.
-        desc = _descriptor_block([cache.ordered] + ordered, grid, weights, train=train)
-        f_s = ad.row_slice(desc, 0, g)
-        f_g_all = ad.row_slice(desc, g, (1 + batch) * g)
+    if train:
+        desc = _descriptor_block([cache.ordered] + ordered, grid, weights)
+        corr = compute_correlation(ad.row_slice(desc, 0, g), ad.row_slice(desc, g, (1 + batch) * g), g)
+        h = ad.reshape(corr, (batch, g) + cfg.grid_shape)
+        for layer in weights.convs:
+            h = ad.conv_bn_act_batch(h, layer.weight, layer.bias, layer.bn_scale, layer.bn_shift,
+                                     cfg.leaky_slope)
+        fc1 = weights.fc1
+        h = ad.dense_bn_act(ad.reshape(h, (batch, cfg.flat_features())), fc1.weight, fc1.bias,
+                            fc1.bn_scale, fc1.bn_shift, cfg.leaky_slope)
+        deltas = ad.linear(h, weights.out.weight, weights.out.bias)
+        basis = cache.basis
     else:
         if cache.sdt_eval is None:
-            cache.sdt_eval = _sdt_eval([cache.ordered], grid, weights)
-        f_s = ad.Tensor(cache.sdt_eval)
-        f_g_all = ad.Tensor(_sdt_eval(ordered, grid, weights))
-
-    corr = compute_correlation(f_s, f_g_all, g)
-    h = ad.reshape(corr, (batch, g) + cfg.grid_shape)
-    for layer in weights.convs:
-        h = ad.conv_bn_act_batch(
-            h, layer.weight, layer.bias, layer.bn_scale, layer.bn_shift,
-            layer.bn_state, train, cfg.leaky_slope,
-        )
-    flat = ad.reshape(h, (batch, cfg.flat_features()))
-    deltas = _fc_head(flat, weights, train)
+            cache.sdt_eval = _descriptors([cache.ordered], grid, weights, None)
+        deltas = ad.Tensor(_head(cache.sdt_eval, _descriptors(ordered, grid, weights, None), weights, None))
+        # theta is exact at identity, so with the full-precision basis the
+        # transform round-trips to solver precision, not the network dtype's
+        basis = cache.basis_f64
 
     theta0 = tps.make_control_grid(cfg.dim).points.astype(deltas.data.dtype).reshape(1, -1)
-    # The plain eval path takes the full-precision basis: theta is exact at
-    # identity, so the transform round-trips to solver precision, not f32's.
-    basis = cache.basis if (train or with_graph) else cache.basis_f64
     transformed = []
     for i in range(batch):
         theta_i = ad.reshape(ad.add(ad.row_slice(deltas, i, i + 1), theta0), (cfg.theta_count, cfg.dim))
         transformed.append(ad.matmul(ad.Tensor(basis), theta_i))
     return deltas, transformed
+
+
+def batch_norm_statistics(targets, weights: PrNetWeights, grid: ReferenceGrid, cache: SourceCache) -> list:
+    """``(mean, var)`` of every batch-norm layer, in layer order (MLP,
+    convs, fc1), as the training forward of ``cache``'s source against
+    ``targets`` computes them; with no graph and no transform."""
+    stats = []
+    ordered = [_network_points(t, weights.config, "batch_norm_statistics", "target") for t in targets]
+    desc = _descriptors([cache.ordered] + ordered, grid, weights, stats)
+    _head(desc[:grid.count], desc[grid.count:], weights, stats)
+    return stats
 
 
 def forward(source, target, weights: PrNetWeights):

@@ -8,12 +8,11 @@ order of a hundred batches and most of training runs at the floor. Every
 piece of randomness is derived from (seed, epoch), so a run can be
 reproduced or resumed from a checkpoint without replaying earlier epochs.
 
-The batch-norm running statistics that eval mode reads are not the
-step-wise moving average the ops keep while the weights move. At the end of
-every epoch they are recomputed from the weights as they now stand, frozen,
-in one train-mode pass over that epoch's batches ("precise BN", Wu &
-Johnson, arXiv 2105.07576); validation, the ``log`` callback and the
-checkpoint all see those statistics.
+Training normalises by batch statistics only. The running statistics that
+eval mode reads are computed at the end of every epoch from the weights as
+they now stand, frozen, over that epoch's batches ("precise BN", Wu &
+Johnson, arXiv 2105.07576), by a graph-free forward; validation, the
+``log`` callback and the checkpoint all see those statistics.
 """
 
 from __future__ import annotations
@@ -176,11 +175,12 @@ def _source_groups(batch):
 
 
 def _train_cache(caches, key, src, weights, grid):
-    """Descriptor-free ``SourceCache`` for ``src``, made once per run: a cached
-    descriptor would go stale with the next weight update."""
+    """``SourceCache`` for ``src``, made once per run. Training and
+    recalibration never fill its descriptor, which would go stale with the
+    next weight update."""
     cache = caches.get(key)
     if cache is None:
-        cache = prnet.prepare_source(src, weights, grid, descriptor=False)
+        cache = prnet.prepare_source(src, weights, grid)
         caches[key] = cache
     return cache
 
@@ -226,39 +226,32 @@ def epoch_batches(train_pairs, batch_size: int, seed: int, epoch: int):
             yield batch_no, [train_pairs[k] for k in sel]
 
 
-def _bn_states(weights):
-    return [layer.bn_state for layer in [*weights.mlp, *weights.convs, weights.fc1]]
-
-
 def recalibrate_batch_norm(batches, weights, grid, caches) -> None:
     """Recompute every batch-norm running mean and variance from the current,
     frozen weights ("precise BN").
 
-    Runs the train-mode forward over ``batches`` (lists of pairs) with no
-    backward pass and no optimizer step. Each running statistic ends as the
-    plain mean of the per-forward batch statistics: the op-level update
-    ``(1 - m) * running + m * batch`` gives exactly that when the k-th
-    forward runs at ``m = 1/k``. Every state's momentum is restored
-    afterwards, also when a forward raises. ``caches`` maps source bytes to
-    descriptor-free ``SourceCache``s, as in training.
+    For each source group of ``batches`` (lists of pairs), takes the batch
+    statistics the training forward would see, from the graph-free forward
+    with no transform. Each running statistic becomes the plain mean, in
+    float64, of its per-group values. All are written at the end, so a
+    forward that raises leaves every one untouched. ``caches`` maps source
+    bytes to ``SourceCache``s, as in training.
     """
-    states = _bn_states(weights)
-    saved = [st.momentum for st in states]
-    k = 0
-    try:
-        for batch in batches:
-            for key, src, targets in _source_groups(batch):
-                k += 1
-                for st in states:
-                    st.momentum = 1.0 / k
-                deltas, _ = prnet.forward_shared_source(
-                    src, targets, weights, train=True, grid=grid,
-                    cache=_train_cache(caches, key, src, weights, grid),
-                )
-                ad.recycle_graph(deltas)
-    finally:
-        for st, m in zip(states, saved):
-            st.momentum = m
+    layers = [*weights.mlp, *weights.convs, weights.fc1]
+    sums = [np.zeros((2,) + layer.bias.data.shape) for layer in layers]
+    count = 0
+    for batch in batches:
+        for key, src, targets in _source_groups(batch):
+            cache = _train_cache(caches, key, src, weights, grid)
+            for acc, (mean, var) in zip(sums, prnet.batch_norm_statistics(targets, weights, grid, cache)):
+                acc[0] += mean
+                acc[1] += var
+            count += 1
+    if count:
+        for layer, acc in zip(layers, sums):
+            st = layer.bn_state
+            st.running_mean = (acc[0] / count).astype(st.running_mean.dtype)
+            st.running_var = (acc[1] / count).astype(st.running_var.dtype)
 
 
 def validation_cd(pairs, weights, grid=None, group_cap: int = 64) -> float:

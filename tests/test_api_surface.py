@@ -1,0 +1,42 @@
+"""No public function or class exists that only tests call.
+
+Every public top-level function and class in ``src/pointreg`` must be
+referenced by code in the package itself, or be listed below with the reason
+it stays. A reference is any name or attribute with the same spelling, so
+the check can miss a dead name but never flags a live one.
+"""
+
+import ast
+from pathlib import Path
+
+import pointreg
+
+SRC = Path(pointreg.__file__).parent
+
+ALLOWED_UNREFERENCED = {
+    "batch_norm": "reference route the fused batch-norm ops are tested against",
+    "leaky_relu": "reference route the fused batch-norm ops are tested against",
+    "conv_valid": "reference route conv_bn_act_batch is tested against",
+    "transpose2d": "reference route conv_bn_act_batch is tested against",
+    "gmm_loss": "one-directional loss gmm_loss_symmetric is tested against",
+    "apply_warp": "evaluates the TpsWarp that model.forward returns at other points",
+}
+
+
+def unreferenced_public_names() -> set:
+    defined, referenced = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                defined.add(node.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    return defined - referenced
+
+
+def test_unreferenced_public_names_are_the_allowlist():
+    assert unreferenced_public_names() == set(ALLOWED_UNREFERENCED)

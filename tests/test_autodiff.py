@@ -179,38 +179,13 @@ class TestConv:
 class TestBatchNorm:
     def test_train_normalizes_to_zero_mean_unit_variance(self):
         x = f64([[-1.0], [1.0]])
-        out = ad.batch_norm(x, f64([1.0]), f64([0.0]), ad.init_batch_norm(1, np.float64), train=True)
+        out = ad.batch_norm(x, f64([1.0]), f64([0.0]))
         np.testing.assert_allclose(out.data.mean(), 0.0, atol=1e-12)
         np.testing.assert_allclose(out.data.var(), 1.0, rtol=1e-4)
 
-    def test_eval_with_neutral_stats_is_identity(self, rng):
-        x = rng.normal(size=(3, 4))
-        state = ad.init_batch_norm(4, np.float64)
-        out = ad.batch_norm(f64(x), f64(np.ones(4)), f64(np.zeros(4)), state, train=False)
-        np.testing.assert_allclose(out.data, x, rtol=1e-5)
-
-    def test_running_stats_update(self, rng):
-        # One train-mode call moves the stats by momentum toward batch stats.
-        x = rng.normal(size=(8, 3))
-        state = ad.init_batch_norm(3, np.float64)
-        ad.batch_norm(f64(x), f64(np.ones(3)), f64(np.zeros(3)), state, train=True)
-        np.testing.assert_allclose(state.running_mean, 0.1 * x.mean(axis=0), rtol=1e-12)
-        np.testing.assert_allclose(state.running_var, 0.9 + 0.1 * x.var(axis=0), rtol=1e-12)
-
-    def test_eval_does_not_touch_stats(self, rng):
-        x = rng.normal(size=(4, 2))
-        state = ad.init_batch_norm(2, np.float64)
-        before = (state.running_mean.copy(), state.running_var.copy())
-        ad.batch_norm(f64(x), f64(np.ones(2)), f64(np.zeros(2)), state, train=False)
-        np.testing.assert_array_equal(state.running_mean, before[0])
-        np.testing.assert_array_equal(state.running_var, before[1])
-
     def test_single_row_train_rejected(self):
         with pytest.raises(ad.ShapeError, match="at least 2"):
-            ad.batch_norm(
-                f64([[1.0, 2.0]]), f64(np.ones(2)), f64(np.zeros(2)),
-                ad.init_batch_norm(2, np.float64), train=True,
-            )
+            ad.batch_norm(f64([[1.0, 2.0]]), f64(np.ones(2)), f64(np.zeros(2)))
 
     def test_train_gradients_match_finite_differences(self, rng):
         x = f64(rng.normal(size=(6, 3)), requires_grad=True)
@@ -218,23 +193,11 @@ class TestBatchNorm:
         sh = f64(rng.normal(size=3), requires_grad=True)
 
         def build():
-            state = ad.init_batch_norm(3, np.float64)
-            out = ad.batch_norm(x, sc, sh, state, train=True)
+            out = ad.batch_norm(x, sc, sh)
             return ad.scale(ad.tensor_sum(ad.leaky_relu(out)), 1.0 / 18.0)
 
         assert_grads_match(build, [x, sc, sh], rtol=1e-4, atol=1e-5)
 
-    def test_eval_gradients(self, rng):
-        x = f64(rng.normal(size=(5, 2)), requires_grad=True)
-        sc = f64(rng.normal(size=2) + 1.0, requires_grad=True)
-        sh = f64(rng.normal(size=2), requires_grad=True)
-        state = ad.BatchNormState(
-            running_mean=rng.normal(size=2), running_var=rng.uniform(0.5, 2.0, size=2)
-        )
-        assert_grads_match(
-            lambda: ad.tensor_sum(ad.leaky_relu(ad.batch_norm(x, sc, sh, state, train=False))),
-            [x, sc, sh],
-        )
 
 class TestFusedDense:
     """dense_bn_act must agree with the linear/batch_norm/leaky_relu chain."""
@@ -248,72 +211,41 @@ class TestFusedDense:
             "sh": rng.normal(size=d_out),
         }
 
-    def _run(self, p, state, fused, train):
+    def _run(self, p, fused):
         leaves = {k: f64(v, requires_grad=True) for k, v in p.items()}
         if fused:
             out = ad.dense_bn_act(
-                leaves["x"], leaves["w"], leaves["b"], leaves["sc"], leaves["sh"],
-                state, train=train, slope=0.1,
+                leaves["x"], leaves["w"], leaves["b"], leaves["sc"], leaves["sh"], slope=0.1,
             )
         else:
             z = ad.linear(leaves["x"], leaves["w"], leaves["b"])
-            out = ad.leaky_relu(ad.batch_norm(z, leaves["sc"], leaves["sh"], state, train), 0.1)
+            out = ad.leaky_relu(ad.batch_norm(z, leaves["sc"], leaves["sh"]), 0.1)
         data = out.data.copy()
         ad.tensor_sum(ad.reshape(out, (1, out.data.size))).backward()
         return data, {k: t.grad for k, t in leaves.items()}
 
-    @pytest.mark.parametrize("train", [True, False])
-    def test_matches_composed_route(self, rng, train):
+    def test_matches_composed_route(self, rng):
         p = self._params(rng)
-        states = [ad.init_batch_norm(7, np.float64) for _ in range(2)]
-        if not train:
-            for st_ in states:
-                st_.running_mean[:] = rng.normal(size=7)
-                st_.running_var[:] = rng.uniform(0.5, 2.0, size=7)
-            states[1].running_mean[:] = states[0].running_mean
-            states[1].running_var[:] = states[0].running_var
-        ref, ref_grads = self._run(p, states[0], fused=False, train=train)
-        got, got_grads = self._run(p, states[1], fused=True, train=train)
+        ref, ref_grads = self._run(p, fused=False)
+        got, got_grads = self._run(p, fused=True)
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
         for k in ref_grads:
             np.testing.assert_allclose(got_grads[k], ref_grads[k], rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(states[1].running_mean, states[0].running_mean, rtol=1e-12)
-        np.testing.assert_allclose(states[1].running_var, states[0].running_var, rtol=1e-12)
 
-    @pytest.mark.parametrize("train", [True, False])
-    def test_gradients_match_finite_differences(self, rng, train):
+    def test_gradients_match_finite_differences(self, rng):
         p = self._params(rng, n=8, d_in=3, d_out=4)
         leaves = [f64(v, requires_grad=True) for v in p.values()]
 
         def build():
-            state = ad.init_batch_norm(4, np.float64)
-            state.running_mean[:] = 0.2
-            state.running_var[:] = 1.3
-            out = ad.dense_bn_act(*leaves, state, train=train, slope=0.1)
+            out = ad.dense_bn_act(*leaves, slope=0.1)
             return ad.scale(ad.tensor_sum(ad.reshape(out, (1, out.data.size))), 1.0 / 32)
 
         assert_grads_match(build, leaves, rtol=1e-4, atol=1e-6)
 
-    def test_inference_without_grads_folds_cleanly(self, rng):
-        # Constant inputs take a folded fast path; it must agree with the
-        # graph route to rounding error.
-        p = self._params(rng)
-        state = ad.init_batch_norm(7, np.float64)
-        state.running_mean[:] = rng.normal(size=7)
-        state.running_var[:] = rng.uniform(0.5, 2.0, size=7)
-        consts = {k: f64(v) for k, v in p.items()}
-        fast = ad.dense_bn_act(
-            consts["x"], consts["w"], consts["b"], consts["sc"], consts["sh"],
-            state, train=False, slope=0.1,
-        )
-        assert fast._backward is None
-        ref, _ = self._run(p, state, fused=True, train=False)
-        np.testing.assert_allclose(fast.data, ref, rtol=1e-12, atol=1e-12)
-
     def test_second_backward_is_rejected(self, rng):
         p = self._params(rng)
         leaves = [f64(v, requires_grad=True) for v in p.values()]
-        out = ad.dense_bn_act(*leaves, ad.init_batch_norm(7, np.float64), train=True)
+        out = ad.dense_bn_act(*leaves)
         loss = ad.tensor_sum(ad.reshape(out, (1, out.data.size)))
         loss.backward()
         with pytest.raises(ad.GraphError, match="consumed"):
@@ -323,14 +255,13 @@ class TestFusedDense:
         p = self._params(rng)
         leaves = [f64(v) for v in p.values()]
         with pytest.raises(ValueError, match="slope"):
-            ad.dense_bn_act(*leaves, ad.init_batch_norm(7, np.float64), train=False, slope=1.0)
+            ad.dense_bn_act(*leaves, slope=1.0)
 
 
 class TestFusedConvBatch:
     """conv_bn_act_batch against per-element conv_valid plus shared batch norm."""
 
-    @pytest.mark.parametrize("train", [True, False])
-    def test_matches_composed_route(self, rng, train):
+    def test_matches_composed_route(self, rng):
         xv = rng.normal(size=(3, 2, 5, 5))
         kv = rng.normal(size=(4, 2, 3, 3))
         bv = rng.normal(size=4)
@@ -345,16 +276,8 @@ class TestFusedConvBatch:
                 "sh": f64(shv, requires_grad=True),
             }
 
-        def make_state():
-            state = ad.init_batch_norm(4, np.float64)
-            if not train:
-                state.running_mean[:] = 0.25
-                state.running_var[:] = 1.75
-            return state
-
         # composed route: conv_valid per element, one batch norm over all rows
         leaves = make_leaves()
-        state_ref = make_state()
         xs = [f64(xv[i], requires_grad=True) for i in range(3)]
         outs = [ad.conv_valid(x, leaves["k"], leaves["b"]) for x in xs]
         shape = outs[0].data.shape
@@ -362,9 +285,7 @@ class TestFusedConvBatch:
         rows = ad.concat_rows(
             [ad.transpose2d(ad.reshape(o, (shape[0], positions))) for o in outs]
         )
-        rows = ad.leaky_relu(
-            ad.batch_norm(rows, leaves["sc"], leaves["sh"], state_ref, train), 0.1
-        )
+        rows = ad.leaky_relu(ad.batch_norm(rows, leaves["sc"], leaves["sh"]), 0.1)
         ref = np.stack(
             [
                 rows.data[i * positions : (i + 1) * positions].T.reshape(shape)
@@ -377,11 +298,9 @@ class TestFusedConvBatch:
 
         # fused route
         leaves = make_leaves()
-        state_got = make_state()
         x = f64(xv, requires_grad=True)
         out = ad.conv_bn_act_batch(
-            x, leaves["k"], leaves["b"], leaves["sc"], leaves["sh"],
-            state_got, train=train, slope=0.1,
+            x, leaves["k"], leaves["b"], leaves["sc"], leaves["sh"], slope=0.1,
         )
         got = out.data.copy()
         ad.tensor_sum(ad.reshape(out, (1, out.data.size))).backward()
@@ -391,8 +310,6 @@ class TestFusedConvBatch:
         np.testing.assert_allclose(got, ref, rtol=1e-11, atol=1e-12)
         for k in ("k", "b", "sc", "sh", "x"):
             np.testing.assert_allclose(got_grads[k], ref_grads[k], rtol=1e-9, atol=1e-11)
-        np.testing.assert_allclose(state_got.running_mean, state_ref.running_mean, rtol=1e-12)
-        np.testing.assert_allclose(state_got.running_var, state_ref.running_var, rtol=1e-12)
 
     def test_3d_gradients_match_finite_differences(self, rng):
         leaves = [
@@ -404,8 +321,7 @@ class TestFusedConvBatch:
         ]
 
         def build():
-            state = ad.init_batch_norm(3, np.float64)
-            out = ad.conv_bn_act_batch(*leaves, state, train=True, slope=0.1)
+            out = ad.conv_bn_act_batch(*leaves, slope=0.1)
             return ad.scale(ad.tensor_sum(ad.reshape(out, (1, out.data.size))), 0.25)
 
         assert_grads_match(build, leaves, rtol=1e-4, atol=1e-6)
@@ -416,7 +332,6 @@ class TestFusedConvBatch:
                 f64(rng.normal(size=(1, 1, 2, 2))),
                 f64(rng.normal(size=(1, 1, 3, 3))),
                 f64([0.0]), f64([1.0]), f64([0.0]),
-                ad.init_batch_norm(1, np.float64), train=False,
             )
 
 

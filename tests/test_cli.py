@@ -232,6 +232,93 @@ class TestNonFinitePoints:
         assert not report.exists()
 
 
+class TestOutOfRangePoints:
+    """A finite coordinate too large for the network dtype once normalized
+    ends in one ``error:`` line and exit code 1, not in NaN output."""
+
+    def test_register_rejects_huge_target(self, capsys, tmp_path):
+        ckpt = small_identity_checkpoint(tmp_path / "id.ckpt")
+        src = tmp_path / "src"
+        datagen.save_points_file(src, datagen.sample_shape("fish", 20))
+        tgt = tmp_path / "tgt"
+        tgt.write_text(src.read_text() + "1e300 0\n")
+        out_points = tmp_path / "warped"
+        code, out, err = run(capsys, "register", "--model", str(ckpt), "--src", str(src),
+                             "--tgt", str(tgt), "--out-points", str(out_points))
+        assert code == 1
+        assert out == ""
+        lines = [ln for ln in err.strip().split("\n") if ln.startswith("error: ")]
+        assert len(lines) == 1 and "float32 range" in lines[0], err
+        assert not out_points.exists()
+
+    def test_eval_rejects_dataset_with_huge_pair(self, capsys, tmp_path):
+        ckpt = small_identity_checkpoint(tmp_path / "id.ckpt")
+        data = tmp_path / "d"
+        assert cli.main(["synth", "--count", "3", "--points", "30",
+                         "--seed", "5", "--out", str(data)]) == 0
+        bad = data / "pair_000001_tgt"
+        bad.write_text("1e300 0.0\n" + bad.read_text())
+        report = tmp_path / "r.csv"
+        code, _, err = run(capsys, "eval", "--model", str(ckpt), "--data", str(data),
+                           "--report", str(report))
+        assert code == 1
+        assert "error: " in err and "float32 range" in err
+        assert not report.exists()
+
+
+DEGENERATE = {
+    "single": np.array([[0.3, -0.2]]),
+    "identical": np.tile([[0.3, -0.2]], (20, 1)),
+}
+
+
+class TestDegenerateInputs:
+    """A single point, or 20 copies of one point, as source, target or
+    both: the identity model registers it with finite output and leaves
+    the Chamfer distance as it was."""
+
+    @staticmethod
+    def pair(kind, role):
+        fish = datagen.sample_shape("fish", 20)
+        pts = DEGENERATE[kind]
+        return (pts if role != "target" else fish), (pts if role != "source" else fish)
+
+    @pytest.mark.parametrize("role", ["source", "target", "both"])
+    @pytest.mark.parametrize("kind", sorted(DEGENERATE))
+    def test_register(self, capsys, tmp_path, kind, role):
+        ckpt = small_identity_checkpoint(tmp_path / "id.ckpt")
+        src, tgt = self.pair(kind, role)
+        datagen.save_points_file(tmp_path / "src", src)
+        datagen.save_points_file(tmp_path / "tgt", tgt)
+        out_points = tmp_path / "warped"
+        code, out, _ = run(capsys, "register", "--model", str(ckpt), "--src", str(tmp_path / "src"),
+                           "--tgt", str(tmp_path / "tgt"), "--out-points", str(out_points))
+        assert code == 0
+        warped = datagen.load_points_file(out_points)
+        assert warped.shape == src.shape and np.all(np.isfinite(warped))
+        cd = dict(field.split("=") for field in out.split())
+        assert float(cd["cd_post"]) == pytest.approx(float(cd["cd_pre"]), rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("role", ["source", "target", "both"])
+    @pytest.mark.parametrize("kind", sorted(DEGENERATE))
+    def test_eval(self, capsys, tmp_path, kind, role):
+        ckpt = small_identity_checkpoint(tmp_path / "id.ckpt")
+        data = tmp_path / "d"
+        assert cli.main(["synth", "--count", "1", "--points", "20",
+                         "--seed", "5", "--out", str(data)]) == 0
+        src, tgt = self.pair(kind, role)
+        datagen.save_points_file(data / "pair_000000_src", src)
+        datagen.save_points_file(data / "pair_000000_tgt", tgt)
+        report = tmp_path / "r.csv"
+        code, _, _ = run(capsys, "eval", "--model", str(ckpt), "--data", str(data),
+                         "--report", str(report))
+        assert code == 0
+        row = [float(v) for v in report.read_text().strip().split("\n")[2].split(",")[1:]]
+        assert np.all(np.isfinite(row))
+        cd_pre_mean, cd_post_mean = row[1], row[3]
+        assert cd_post_mean == pytest.approx(cd_pre_mean, rel=1e-12, abs=1e-15)
+
+
 def write_container(path, manifest, payload=b""):
     """Checkpoint bytes assembled by hand: magic, ``<u4`` manifest length,
     the JSON manifest, then ``payload``."""

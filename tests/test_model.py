@@ -134,52 +134,64 @@ def batch_env():
     return weights, src, targets
 
 
+def eval_descriptor(points, grid, weights):
+    """The source descriptor an eval-mode forward computes and caches."""
+    cache = model.prepare_source(points, weights, grid)
+    model.forward_shared_source(None, [points], weights, grid=grid, cache=cache)
+    return cache.sdt_eval
+
+
 class TestDescriptor:
     def test_shape_and_unit_rows(self, descriptor_env):
         cfg, weights, grid = descriptor_env
         pts = np.random.default_rng(0).uniform(-0.9, 0.9, size=(40, 2))
-        sdt = model.compute_sdt(pts, grid, weights)
-        assert sdt.data.shape == (cfg.grid_count, cfg.mlp_widths[-1])
-        norms = np.linalg.norm(sdt.data, axis=1)
+        sdt = eval_descriptor(pts, grid, weights)
+        assert sdt.shape == (cfg.grid_count, cfg.mlp_widths[-1])
+        norms = np.linalg.norm(sdt, axis=1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-5)
 
     def test_bitwise_permutation_invariance(self, descriptor_env):
         _, weights, grid = descriptor_env
         rng = np.random.default_rng(1)
         pts = rng.uniform(-0.9, 0.9, size=(64, 2))
-        base = model.compute_sdt(pts, grid, weights).data.tobytes()
+        base = eval_descriptor(pts, grid, weights).tobytes()
         for _ in range(30):
             shuffled = pts[rng.permutation(64)]
-            assert model.compute_sdt(shuffled, grid, weights).data.tobytes() == base
-
-    def test_fast_path_matches_graph_path(self, descriptor_env):
-        # eval descriptors skip the autodiff graph entirely; the two routes
-        # must agree to float rounding
-        _, weights, grid = descriptor_env
-        pts = np.random.default_rng(2).uniform(-0.9, 0.9, size=(48, 2))
-        fast = model.compute_sdt(pts, grid, weights)
-        ordered = model.canonical_order(pts)
-        graph = model._descriptor_block([ordered], grid, weights, train=False)
-        assert fast._backward is None
-        np.testing.assert_allclose(fast.data, graph.data, rtol=1e-4, atol=1e-5)
+            assert eval_descriptor(shuffled, grid, weights).tobytes() == base
 
     def test_empty_set_rejected(self, descriptor_env):
         _, weights, grid = descriptor_env
-        with pytest.raises(ValueError, match="empty"):
-            model.compute_sdt(np.zeros((0, 2)), grid, weights)
+        src = np.zeros((5, 2))
+        with pytest.raises(ValueError, match="empty source"):
+            model.prepare_source(np.zeros((0, 2)), weights, grid)
+        with pytest.raises(ValueError, match="empty target"):
+            model.forward_shared_source(src, [src, np.zeros((0, 2))], weights, grid=grid)
 
     def test_dim_mismatch_rejected(self, descriptor_env):
         _, weights, grid = descriptor_env
         with pytest.raises(ValueError, match="dim"):
-            model.compute_sdt(np.zeros((5, 3)), grid, weights)
+            model.prepare_source(np.zeros((5, 3)), weights, grid)
+        with pytest.raises(ValueError, match="dim"):
+            model.forward_shared_source(np.zeros((5, 2)), [np.zeros((5, 3))], weights, grid=grid)
+
+    def test_coordinates_beyond_the_dtype_range_rejected(self, descriptor_env):
+        # float32 tops out near 3.4e38; such a point would turn into inf
+        # and then NaN inside the network
+        _, weights, grid = descriptor_env
+        pts = np.random.default_rng(4).uniform(-0.9, 0.9, size=(8, 2))
+        huge = np.vstack([pts, [[1e39, 0.0]]])
+        with pytest.raises(ValueError, match="float32 range"):
+            model.prepare_source(huge, weights, grid)
+        with pytest.raises(ValueError, match="float32 range"):
+            model.forward_shared_source(pts, [pts, huge], weights, grid=grid)
 
     def test_3d_descriptor_shape(self):
         cfg = model.PrNetConfig.for_dim(3)
         weights = model.init_weights(cfg, seed=6)
         grid = model.build_reference_grid(3, cfg.grid_shape)
         pts = np.random.default_rng(3).uniform(-0.9, 0.9, size=(32, 3))
-        sdt = model.compute_sdt(pts, grid, weights)
-        assert sdt.data.shape == (125, 128)
+        sdt = eval_descriptor(pts, grid, weights)
+        assert sdt.shape == (125, 128)
 
 
 class TestCorrelation:
@@ -273,33 +285,10 @@ class TestSharedSourceBatch:
 
 
 class TestFullNetworkGradients:
-    """Finite-difference checks on a narrow float64 configuration.
+    """Finite-difference checks of the training forward on a narrow float64
+    configuration."""
 
-    Run twice: once through the eval-with-graph route (running statistics)
-    and once through the train route (batch statistics), so both batch-norm
-    paths are covered in full composition.
-    """
-
-    def _loss_eval(self, weights, src, targets, grid, sigma):
-        _, transformed = model.forward_shared_source(
-            src, targets, weights, grid=grid, with_graph=True
-        )
-        total = losses.gmm_loss(transformed[0], targets[0], sigma)
-        for t, g in zip(transformed[1:], targets[1:]):
-            total = ad.add(total, losses.gmm_loss(t, g, sigma))
-        return total
-
-    def _loss_train(self, weights, src, targets, grid, sigma):
-        _, transformed = model.forward_shared_source(
-            src, targets, weights, train=True, grid=grid
-        )
-        total = losses.gmm_loss(transformed[0], targets[0], sigma)
-        for t, g in zip(transformed[1:], targets[1:]):
-            total = ad.add(total, losses.gmm_loss(t, g, sigma))
-        return total
-
-    @pytest.mark.parametrize("mode", ["eval", "train"])
-    def test_every_parameter_matches_finite_differences(self, mode):
+    def test_every_parameter_matches_finite_differences(self):
         cfg = tiny_config()
         weights = model.init_weights(cfg, seed=13)
         rng = np.random.default_rng(47)
@@ -307,22 +296,77 @@ class TestFullNetworkGradients:
         grid = model.build_reference_grid(cfg.dim, cfg.grid_shape)
         src = rng.uniform(-0.9, 0.9, size=(10, 2))
         targets = [rng.uniform(-0.9, 0.9, size=(10, 2)) for _ in range(2)]
-        saved = [
-            (l.bn_state.running_mean.copy(), l.bn_state.running_var.copy())
-            for l in [*weights.mlp, *weights.convs, weights.fc1]
-        ]
-
-        build_fn = self._loss_eval if mode == "eval" else self._loss_train
 
         def build():
-            # train mode updates running stats as a side effect; pin them so
-            # repeated FD evaluations see identical state
-            for layer, (m, v) in zip([*weights.mlp, *weights.convs, weights.fc1], saved):
-                layer.bn_state.running_mean = m.copy()
-                layer.bn_state.running_var = v.copy()
-            return build_fn(weights, src, targets, grid, sigma=0.5)
+            _, transformed = model.forward_shared_source(
+                src, targets, weights, train=True, grid=grid
+            )
+            total = losses.gmm_loss(transformed[0], targets[0], 0.5)
+            for t, g in zip(transformed[1:], targets[1:]):
+                total = ad.add(total, losses.gmm_loss(t, g, 0.5))
+            return total
 
         assert_grads_match(build, weights.params(), h=1e-6, rtol=1e-4, atol=1e-7)
+
+
+def tiny_config_3d():
+    return model.PrNetConfig(
+        dim=3, grid_shape=(4, 4, 4), mlp_widths=(6, 8), conv_channels=(6, 8),
+        conv_kernels=(2, 2), fc_hidden=7, dtype="float64",
+    )
+
+
+def bn_layers(weights):
+    return [*weights.mlp, *weights.convs, weights.fc1]
+
+
+class TestGraphFreeForward:
+    """The graph-free stages against the training graph: batch statistics
+    reproduce the train route, running statistics equal to those batch
+    statistics reproduce batch mode, and eval builds no graph."""
+
+    @pytest.fixture(params=["2d", "3d"])
+    def env(self, request):
+        cfg = tiny_config() if request.param == "2d" else tiny_config_3d()
+        weights = model.init_weights(cfg, seed=17)
+        rng = np.random.default_rng(59)
+        randomize_weights(weights, rng)
+        grid = model.build_reference_grid(cfg.dim, cfg.grid_shape)
+        src = rng.uniform(-0.9, 0.9, size=(12, cfg.dim))
+        targets = [rng.uniform(-0.9, 0.9, size=(n, cfg.dim)) for n in (12, 9, 12, 15)]
+        return weights, grid, src, targets
+
+    @staticmethod
+    def batch_mode(weights, grid, src, targets):
+        stats = []
+        sets = [model.canonical_order(p) for p in [src, *targets]]
+        desc = model._descriptors(sets, grid, weights, stats)
+        return model._head(desc[:grid.count], desc[grid.count:], weights, stats), stats
+
+    def test_batch_mode_matches_train_route(self, env):
+        weights, grid, src, targets = env
+        train_deltas, _ = model.forward_shared_source(src, targets, weights, train=True, grid=grid)
+        deltas, stats = self.batch_mode(weights, grid, src, targets)
+        np.testing.assert_allclose(deltas, train_deltas.data, rtol=1e-4, atol=1e-6)
+        assert len(stats) == len(bn_layers(weights))
+        cache = model.prepare_source(src, weights, grid)
+        for (m, v), (m2, v2) in zip(stats, model.batch_norm_statistics(targets, weights, grid, cache)):
+            assert m.tobytes() == m2.tobytes() and v.tobytes() == v2.tobytes()
+
+    def test_running_mode_with_batch_statistics_matches_batch_mode(self, env):
+        weights, grid, src, targets = env
+        deltas, stats = self.batch_mode(weights, grid, src, targets)
+        for layer, (mean, var) in zip(bn_layers(weights), stats):
+            layer.bn_state.running_mean = mean
+            layer.bn_state.running_var = var
+        eval_deltas, _ = model.forward_shared_source(src, targets, weights, grid=grid)
+        np.testing.assert_allclose(eval_deltas.data, deltas, rtol=1e-4, atol=1e-6)
+
+    def test_eval_outputs_carry_no_graph(self, env):
+        weights, grid, src, targets = env
+        deltas, transformed = model.forward_shared_source(src, targets, weights, grid=grid)
+        for t in [deltas, *transformed]:
+            assert t._backward is None and not t.requires_grad
 
 
 class TestCheckpointContainer:
