@@ -64,19 +64,19 @@ class EvaluationSummary:
 
 
 def register(weights, source, target) -> RegistrationResult:
-    """Register one pair with a single forward pass.
+    """Register one pair with a single forward pass: ``evaluate``'s path
+    with one target.
 
     Inputs are not modified and neither are the weights (evaluation-mode
     batch norm reads, never updates, the running statistics).
     """
     src = np.asarray(source, dtype=np.float64)
     tgt = np.asarray(target, dtype=np.float64)
-    start = time.perf_counter()
-    warp, transformed = model.forward(src, tgt, weights)
-    elapsed = time.perf_counter() - start
+    grid = model.build_reference_grid(weights.config.dim, weights.config.grid_shape)
+    [(transformed, theta)], elapsed = _register_group(weights, grid, src, [tgt])
     return RegistrationResult(
         transformed=transformed,
-        theta=warp.theta,
+        theta=theta,
         cd_pre=losses.chamfer_normalized(src, tgt),
         cd_post=losses.chamfer_normalized(transformed, tgt),
         elapsed=elapsed,
@@ -93,35 +93,35 @@ def _as_pairs(data):
             for s, t in data], "pairs"
 
 
-def _register_group(weights, grid, control, source, targets, batch_cap):
-    """Forward one shared source against its targets, chunked to bound the
-    batch size. Returns per-pair (transformed, theta) plus the group's model
-    wall time."""
+def _register_group(weights, grid, source, targets):
+    """Register one source against its targets in original coordinates.
+
+    The similarity normalization is fitted on the source, applied to every
+    set before ``model.forward_shared_source`` and inverted on its output.
+    Returns per target ``(transformed, theta)``, with ``theta`` the control
+    points' targets in the network frame, plus the model wall time.
+    """
     start = time.perf_counter()
     norm = model.fit_normalizer(source)
-    cache = model.prepare_source(norm.apply(source), weights, grid)
-    pairs = []
-    for lo in range(0, len(targets), batch_cap):
-        chunk = targets[lo:lo + batch_cap]
-        deltas, transformed = model.forward_shared_source(
-            None, [norm.apply(t) for t in chunk], weights, train=False,
-            grid=grid, cache=cache,
-        )
-        d = np.asarray(deltas.data, dtype=np.float64)
-        for i, out in enumerate(transformed):
-            theta = control.points + d[i].reshape(control.points.shape)
-            pairs.append((norm.invert(np.asarray(out.data, dtype=np.float64)), theta))
-    return pairs, time.perf_counter() - start
+    cache = model.prepare_source(norm.apply(source), weights)
+    deltas, transformed = model.forward_shared_source(
+        cache, [norm.apply(t) for t in targets], weights, grid
+    )
+    control = tps.make_control_grid(weights.config.dim).points
+    outs = [(norm.invert(out), control + d.reshape(control.shape))
+            for d, out in zip(deltas.astype(np.float64), transformed)]
+    return outs, time.perf_counter() - start
 
 
-def evaluate(weights, data, dataset_id: str = None, batch_cap: int = 64) -> EvaluationSummary:
+def evaluate(weights, data, dataset_id: str = None) -> EvaluationSummary:
     """Register every pair of ``data`` and aggregate Chamfer statistics.
 
     ``data`` is a Dataset, a dataset directory, or a list of (source,
-    target) array pairs. Consecutive pairs sharing a bitwise-identical
-    source go through the network as one batch; results are identical to
-    registering each pair alone. ``model_time_s`` excludes dataset loading
-    and metric computation; ``total_time_s`` is the whole call.
+    target) array pairs. Each run of consecutive pairs sharing a
+    bitwise-identical source goes through ``register``'s path as one
+    batch; results are identical to registering each pair alone.
+    ``model_time_s`` excludes dataset loading and metric computation;
+    ``total_time_s`` is the whole call.
     """
     t0 = time.perf_counter()
     pairs, default_id = _as_pairs(data)
@@ -134,23 +134,14 @@ def evaluate(weights, data, dataset_id: str = None, batch_cap: int = 64) -> Eval
             f"expects {weights.config.dim}D"
         )
     grid = model.build_reference_grid(dim, weights.config.grid_shape)
-    control = tps.make_control_grid(dim)
 
     results = []
     model_time = 0.0
-    lo = 0
-    while lo < len(pairs):
-        hi = lo + 1
-        key = pairs[lo][0].tobytes()
-        while hi < len(pairs) and pairs[hi][0].tobytes() == key:
-            hi += 1
-        group = pairs[lo:hi]
-        outs, group_time = _register_group(
-            weights, grid, control, group[0][0], [t for _, t in group], batch_cap
-        )
+    for src, targets in model.source_runs(pairs):
+        outs, group_time = _register_group(weights, grid, src, targets)
         model_time += group_time
-        share = group_time / len(group)
-        for (src, tgt), (transformed, theta) in zip(group, outs):
+        share = group_time / len(targets)
+        for tgt, (transformed, theta) in zip(targets, outs):
             results.append(RegistrationResult(
                 transformed=transformed,
                 theta=theta,
@@ -158,7 +149,6 @@ def evaluate(weights, data, dataset_id: str = None, batch_cap: int = 64) -> Eval
                 cd_post=losses.chamfer_normalized(transformed, tgt),
                 elapsed=share,
             ))
-        lo = hi
 
     pre = np.array([r.cd_pre for r in results])
     post = np.array([r.cd_post for r in results])

@@ -67,8 +67,9 @@ class PrNetConfig:
                 raise ValueError(f"PrNetConfig: {name} must be positive integers, got {sizes!r}")
         if not _is_int(self.fc_hidden) or self.fc_hidden < 1:
             raise ValueError(f"PrNetConfig: fc_hidden must be a positive integer, got {self.fc_hidden!r}")
-        if not isinstance(self.leaky_slope, numbers.Real) or isinstance(self.leaky_slope, bool):
-            raise ValueError(f"PrNetConfig: leaky_slope must be a number, got {self.leaky_slope!r}")
+        if not isinstance(self.leaky_slope, numbers.Real) or isinstance(self.leaky_slope, bool) \
+                or not 0.0 < self.leaky_slope < 1.0:
+            raise ValueError(f"PrNetConfig: leaky_slope must be a number in (0, 1), got {self.leaky_slope!r}")
         if self.dtype not in ("float32", "float64"):
             raise ValueError(f"PrNetConfig: dtype must be float32 or float64, got {self.dtype!r}")
         if len(self.grid_shape) != self.dim or any(r < 2 for r in self.grid_shape):
@@ -478,16 +479,21 @@ def _head(f_s: np.ndarray, f_g_all: np.ndarray, weights: PrNetWeights, stats) ->
 # ---------------------------------------------------------------------------
 # full forward
 
+# Targets per graph-free head pass: bounds the conv stage's window rows,
+# which grow with the batch (81 rows of 1089 columns per pair at conv0 of
+# the default 2D net).
+EVAL_CHUNK = 64
+
 
 @dataclass
 class SourceCache:
-    """Per-source constants reused across pairs: sorted points, warp basis
-    (full precision plus the network dtype), and the source descriptor,
-    which the first eval-mode forward fills in.
+    """Per-source constants shared by every forward of that source: sorted
+    points, warp basis (full precision plus the network dtype), and the
+    source descriptor, which the first ``forward_shared_source`` fills in.
 
-    The descriptor belongs to the weights it was computed with. Training and
-    recalibration never read or fill it, so the trainer's caches may outlive
-    weight updates; an eval cache must not.
+    The descriptor belongs to the weights it was computed with.
+    ``train_forward`` and recalibration never read or fill it, so the
+    trainer's caches may outlive weight updates; an eval cache must not.
     """
 
     ordered: np.ndarray
@@ -511,102 +517,104 @@ def _network_points(points, cfg: PrNetConfig, where: str, role: str) -> np.ndarr
     return canonical_order(pts)
 
 
-def prepare_source(source, weights: PrNetWeights, grid: ReferenceGrid) -> SourceCache:
+def _network_targets(targets, cfg: PrNetConfig, where: str) -> list:
+    if len(targets) == 0:
+        raise ValueError(f"{where}: no targets")
+    return [_network_points(t, cfg, where, "target") for t in targets]
+
+
+def source_runs(pairs) -> list:
+    """``(source, [targets])`` for each run of consecutive ``(source,
+    target)`` pairs whose sources are bitwise identical: the unit that
+    shares one ``SourceCache`` and one forward."""
+    runs = []
+    key = None
+    for src, tgt in pairs:
+        if runs and src.tobytes() == key:
+            runs[-1][1].append(tgt)
+        else:
+            key = src.tobytes()
+            runs.append((src, [tgt]))
+    return runs
+
+
+def prepare_source(source, weights: PrNetWeights) -> SourceCache:
     src = _network_points(source, weights.config, "prepare_source", "source")
     basis = tps.tps_basis(tps.make_control_grid(weights.config.dim), src)
     return SourceCache(ordered=src, basis=basis.astype(weights.config.np_dtype()), basis_f64=basis)
 
 
-def forward_shared_source(
-    source,
-    targets,
-    weights: PrNetWeights,
-    train: bool = False,
-    grid: ReferenceGrid = None,
-    cache: SourceCache = None,
-):
-    """Forward pass for one source against ``targets`` (list of point sets).
+def forward_shared_source(cache: SourceCache, targets, weights: PrNetWeights, grid: ReferenceGrid):
+    """Inference for ``cache``'s source against ``targets`` (point sets):
+    the one path by which ``evaluator.register``, ``evaluator.evaluate``
+    and ``trainer.validation_cd`` run the network.
 
-    Returns ``(deltas, transformed)``: the ``[B, theta_count*dim]`` tensor of
-    predicted control-point displacements and a list of transformed source
-    sets. Coordinates are taken as already being in the network frame (the
-    training data is generated there); ``forward`` and the evaluator fit and
-    invert the similarity normalization around this call.
+    Returns plain arrays ``(deltas, transformed)``: the ``[B,
+    theta_count*dim]`` predicted control-point displacements in the network
+    dtype, and per target the warped, canonically ordered source as
+    ``basis_f64 @ (delta + theta0)`` in float64. Coordinates are taken as
+    already being in the network frame; the evaluator fits and inverts the
+    similarity normalization around this call.
 
-    Training builds the autodiff graph, with the source in the same batch as
-    the targets, so its descriptor sees their batch statistics. Eval runs the
-    graph-free stages with the running statistics and returns constant
-    tensors; it computes the source descriptor once per cache.
+    Graph-free, with every batch norm by its running statistics. The source
+    descriptor is computed once per cache; the targets go through the head
+    ``EVAL_CHUNK`` at a time.
     """
     cfg = weights.config
-    if grid is None:
-        grid = build_reference_grid(cfg.dim, cfg.grid_shape)
-    if cache is None:
-        cache = prepare_source(source, weights, grid)
-    batch = len(targets)
-    if batch == 0:
-        raise ValueError("forward_shared_source: no targets")
-    ordered = [_network_points(t, cfg, "forward_shared_source", "target") for t in targets]
-    g = grid.count
+    ordered = _network_targets(targets, cfg, "forward_shared_source")
+    if cache.sdt_eval is None:
+        cache.sdt_eval = _descriptors([cache.ordered], grid, weights, None)
+    deltas = np.concatenate([
+        _head(cache.sdt_eval, _descriptors(ordered[lo:lo + EVAL_CHUNK], grid, weights, None), weights, None)
+        for lo in range(0, len(ordered), EVAL_CHUNK)
+    ])
+    thetas = deltas + tps.make_control_grid(cfg.dim).points.astype(deltas.dtype).reshape(1, -1)
+    # theta is exact at identity, so with the full-precision basis the
+    # transform round-trips to solver precision, not the network dtype's
+    return deltas, [cache.basis_f64 @ theta.reshape(cfg.theta_count, cfg.dim) for theta in thetas]
 
-    if train:
-        desc = _descriptor_block([cache.ordered] + ordered, grid, weights)
-        corr = compute_correlation(ad.row_slice(desc, 0, g), ad.row_slice(desc, g, (1 + batch) * g), g)
-        h = ad.reshape(corr, (batch, g) + cfg.grid_shape)
-        for layer in weights.convs:
-            h = ad.conv_bn_act_batch(h, layer.weight, layer.bias, layer.bn_scale, layer.bn_shift,
-                                     cfg.leaky_slope)
-        fc1 = weights.fc1
-        h = ad.dense_bn_act(ad.reshape(h, (batch, cfg.flat_features())), fc1.weight, fc1.bias,
-                            fc1.bn_scale, fc1.bn_shift, cfg.leaky_slope)
-        deltas = ad.linear(h, weights.out.weight, weights.out.bias)
-        basis = cache.basis
-    else:
-        if cache.sdt_eval is None:
-            cache.sdt_eval = _descriptors([cache.ordered], grid, weights, None)
-        deltas = ad.Tensor(_head(cache.sdt_eval, _descriptors(ordered, grid, weights, None), weights, None))
-        # theta is exact at identity, so with the full-precision basis the
-        # transform round-trips to solver precision, not the network dtype's
-        basis = cache.basis_f64
+
+def train_forward(cache: SourceCache, targets, weights: PrNetWeights, grid: ReferenceGrid):
+    """The training forward of ``cache``'s source against ``targets``: the
+    network of ``forward_shared_source``, recorded as an autodiff graph and
+    normalized by batch statistics. Only the trainer calls it.
+
+    The source goes through the MLP in the same batch as the targets, so
+    its descriptor sees their batch statistics. Returns tensors ``(deltas,
+    transformed)``; the transform uses the basis in the network dtype.
+    """
+    cfg = weights.config
+    ordered = _network_targets(targets, cfg, "train_forward")
+    batch = len(ordered)
+    g = grid.count
+    desc = _descriptor_block([cache.ordered] + ordered, grid, weights)
+    corr = compute_correlation(ad.row_slice(desc, 0, g), ad.row_slice(desc, g, (1 + batch) * g), g)
+    h = ad.reshape(corr, (batch, g) + cfg.grid_shape)
+    for layer in weights.convs:
+        h = ad.conv_bn_act_batch(h, layer.weight, layer.bias, layer.bn_scale, layer.bn_shift,
+                                 cfg.leaky_slope)
+    fc1 = weights.fc1
+    h = ad.dense_bn_act(ad.reshape(h, (batch, cfg.flat_features())), fc1.weight, fc1.bias,
+                        fc1.bn_scale, fc1.bn_shift, cfg.leaky_slope)
+    deltas = ad.linear(h, weights.out.weight, weights.out.bias)
 
     theta0 = tps.make_control_grid(cfg.dim).points.astype(deltas.data.dtype).reshape(1, -1)
     transformed = []
     for i in range(batch):
         theta_i = ad.reshape(ad.add(ad.row_slice(deltas, i, i + 1), theta0), (cfg.theta_count, cfg.dim))
-        transformed.append(ad.matmul(ad.Tensor(basis), theta_i))
+        transformed.append(ad.matmul(ad.Tensor(cache.basis), theta_i))
     return deltas, transformed
 
 
 def batch_norm_statistics(targets, weights: PrNetWeights, grid: ReferenceGrid, cache: SourceCache) -> list:
     """``(mean, var)`` of every batch-norm layer, in layer order (MLP,
-    convs, fc1), as the training forward of ``cache``'s source against
+    convs, fc1), as ``train_forward`` of ``cache``'s source against
     ``targets`` computes them; with no graph and no transform."""
     stats = []
-    ordered = [_network_points(t, weights.config, "batch_norm_statistics", "target") for t in targets]
+    ordered = _network_targets(targets, weights.config, "batch_norm_statistics")
     desc = _descriptors([cache.ordered] + ordered, grid, weights, stats)
     _head(desc[:grid.count], desc[grid.count:], weights, stats)
     return stats
-
-
-def forward(source, target, weights: PrNetWeights):
-    """Single-pair inference in original coordinates.
-
-    The similarity normalization is fitted on the source, applied to both
-    sets before the network, and inverted on the output points. Returns the
-    fitted warp (network frame) and the transformed, canonically ordered
-    source points (original frame, plain arrays, eval mode).
-    """
-    cfg = weights.config
-    norm = fit_normalizer(source)
-    grid = build_reference_grid(cfg.dim, cfg.grid_shape)
-    cache = prepare_source(norm.apply(source), weights, grid)
-    thetas, transformed = forward_shared_source(
-        None, [norm.apply(target)], weights, train=False, grid=grid, cache=cache
-    )
-    control = tps.make_control_grid(cfg.dim)
-    delta = np.asarray(thetas.data[0], dtype=np.float64).reshape(cfg.theta_count, cfg.dim)
-    warp = tps.TpsWarp(grid=control, theta=control.points + delta)
-    return warp, norm.invert(np.asarray(transformed[0].data, dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,6 @@ from itertools import product
 
 import numpy as np
 
-from . import autodiff as ad
-
 
 class SingularSystemError(RuntimeError):
     """Raised when the interpolation system cannot be solved."""
@@ -98,35 +96,3 @@ def tps_basis(grid: ControlGrid, queries, regularization: float = 1e-6) -> np.nd
         raise SingularSystemError("tps_basis: interpolation solve produced non-finite weights")
     return np.ascontiguousarray(full[:, :k])
 
-
-@dataclass
-class TpsWarp:
-    """A concrete warp: base grid plus predicted target coordinates.
-
-    ``theta`` may be a plain ``[K, dim]`` array or an autodiff tensor; with a
-    tensor, applying the warp stays differentiable w.r.t. theta.
-    """
-
-    grid: ControlGrid
-    theta: object
-    regularization: float = 1e-6
-
-    def __post_init__(self):
-        shape = self.theta.data.shape if isinstance(self.theta, ad.Tensor) else np.shape(self.theta)
-        expected = (self.grid.count, self.grid.dim)
-        if tuple(shape) != expected:
-            raise ValueError(f"TpsWarp: theta shape {tuple(shape)} != {expected}")
-
-
-def apply_warp(warp: TpsWarp, points):
-    """Evaluate the warp at ``points`` ([N, dim]).
-
-    Returns an array for array theta, or a tensor for tensor theta.
-    """
-    pts = np.asarray(points, dtype=np.float64) if not isinstance(points, np.ndarray) else points
-    if pts.ndim != 2 or pts.shape[1] != warp.grid.dim:
-        raise ValueError(f"apply_warp: points {pts.shape} do not match warp dim {warp.grid.dim}")
-    basis = tps_basis(warp.grid, pts, warp.regularization)
-    if isinstance(warp.theta, ad.Tensor):
-        return ad.matmul(ad.Tensor(basis.astype(warp.theta.data.dtype)), warp.theta)
-    return basis @ np.asarray(warp.theta, dtype=np.float64)

@@ -1,7 +1,7 @@
 """Training loop for the registration network.
 
 Per epoch: seeded shuffle, mini-batches of pairs, mean symmetric GMM loss
-per batch backpropagated through the shared-source forward pass, Adam with
+per batch backpropagated through ``model.train_forward``, Adam with
 a per-epoch decayed learning rate. The mixture bandwidth sigma anneals per optimizer
 step (max(initial/sqrt(step), floor)), so the coarse phase lasts on the
 order of a hundred batches and most of training runs at the floor. Every
@@ -51,8 +51,9 @@ class TrainConfig:
         if self.batch_size < 2:
             raise ValueError(f"TrainConfig: batch_size must be >= 2 for batch norm, got {self.batch_size}")
         for name in ("learning_rate", "lr_decay", "sigma_initial", "sigma_floor"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"TrainConfig: {name} must be positive, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"TrainConfig: {name} must be positive and finite, got {value}")
         if self.checkpoint_every < 0:
             raise ValueError(f"TrainConfig: checkpoint_every must be >= 0, got {self.checkpoint_every}")
         if self.checkpoint_every > 0 and self.checkpoint_dir is None:
@@ -162,47 +163,46 @@ def _load_pairs(data, dim: int):
     return pairs
 
 
-def _source_groups(batch):
-    """Consecutive runs of pairs sharing a bitwise-identical source."""
-    groups = []
-    for src, tgt in batch:
-        key = src.tobytes()
-        if groups and groups[-1][0] == key:
-            groups[-1][2].append(tgt)
-        else:
-            groups.append((key, src, [tgt]))
-    return groups
+def _trainable_runs(batch):
+    """The source runs of ``batch`` (``model.source_runs``) that can train:
+    those of two or more targets. fc1's batch norm sees one row per target,
+    and cannot run on one, so a run of one is skipped, as ``epoch_batches``
+    skips a one-pair batch."""
+    return [run for run in prnet.source_runs(batch) if len(run[1]) >= 2]
 
 
-def _train_cache(caches, key, src, weights, grid):
+def _train_cache(caches, src, weights):
     """``SourceCache`` for ``src``, made once per run. Training and
     recalibration never fill its descriptor, which would go stale with the
     next weight update."""
+    key = src.tobytes()
     cache = caches.get(key)
     if cache is None:
-        cache = prnet.prepare_source(src, weights, grid)
+        cache = prnet.prepare_source(src, weights)
         caches[key] = cache
     return cache
 
 
-def _train_batch(batch, weights, grid, caches, sigma, params, state):
+def _train_batch(runs, weights, grid, caches, sigma, params, state):
+    """One optimizer step on ``runs``, from ``_trainable_runs``. Returns
+    the symmetric GMM loss averaged over their pairs, and their count."""
     total = None
-    for key, src, targets in _source_groups(batch):
-        cache = _train_cache(caches, key, src, weights, grid)
-        _, transformed = prnet.forward_shared_source(
-            src, targets, weights, train=True, grid=grid, cache=cache
-        )
+    count = 0
+    for src, targets in runs:
+        cache = _train_cache(caches, src, weights)
+        _, transformed = prnet.train_forward(cache, targets, weights, grid)
         for t, g in zip(transformed, targets):
             term = losses.gmm_loss_symmetric(t, g, sigma)
             total = term if total is None else ad.add(total, term)
-    loss = ad.scale(total, 1.0 / len(batch))
+        count += len(targets)
+    loss = ad.scale(total, 1.0 / count)
     loss.backward()
     value = float(loss.data)
     ad.recycle_graph(loss)
     if math.isfinite(value):
         ad.adam_step(params, state)
     ad.zero_grads(params, recycle=True)
-    return value
+    return value, count
 
 
 def split_pairs(pairs):
@@ -230,19 +230,20 @@ def recalibrate_batch_norm(batches, weights, grid, caches) -> None:
     """Recompute every batch-norm running mean and variance from the current,
     frozen weights ("precise BN").
 
-    For each source group of ``batches`` (lists of pairs), takes the batch
-    statistics the training forward would see, from the graph-free forward
-    with no transform. Each running statistic becomes the plain mean, in
-    float64, of its per-group values. All are written at the end, so a
-    forward that raises leaves every one untouched. ``caches`` maps source
-    bytes to ``SourceCache``s, as in training.
+    For each source run of ``batches`` (lists of pairs) that training
+    uses (``_trainable_runs``), takes the batch statistics the training
+    forward would see, from the graph-free forward with no transform. Each
+    running statistic becomes the plain mean, in float64, of its per-run
+    values. All are written at the end, so a forward that raises leaves
+    every one untouched. ``caches`` maps source bytes to ``SourceCache``s,
+    as in training.
     """
     layers = [*weights.mlp, *weights.convs, weights.fc1]
     sums = [np.zeros((2,) + layer.bias.data.shape) for layer in layers]
     count = 0
     for batch in batches:
-        for key, src, targets in _source_groups(batch):
-            cache = _train_cache(caches, key, src, weights, grid)
+        for src, targets in _trainable_runs(batch):
+            cache = _train_cache(caches, src, weights)
             for acc, (mean, var) in zip(sums, prnet.batch_norm_statistics(targets, weights, grid, cache)):
                 acc[0] += mean
                 acc[1] += var
@@ -254,27 +255,19 @@ def recalibrate_batch_norm(batches, weights, grid, caches) -> None:
             st.running_var = (acc[1] / count).astype(st.running_var.dtype)
 
 
-def validation_cd(pairs, weights, grid=None, group_cap: int = 64) -> float:
-    """Mean normalized chamfer after registration, eval mode, network frame."""
+def validation_cd(pairs, weights, grid=None) -> float:
+    """Mean normalized chamfer after registration, network frame, by
+    ``model.forward_shared_source``, the path ``evaluator.evaluate`` runs."""
     if not pairs:
         return float("nan")
     if grid is None:
         cfg = weights.config
         grid = prnet.build_reference_grid(cfg.dim, cfg.grid_shape)
-    caches = {}
     cds = []
-    for key, src, targets in _source_groups(pairs):
-        cache = caches.get(key)
-        if cache is None:
-            cache = prnet.prepare_source(src, weights, grid)
-            caches[key] = cache
-        for start in range(0, len(targets), group_cap):
-            chunk = targets[start : start + group_cap]
-            _, transformed = prnet.forward_shared_source(
-                src, chunk, weights, train=False, grid=grid, cache=cache
-            )
-            for t, g in zip(transformed, chunk):
-                cds.append(losses.chamfer_normalized(t.data, g))
+    for src, targets in prnet.source_runs(pairs):
+        cache = prnet.prepare_source(src, weights)
+        _, transformed = prnet.forward_shared_source(cache, targets, weights, grid)
+        cds.extend(losses.chamfer_normalized(t, g) for t, g in zip(transformed, targets))
     return float(np.mean(cds))
 
 
@@ -288,6 +281,11 @@ def train(cfg: TrainConfig, data, weights, adam_state: ad.AdamState = None,
     the resumed trajectory is identical to the uninterrupted one because
     shuffling draws from ``(seed, epoch)``, lr is closed-form in the epoch,
     and sigma is closed-form in the checkpointed optimizer step count.
+
+    A batch trains on its runs of two or more consecutive pairs sharing a
+    source; a pair whose source neither neighbour shares is skipped, since
+    batch norm cannot normalize its one row, and an epoch in which nothing
+    is left raises ``ValueError``.
 
     Each epoch ends with ``recalibrate_batch_norm`` over that epoch's
     batches, so the running statistics are recomputed from the frozen
@@ -313,26 +311,30 @@ def train(cfg: TrainConfig, data, weights, adam_state: ad.AdamState = None,
         state.epoch = epoch - 1  # effective lr = learning_rate * decay^(epoch-1)
         lr = ad.effective_lr(state)
         batches = list(epoch_batches(train_pairs, cfg.batch_size, cfg.seed, epoch))
-        if not batches:
-            raise ValueError(
-                f"train: batch_size {cfg.batch_size} yields no usable batch "
-                f"from {len(train_pairs)} training pairs"
-            )
         loss_sum = 0.0
         counted = 0
         for batch_no, batch in batches:
+            runs = _trainable_runs(batch)
+            if not runs:
+                continue
             # the annealing index is the global optimizer step, so the
             # bandwidth narrows within the first epochs and survives resume
             # through the checkpointed step count
             sigma = losses.sigma_at(schedule, state.step_count + 1)
-            value = _train_batch(batch, weights, grid, caches, sigma, params, state)
+            value, trained = _train_batch(runs, weights, grid, caches, sigma, params, state)
             if not math.isfinite(value):
                 raise TrainingDivergedError(
                     f"non-finite loss {value} at epoch {epoch}, batch {batch_no}, "
                     f"sigma={sigma}, lr={lr}"
                 )
-            loss_sum += value * len(batch)
-            counted += len(batch)
+            loss_sum += value * trained
+            counted += trained
+        if not counted:
+            raise ValueError(
+                f"train: in epoch {epoch}, no batch of {cfg.batch_size} from "
+                f"{len(train_pairs)} training pairs holds two consecutive pairs "
+                "that share a source, which batch norm needs"
+            )
         recalibrate_batch_norm((b for _, b in batches), weights, grid, caches)
         stats = EpochStats(
             epoch=epoch,

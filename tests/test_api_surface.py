@@ -19,7 +19,6 @@ ALLOWED_UNREFERENCED = {
     "conv_valid": "reference route conv_bn_act_batch is tested against",
     "transpose2d": "reference route conv_bn_act_batch is tested against",
     "gmm_loss": "one-directional loss gmm_loss_symmetric is tested against",
-    "apply_warp": "evaluates the TpsWarp that model.forward returns at other points",
 }
 
 

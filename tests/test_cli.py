@@ -183,6 +183,29 @@ class TestPipeline:
             ["pair_000000.svg", "pair_000001.svg"]
 
 
+class TestTrainInputs:
+    def test_source_shared_by_no_neighbour_trains(self, capsys, tmp_path):
+        # pair 3's source is its own, so it forms a source run of one
+        # target, which fc1's batch norm cannot take: the run is skipped
+        data = tmp_path / "data"
+        assert cli.main(["synth", "--count", "8", "--points", "48", "--level", "0.4",
+                         "--seed", "2", "--out", str(data)]) == 0
+        src = data / "pair_000003_src"
+        datagen.save_points_file(src, datagen.load_points_file(src) * 0.9)
+        code, _, err = run(capsys, "train", "--data", str(data), "--out", str(tmp_path / "m.ckpt"),
+                           "--epochs", "1", "--batch-size", "4", "--seed", "2")
+        assert code == 0, err
+
+    def test_infinite_sigma_floor_exits_1(self, capsys, tmp_path):
+        code, out, err = run(capsys, "train", "--data", str(tmp_path / "data"),
+                             "--out", str(tmp_path / "m.ckpt"), "--epochs", "1",
+                             "--sigma-floor", "inf")
+        assert code == 1
+        assert out == ""
+        lines = [ln for ln in err.strip().split("\n") if ln.startswith("error: ")]
+        assert len(lines) == 1 and "sigma_floor must be positive and finite" in lines[0], err
+
+
 class TestEvalIdentityModel:
     def test_pre_equals_post_in_report(self, capsys, tmp_path):
         ckpt = small_identity_checkpoint(tmp_path / "id.ckpt")
@@ -438,6 +461,7 @@ class TestMalformedCheckpoint:
         ("dim", "2"), ("dim", 2.0), ("grid_shape", 7), ("grid_shape", [7, "7"]),
         ("mlp_widths", [8, -16, 32]), ("conv_channels", []), ("conv_kernels", [3, 3]),
         ("fc_hidden", 24.5), ("leaky_slope", "0.1"), ("dtype", "int32"), ("dtype", ["float32"]),
+        ("leaky_slope", 1.5), ("leaky_slope", 0.0), ("leaky_slope", float("nan")),
     ])
     def test_config_field_ill_typed(self, capsys, tmp_path, points, valid, field, value):
         def edit(meta):

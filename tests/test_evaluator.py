@@ -112,9 +112,11 @@ class TestEvaluate:
             assert ra.cd_post == rb.cd_post
             assert ra.theta.tobytes() == rb.theta.tobytes()
 
-    def test_batched_matches_single_pair_register(self, fish_pairs):
+    def test_batched_matches_single_pair_register(self, fish_pairs, monkeypatch):
+        # ten pairs in chunks of four: the head batches cross chunk boundaries
+        monkeypatch.setattr(model, "EVAL_CHUNK", 4)
         weights = randomized_weights()
-        summary = evaluator.evaluate(weights, fish_pairs, batch_cap=4)
+        summary = evaluator.evaluate(weights, fish_pairs)
         for (src, tgt), r in zip(fish_pairs, summary.results):
             single = evaluator.register(weights, src, tgt)
             assert np.allclose(r.transformed, single.transformed, rtol=1e-3, atol=1e-6)

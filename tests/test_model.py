@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from pointreg import autodiff as ad
+from pointreg import evaluator
 from pointreg import losses
 from pointreg import model
 from pointreg import tps
@@ -136,9 +137,19 @@ def batch_env():
 
 def eval_descriptor(points, grid, weights):
     """The source descriptor an eval-mode forward computes and caches."""
-    cache = model.prepare_source(points, weights, grid)
-    model.forward_shared_source(None, [points], weights, grid=grid, cache=cache)
+    cache = model.prepare_source(points, weights)
+    model.forward_shared_source(cache, [points], weights, grid)
     return cache.sdt_eval
+
+
+def grid_of(weights):
+    cfg = weights.config
+    return model.build_reference_grid(cfg.dim, cfg.grid_shape)
+
+
+def eval_forward(src, targets, weights):
+    """``forward_shared_source`` of ``src`` against ``targets`` with a fresh cache."""
+    return model.forward_shared_source(model.prepare_source(src, weights), targets, weights, grid_of(weights))
 
 
 class TestDescriptor:
@@ -160,30 +171,30 @@ class TestDescriptor:
             assert eval_descriptor(shuffled, grid, weights).tobytes() == base
 
     def test_empty_set_rejected(self, descriptor_env):
-        _, weights, grid = descriptor_env
+        _, weights, _ = descriptor_env
         src = np.zeros((5, 2))
         with pytest.raises(ValueError, match="empty source"):
-            model.prepare_source(np.zeros((0, 2)), weights, grid)
+            model.prepare_source(np.zeros((0, 2)), weights)
         with pytest.raises(ValueError, match="empty target"):
-            model.forward_shared_source(src, [src, np.zeros((0, 2))], weights, grid=grid)
+            eval_forward(src, [src, np.zeros((0, 2))], weights)
 
     def test_dim_mismatch_rejected(self, descriptor_env):
-        _, weights, grid = descriptor_env
+        _, weights, _ = descriptor_env
         with pytest.raises(ValueError, match="dim"):
-            model.prepare_source(np.zeros((5, 3)), weights, grid)
+            model.prepare_source(np.zeros((5, 3)), weights)
         with pytest.raises(ValueError, match="dim"):
-            model.forward_shared_source(np.zeros((5, 2)), [np.zeros((5, 3))], weights, grid=grid)
+            eval_forward(np.zeros((5, 2)), [np.zeros((5, 3))], weights)
 
     def test_coordinates_beyond_the_dtype_range_rejected(self, descriptor_env):
         # float32 tops out near 3.4e38; such a point would turn into inf
         # and then NaN inside the network
-        _, weights, grid = descriptor_env
+        _, weights, _ = descriptor_env
         pts = np.random.default_rng(4).uniform(-0.9, 0.9, size=(8, 2))
         huge = np.vstack([pts, [[1e39, 0.0]]])
         with pytest.raises(ValueError, match="float32 range"):
-            model.prepare_source(huge, weights, grid)
+            model.prepare_source(huge, weights)
         with pytest.raises(ValueError, match="float32 range"):
-            model.forward_shared_source(pts, [pts, huge], weights, grid=grid)
+            eval_forward(pts, [pts, huge], weights)
 
     def test_3d_descriptor_shape(self):
         cfg = model.PrNetConfig.for_dim(3)
@@ -224,16 +235,16 @@ class TestIdentityAtInitialization:
         weights = model.init_weights(model.PrNetConfig(), seed=1)
         src = rng.uniform(-2.0, 3.0, size=(64, 2))
         tgt = src + rng.normal(0.0, 0.1, size=src.shape)
-        warp, transformed = model.forward(src, tgt, weights)
-        np.testing.assert_array_equal(np.asarray(warp.theta), warp.grid.points)
-        np.testing.assert_allclose(transformed, model.canonical_order(src), atol=1e-9)
+        r = evaluator.register(weights, src, tgt)
+        np.testing.assert_array_equal(r.theta, tps.make_control_grid(2).points)
+        np.testing.assert_allclose(r.transformed, model.canonical_order(src), atol=1e-9)
 
     def test_3d_forward_reproduces_source(self):
         rng = np.random.default_rng(29)
         weights = model.init_weights(model.PrNetConfig.for_dim(3), seed=2)
         src = rng.uniform(-1.0, 1.0, size=(32, 3))
         tgt = rng.uniform(-1.0, 1.0, size=(32, 3))
-        _, transformed = model.forward(src, tgt, weights)
+        transformed = evaluator.register(weights, src, tgt).transformed
         np.testing.assert_allclose(transformed, model.canonical_order(src), atol=1e-9)
 
     def test_output_in_original_coordinates(self):
@@ -242,25 +253,24 @@ class TestIdentityAtInitialization:
         rng = np.random.default_rng(31)
         weights = model.init_weights(model.PrNetConfig(), seed=1)
         src = rng.uniform(-1.0, 1.0, size=(40, 2)) * 37.0 + 1000.0
-        _, transformed = model.forward(src, src.copy(), weights)
+        transformed = evaluator.register(weights, src, src.copy()).transformed
         np.testing.assert_allclose(transformed, model.canonical_order(src), atol=1e-6)
 
 
 class TestSharedSourceBatch:
     def test_batched_eval_matches_single_pair(self, batch_env):
         weights, src, targets = batch_env
-        deltas, transformed = model.forward_shared_source(src, targets, weights)
-        assert deltas.data.shape == (5, 18)
+        deltas, transformed = eval_forward(src, targets, weights)
+        assert deltas.shape == (5, 18)
         for i, tgt in enumerate(targets):
-            d_one, t_one = model.forward_shared_source(src, [tgt], weights)
-            np.testing.assert_allclose(deltas.data[i], d_one.data[0], rtol=1e-4, atol=1e-6)
-            np.testing.assert_allclose(
-                transformed[i].data, t_one[0].data, rtol=1e-4, atol=1e-6
-            )
+            d_one, t_one = eval_forward(src, [tgt], weights)
+            np.testing.assert_allclose(deltas[i], d_one[0], rtol=1e-4, atol=1e-6)
+            np.testing.assert_allclose(transformed[i], t_one[0], rtol=1e-4, atol=1e-6)
 
     def test_train_mode_builds_graph_over_all_pairs(self, batch_env):
         weights, src, targets = batch_env
-        deltas, transformed = model.forward_shared_source(src, targets, weights, train=True)
+        cache = model.prepare_source(src, weights)
+        deltas, transformed = model.train_forward(cache, targets, weights, grid_of(weights))
         total = ad.tensor_sum(transformed[0])
         for t in transformed[1:]:
             total = ad.add(total, ad.tensor_sum(t))
@@ -274,14 +284,16 @@ class TestSharedSourceBatch:
         weights, src, _ = batch_env
         rng = np.random.default_rng(43)
         targets = [rng.uniform(-0.9, 0.9, size=(n, 2)) for n in (30, 46, 30)]
-        deltas, transformed = model.forward_shared_source(src, targets, weights)
-        assert deltas.data.shape == (3, 18)
-        assert [t.data.shape[0] for t in transformed] == [48, 48, 48]
+        deltas, transformed = eval_forward(src, targets, weights)
+        assert deltas.shape == (3, 18)
+        assert [t.shape[0] for t in transformed] == [48, 48, 48]
 
     def test_no_targets_rejected(self, batch_env):
         weights, src, _ = batch_env
         with pytest.raises(ValueError, match="no targets"):
-            model.forward_shared_source(src, [], weights)
+            eval_forward(src, [], weights)
+        with pytest.raises(ValueError, match="no targets"):
+            model.train_forward(model.prepare_source(src, weights), [], weights, grid_of(weights))
 
 
 class TestFullNetworkGradients:
@@ -296,11 +308,10 @@ class TestFullNetworkGradients:
         grid = model.build_reference_grid(cfg.dim, cfg.grid_shape)
         src = rng.uniform(-0.9, 0.9, size=(10, 2))
         targets = [rng.uniform(-0.9, 0.9, size=(10, 2)) for _ in range(2)]
+        cache = model.prepare_source(src, weights)
 
         def build():
-            _, transformed = model.forward_shared_source(
-                src, targets, weights, train=True, grid=grid
-            )
+            _, transformed = model.train_forward(cache, targets, weights, grid)
             total = losses.gmm_loss(transformed[0], targets[0], 0.5)
             for t, g in zip(transformed[1:], targets[1:]):
                 total = ad.add(total, losses.gmm_loss(t, g, 0.5))
@@ -345,11 +356,11 @@ class TestGraphFreeForward:
 
     def test_batch_mode_matches_train_route(self, env):
         weights, grid, src, targets = env
-        train_deltas, _ = model.forward_shared_source(src, targets, weights, train=True, grid=grid)
+        cache = model.prepare_source(src, weights)
+        train_deltas, _ = model.train_forward(cache, targets, weights, grid)
         deltas, stats = self.batch_mode(weights, grid, src, targets)
         np.testing.assert_allclose(deltas, train_deltas.data, rtol=1e-4, atol=1e-6)
         assert len(stats) == len(bn_layers(weights))
-        cache = model.prepare_source(src, weights, grid)
         for (m, v), (m2, v2) in zip(stats, model.batch_norm_statistics(targets, weights, grid, cache)):
             assert m.tobytes() == m2.tobytes() and v.tobytes() == v2.tobytes()
 
@@ -359,14 +370,14 @@ class TestGraphFreeForward:
         for layer, (mean, var) in zip(bn_layers(weights), stats):
             layer.bn_state.running_mean = mean
             layer.bn_state.running_var = var
-        eval_deltas, _ = model.forward_shared_source(src, targets, weights, grid=grid)
-        np.testing.assert_allclose(eval_deltas.data, deltas, rtol=1e-4, atol=1e-6)
+        eval_deltas, _ = eval_forward(src, targets, weights)
+        np.testing.assert_allclose(eval_deltas, deltas, rtol=1e-4, atol=1e-6)
 
     def test_eval_outputs_carry_no_graph(self, env):
-        weights, grid, src, targets = env
-        deltas, transformed = model.forward_shared_source(src, targets, weights, grid=grid)
+        weights, _, src, targets = env
+        deltas, transformed = eval_forward(src, targets, weights)
         for t in [deltas, *transformed]:
-            assert t._backward is None and not t.requires_grad
+            assert type(t) is np.ndarray
 
 
 class TestCheckpointContainer:

@@ -9,10 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pointreg import autodiff as ad
 from pointreg import tps
-
-from conftest import assert_grads_match
 
 
 def dense_warp_oracle(controls, theta, queries, regularization, dim):
@@ -146,45 +143,3 @@ class TestBasis:
         with pytest.raises(ValueError, match="finite"):
             tps.tps_basis(grid, np.array([[np.nan, 0.0]]))
 
-
-class TestWarp:
-    def test_identity_warp_returns_input(self):
-        rng = np.random.default_rng(0)
-        pts = rng.uniform(-1, 1, size=(50, 2))
-        grid = tps.make_control_grid(2)
-        out = tps.apply_warp(tps.TpsWarp(grid=grid, theta=grid.points), pts)
-        np.testing.assert_allclose(out, pts, atol=1e-9)
-
-    def test_translation_warp(self):
-        rng = np.random.default_rng(1)
-        pts = rng.uniform(-1, 1, size=(50, 2))
-        grid = tps.make_control_grid(2)
-        warp = tps.TpsWarp(grid=grid, theta=grid.points + np.array([0.3, 0.0]))
-        out = tps.apply_warp(warp, pts)
-        np.testing.assert_allclose(out, pts + [0.3, 0.0], atol=1e-6)
-
-    def test_gradient_w_r_t_theta(self):
-        rng = np.random.default_rng(2)
-        pts = rng.uniform(-1, 1, size=(12, 2))
-        grid = tps.make_control_grid(2)
-        theta = ad.Tensor(
-            grid.points + rng.normal(0, 0.2, (9, 2)), requires_grad=True, dtype=np.float64
-        )
-
-        def build():
-            warp = tps.TpsWarp(grid=grid, theta=theta)
-            moved = tps.apply_warp(warp, pts)
-            return ad.tensor_sum(ad.pairwise_sqdist(moved, np.zeros((1, 2))))
-
-        assert_grads_match(build, [theta], rtol=1e-5, atol=1e-7)
-
-    def test_theta_shape_validated(self):
-        grid = tps.make_control_grid(2)
-        with pytest.raises(ValueError, match="theta"):
-            tps.TpsWarp(grid=grid, theta=np.zeros((8, 2)))
-
-    def test_point_dimension_validated(self):
-        grid = tps.make_control_grid(2)
-        warp = tps.TpsWarp(grid=grid, theta=grid.points)
-        with pytest.raises(ValueError, match="points"):
-            tps.apply_warp(warp, np.zeros((5, 3)))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from pointreg import autodiff as ad
-from pointreg import datagen, losses, model, trainer
+from pointreg import datagen, evaluator, losses, model, trainer
 
 
 def small_config():
@@ -49,6 +49,10 @@ class TestTrainConfig:
             ({"epochs": 1, "lr_decay": -0.5}, "lr_decay"),
             ({"epochs": 1, "sigma_floor": 0.0}, "sigma_floor"),
             ({"epochs": 1, "checkpoint_every": 2}, "checkpoint_dir"),
+            ({"epochs": 1, "learning_rate": float("nan")}, "learning_rate"),
+            ({"epochs": 1, "lr_decay": float("inf")}, "lr_decay"),
+            ({"epochs": 1, "sigma_initial": float("inf")}, "sigma_initial"),
+            ({"epochs": 1, "sigma_floor": float("inf")}, "sigma_floor"),
         ],
     )
     def test_validation(self, kwargs, match):
@@ -143,6 +147,39 @@ class TestTrainBasics:
         assert float(first[3]) == history[0].train_loss
 
 
+def scaled_sources_dataset(directory, scaled):
+    """An 8-pair dataset sharing one source, except that the sources of the
+    pairs in ``scaled`` are scaled, each by its own factor."""
+    shape = datagen.sample_shape("fish", 32)
+    ds = datagen.generate_dataset(shape, datagen.SynthConfig(seed=1, pair_count=8), directory)
+    for k, i in enumerate(scaled):
+        path = ds.pair_paths(i)[0]
+        datagen.save_points_file(path, datagen.load_points_file(path) * (0.9 - 0.05 * k))
+    return ds
+
+
+class TestSourceRuns:
+    """A batch trains on its runs of two or more consecutive pairs sharing
+    a source; fc1's batch norm cannot run on the one row of a lone pair."""
+
+    def test_loss_is_averaged_over_the_trained_pairs(self, tmp_path, monkeypatch):
+        # every pair's loss is 1, so the mean over the trained pairs is
+        # exactly 1; pair 3's source is its own, so its batch trains fewer
+        # pairs than it holds
+        def unit_loss(transformed, target, sigma):
+            return ad.add(ad.scale(ad.tensor_sum(transformed), 0.0), np.ones((), transformed.data.dtype))
+
+        monkeypatch.setattr(losses, "gmm_loss_symmetric", unit_loss)
+        ds = scaled_sources_dataset(tmp_path / "d", scaled=[3])
+        _, history = trainer.train(trainer.TrainConfig(epochs=2, batch_size=4), ds, fresh_weights())
+        assert [s.train_loss for s in history] == [1.0, 1.0]
+
+    def test_no_run_of_two_rejected(self, tmp_path):
+        ds = scaled_sources_dataset(tmp_path / "d", scaled=range(1, 8))
+        with pytest.raises(ValueError, match="share a source"):
+            trainer.train(trainer.TrainConfig(epochs=1, batch_size=4), ds, fresh_weights())
+
+
 class TestLearnability:
     def test_overfit_small_set_halves_the_loss(self, tmp_path):
         # the logged loss is not comparable across epochs while sigma anneals,
@@ -157,7 +194,7 @@ class TestLearnability:
             total = 0.0
             for i in range(ds.pair_count):
                 src, tgt = ds.load_pair(i)
-                _, out = model.forward(src, tgt, weights)
+                out = evaluator.register(weights, src, tgt).transformed
                 total += losses.gmm_loss_symmetric(out, tgt, sigma)
             return total / ds.pair_count
 
@@ -224,6 +261,17 @@ class TestBatchNormRecalibration:
         bad = [(src, pairs[0][1]), (src, np.zeros((0, 2)))]
         with pytest.raises(ValueError, match="empty target"):
             recalibrate([pairs[8:16], bad], weights)
+        after = bn_arrays(weights)
+        for k in before:
+            assert before[k].tobytes() == after[k].tobytes(), k
+
+    def test_runs_of_one_target_are_skipped(self, small_dataset):
+        weights = fresh_weights()
+        pairs = [small_dataset.load_pair(i) for i in range(small_dataset.pair_count)]
+        recalibrate([pairs[0:8]], weights)
+        before = bn_arrays(weights)
+        lone = (pairs[8][0] * 0.9, pairs[8][1])
+        recalibrate([[lone] + pairs[0:8]], weights)
         after = bn_arrays(weights)
         for k in before:
             assert before[k].tobytes() == after[k].tobytes(), k
