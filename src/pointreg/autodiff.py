@@ -290,22 +290,6 @@ def row_slice(x: Tensor, start: int, stop: int) -> Tensor:
     return _make_node(out_data, (x,), grad_fn)
 
 
-def concat_rows(parts: list) -> Tensor:
-    """Concatenate 2-d tensors (or constant arrays) along axis 0."""
-    if not parts:
-        raise ShapeError("concat_rows: empty input list")
-    arrays = [_as_array(p) for p in parts]
-    out_data = np.concatenate(arrays, axis=0)
-    offsets = np.cumsum([0] + [a.shape[0] for a in arrays])
-
-    def grad_fn(gradient):
-        for part, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if _needs_grad(part):
-                _accumulate(part, gradient[lo:hi])
-
-    return _make_node(out_data, tuple(parts), grad_fn)
-
-
 # ---------------------------------------------------------------------------
 # linear algebra
 
@@ -570,6 +554,209 @@ def dense_bn_act(
         _scratch.give(dy)
 
     return _make_node(out_data, (x, weight, bias, scale_t, shift_t), grad_fn)
+
+
+def _set_spans(set_sizes, groups: int, n: int) -> list:
+    """``(lo, hi, k)`` row span and point count of each set of a pooled
+    block: set ``s`` of ``k`` points owns ``groups * k`` consecutive rows,
+    group-major, so row ``g * k + j`` is point ``j`` of group ``g``."""
+    sizes = [int(k) for k in set_sizes]
+    if groups < 1 or not sizes or min(sizes) < 1:
+        raise ShapeError(f"dense_bn_act_pool: need at least one set, every set and group count >= 1, "
+                         f"got sets {sizes} and {groups} groups")
+    if groups * sum(sizes) != n:
+        raise ShapeError(f"dense_bn_act_pool: {n} rows do not hold sets of {sizes} points in {groups} groups")
+    spans = []
+    lo = 0
+    for k in sizes:
+        spans.append((lo, lo + groups * k, k))
+        lo += groups * k
+    return spans
+
+
+@dataclass
+class PooledForward:
+    """What ``dense_bn_act_pool_forward`` computes. ``out`` is the pooled
+    activation ``[num_sets * groups, out]`` in the input dtype; ``mean`` and
+    ``var`` are the float64 batch statistics of ``z = x @ weight + bias``
+    over every row. The rest is what the backward reads: the column mean
+    and centred Gram of ``x``, and per pooled entry its selected row (local
+    to its set, laid out ``[out, num_sets * groups]``) and normalised value."""
+
+    out: np.ndarray
+    mean: np.ndarray
+    var: np.ndarray
+    spans: list
+    x_mean: np.ndarray
+    gram: np.ndarray
+    rows: np.ndarray
+    xhat: np.ndarray
+    alpha: np.ndarray
+    inv_std: np.ndarray
+    slope_mask: np.ndarray
+
+
+def dense_bn_act_pool_forward(xd, w, b, scale, shift, set_sizes, groups: int,
+                              slope: float) -> PooledForward:
+    """Plain-array forward of ``dense_bn_act_pool``; the graph-free batch
+    mode of the model runs the same function, so its statistics and pooled
+    output are the training forward's.
+
+    The batch statistics come from the input: ``mean = x̄ @ w + b`` and
+    ``var = diag(wᵀ C w)``, where ``C`` is the centred Gram of ``x``, each
+    set's part taken in the input dtype and summed in float64. Leaky ReLU
+    after the affine norm is monotone in ``z`` with the direction of the
+    column's scale, so the pooled output is the activation of the group max
+    of ``z * sign(scale)``. ``z`` is made one set at a time, transposed so
+    the group max runs along contiguous memory, and dropped. Ties go to the
+    first row; a column of zero scale has a constant activation, on which
+    every row ties, so its first row is selected.
+    """
+    n, d_in = xd.shape
+    f = w.shape[1]
+    dt = xd.dtype
+    spans = _set_spans(set_sizes, groups, n)
+    cap = max(hi - lo for lo, hi, _ in spans)
+
+    # statistics from the input: column sums by a vector product per set,
+    # then the Gram of each set centred at the mean (rounded to the input
+    # dtype, which moves C by the square of that rounding)
+    ones = np.ones(cap, dt)
+    x_mean = sum((ones[:hi - lo] @ xd[lo:hi]).astype(np.float64) for lo, hi, _ in spans) / n
+    centre = x_mean.astype(dt)
+    xc = _scratch.take((cap, d_in), dt)
+    gram = np.zeros((d_in, d_in))
+    for lo, hi, _ in spans:
+        c = np.subtract(xd[lo:hi], centre, out=xc[:hi - lo])
+        gram += c.T @ c
+    _scratch.give(xc)
+    gram /= n
+    w64 = w.astype(np.float64)
+    mean = x_mean @ w64 + b
+    var = np.einsum("if,ij,jf->f", w64, gram, w64)
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
+    alpha = scale * inv_std
+
+    # pool before the activation
+    sign = np.where(scale < 0, -1, 1).astype(dt)
+    ws = np.ascontiguousarray((w * sign).T)
+    bs = (b * sign)[:, None]
+    zero_scale = scale == 0
+    zbuf = _scratch.take((f * cap,), dt)
+    rows = np.empty((f, len(spans) * groups), np.intp)
+    zsel = np.empty((f, len(spans) * groups), dt)
+    base = np.arange(groups)
+    for s, (lo, hi, k) in enumerate(spans):
+        z = np.matmul(ws, xd[lo:hi].T, out=zbuf[:f * (hi - lo)].reshape(f, hi - lo))
+        z += bs
+        z3 = z.reshape(f, groups, k)
+        pick = np.argmax(z3, axis=2)
+        pick[zero_scale] = 0
+        cols = slice(s * groups, (s + 1) * groups)
+        zsel[:, cols] = np.take_along_axis(z3, pick[..., None], axis=2)[..., 0]
+        rows[:, cols] = pick + base * k
+    _scratch.give(zbuf)
+    zsel *= sign[:, None]
+    xhat = (zsel.T - mean) * inv_std
+    y = xhat * scale + shift
+    slope_mask = np.where(y > 0, 1.0, slope)
+    out = (y * slope_mask).astype(dt)
+    return PooledForward(out, mean, var, spans, x_mean, gram, rows, xhat, alpha, inv_std, slope_mask)
+
+
+def dense_bn_act_pool(
+    x,
+    weight: Tensor,
+    bias: Tensor,
+    scale_t: Tensor,
+    shift_t: Tensor,
+    set_sizes,
+    groups: int,
+    slope: float = 0.1,
+) -> Tensor:
+    """Fused linear + batch norm (batch statistics over every row) + leaky
+    ReLU + per-set, per-group columnwise max over ``[N, in]`` rows, giving
+    ``[num_sets * groups, out]``; the row layout is ``_set_spans``'.
+
+    Equal to ``dense_bn_act`` followed by ``max_pool_rows`` on each set,
+    but the ``[N, out]`` activation is never stored (see
+    ``dense_bn_act_pool_forward``). The pooled gradient reaches one row per
+    group and column, so the backward is sparse: with the means over all
+    ``n`` rows ``u = -alpha * mean(dy)`` and ``v = alpha * inv_std *
+    mean(dy * xhat)``, and the gathered part ``S`` (``alpha * dy`` at the
+    selected rows, zero elsewhere),
+
+    * ``dW = xᵀS + n x̄ uᵀ - n C W diag(v)``,
+    * ``dx = S Wᵀ - x M + x̄ M + W u`` with ``M = W diag(v) Wᵀ``,
+    * ``d bias = 0``: batch norm removes the bias exactly.
+
+    ``S`` is scattered one set at a time into a zeroed ``[out, rows]``
+    buffer, which feeds both matrix products.
+    """
+    xd = _as_array(x)
+    if xd.ndim != 2 or xd.shape[1] != weight.data.shape[0]:
+        raise ShapeError(f"dense_bn_act_pool: x {xd.shape} does not match weight {weight.data.shape}")
+    f = weight.data.shape[1]
+    for name, t in (("bias", bias), ("scale", scale_t), ("shift", shift_t)):
+        if t.data.shape != (f,):
+            raise ShapeError(f"dense_bn_act_pool: {name} {t.data.shape} does not match {f} features")
+    if not 0.0 < slope < 1.0:
+        raise ValueError(f"dense_bn_act_pool: slope must lie in (0, 1), got {slope}")
+    n = xd.shape[0]
+    if n < 2:
+        raise ShapeError(f"dense_bn_act_pool: needs at least 2 rows, got {n}")
+    fw = dense_bn_act_pool_forward(xd, weight.data, bias.data, scale_t.data, shift_t.data,
+                                   set_sizes, groups, slope)
+
+    def grad_fn(gradient):
+        dt = xd.dtype
+        w = weight.data
+        dy = gradient * fw.slope_mask
+        d_shift = dy.sum(axis=0)
+        d_scale = np.einsum("pf,pf->f", dy, fw.xhat)
+        if _needs_grad(scale_t):
+            _accumulate(scale_t, d_scale)
+        if _needs_grad(shift_t):
+            _accumulate(shift_t, d_shift)
+        if _needs_grad(bias):
+            _accumulate(bias, np.zeros(f, bias.data.dtype), fresh=True)
+        need_w, need_x = _needs_grad(weight), _needs_grad(x)
+        if not (need_w or need_x):
+            return
+        u = -fw.alpha * (d_shift / n)
+        v = fw.alpha * fw.inv_std * (d_scale / n)
+        gathered = (dy * fw.alpha).T.astype(dt)  # [out, num_sets * groups]
+        w64 = w.astype(np.float64)
+        wv = w64 * v
+        if need_x:
+            neg_m = (-(wv @ w64.T)).astype(dt)
+            row = (fw.x_mean @ wv @ w64.T + w64 @ u).astype(dt)
+            dx = _scratch.take(xd.shape, dt)
+        cap = max(hi - lo for lo, hi, _ in fw.spans)
+        sbuf = _scratch.take((f * cap,), dt)
+        sbuf[...] = 0
+        tmp = _scratch.take((cap, xd.shape[1]), dt) if need_x else None
+        dw_t = np.zeros((f, xd.shape[1]))
+        for s, (lo, hi, k) in enumerate(fw.spans):
+            cols = slice(s * groups, (s + 1) * groups)
+            st = sbuf[:f * (hi - lo)].reshape(f, hi - lo)
+            np.put_along_axis(st, fw.rows[:, cols], gathered[:, cols], axis=1)
+            if need_w:
+                dw_t += st @ xd[lo:hi]
+            if need_x:
+                part = np.matmul(xd[lo:hi], neg_m, out=dx[lo:hi])
+                part += np.matmul(st.T, w.T, out=tmp[:hi - lo])
+                part += row
+            np.put_along_axis(st, fw.rows[:, cols], 0, axis=1)
+        _scratch.give(sbuf)
+        _scratch.give(tmp)
+        if need_w:
+            dw = dw_t.T + n * np.outer(fw.x_mean, u) - n * (fw.gram @ wv)
+            _accumulate(weight, dw.astype(w.dtype), fresh=True)
+        if need_x:
+            _accumulate(x, dx, fresh=True)
+
+    return _make_node(fw.out, (x, weight, bias, scale_t, shift_t), grad_fn)
 
 
 def conv_bn_act_batch(

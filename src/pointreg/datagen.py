@@ -51,6 +51,10 @@ class SynthConfig:
     pair_count: int = 1
 
     def __post_init__(self):
+        for name in ("deformation_level", "noise_level"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"SynthConfig: {name} must be finite, got {value}")
         if self.deformation_level < 0:
             raise ValueError(f"SynthConfig: deformation_level must be >= 0, got {self.deformation_level}")
         if self.num_deform_controls < 1:
@@ -198,7 +202,10 @@ def deform(points, level: float, k_controls: int, rng: np.random.Generator) -> n
             basis = tps.tps_basis(grid, pts)
         except tps.SingularSystemError:
             continue
-        warped = basis @ (controls + drift)
+        # a level near the float range overflows here; generate_dataset
+        # rejects the non-finite target that results
+        with np.errstate(over="ignore", invalid="ignore"):
+            warped = basis @ (controls + drift)
         if np.abs(warped - pts).max() <= 6.0 * std + 1e-9:
             return warped
     raise DatasetError(
@@ -339,6 +346,11 @@ def generate_dataset(base_shape, cfg: SynthConfig, out_dir, shape_name: str = "c
     }
     for i in range(cfg.pair_count):
         target = make_target(source, cfg, i)
+        if not np.isfinite(target).all():
+            raise ValueError(
+                f"generate_dataset: pair {i} target has a non-finite coordinate: deformation "
+                f"level {cfg.deformation_level} or noise level {cfg.noise_level} is beyond the float range"
+            )
         save_points_file(out / f"pair_{i:06d}_src", source)
         save_points_file(out / f"pair_{i:06d}_tgt", target)
     with open(out / _MANIFEST_NAME, "w", encoding="utf-8") as f:

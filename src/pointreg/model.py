@@ -11,9 +11,13 @@ Descriptor computation sorts the input points canonically first. Max-pooling
 makes the result mathematically order-free; the sort makes it bitwise
 order-free, which the determinism guarantees elsewhere rely on.
 
-Training throughput note: all per-pair MLP rows of a batch are pushed
-through one stacked matrix product with per-pair batch-norm groups, which is
-considerably faster than looping pairs on one core.
+Training throughput note: the MLP rows of every set in a training forward
+(the source and its targets) go through each layer as one stacked matrix
+product under one set of batch statistics. The last and widest layer is
+fused with the max-pool (``autodiff.dense_bn_act_pool``): its statistics
+come from the Gram matrix of its input (64x64 at the default sizes), and its
+activation (197k rows of 128 for a default 2D batch of 16) is made one set
+at a time and never stored.
 """
 
 from __future__ import annotations
@@ -321,29 +325,18 @@ def _descriptor_rows(point_sets, grid: ReferenceGrid, dtype, out=None) -> np.nda
 def _descriptor_block(ordered_sets, grid: ReferenceGrid, weights: PrNetWeights) -> ad.Tensor:
     """Training descriptors for pre-sorted sets, stacked as [(num_sets * G), d].
 
-    All sets share a single MLP pass, and so one set of batch statistics;
-    pooling happens per set afterwards. Runs of sets with equal point counts
-    pool together in one reshape.
+    All sets share a single MLP pass, and so one set of batch statistics.
+    The last layer is ``dense_bn_act_pool``, which pools each set of any
+    size per grid point in the same call, so its ``[rows, d]`` activation
+    is never stored.
     """
-    g = grid.count
     h = _descriptor_rows(ordered_sets, grid, weights.config.np_dtype())
-    for layer in weights.mlp:
-        h = ad.dense_bn_act(h, layer.weight, layer.bias, layer.bn_scale, layer.bn_shift,
-                            weights.config.leaky_slope)
-    counts = [s.shape[0] for s in ordered_sets]
-    parts = []
-    offset = 0
-    i = 0
-    while i < len(counts):
-        j = i
-        while j < len(counts) and counts[j] == counts[i]:
-            j += 1
-        n_rows = (j - i) * g * counts[i]
-        segment = h if n_rows == h.data.shape[0] else ad.row_slice(h, offset, offset + n_rows)
-        parts.append(ad.max_pool_rows(segment, counts[i]))
-        offset += n_rows
-        i = j
-    pooled = parts[0] if len(parts) == 1 else ad.concat_rows(parts)
+    *hidden, last = weights.mlp
+    slope = weights.config.leaky_slope
+    for layer in hidden:
+        h = ad.dense_bn_act(h, layer.weight, layer.bias, layer.bn_scale, layer.bn_shift, slope)
+    pooled = ad.dense_bn_act_pool(h, last.weight, last.bias, last.bn_scale, last.bn_shift,
+                                  [s.shape[0] for s in ordered_sets], grid.count, slope)
     return ad.l2_normalize_rows(pooled)
 
 
@@ -418,39 +411,41 @@ def _descriptors(ordered_sets, grid: ReferenceGrid, weights: PrNetWeights, stats
     With running statistics the sets go through one at a time, so the
     intermediates stay cache-sized, and the statistics fold into the
     weights once per call. With batch statistics the sets go through as one
-    block, as in training. The row buffers come from the scratch pool and go
-    back to it.
+    block, as in training, and the last layer is the forward of
+    ``autodiff.dense_bn_act_pool``, the training op's own. The row buffers
+    come from the scratch pool and go back to it.
     """
     cfg = weights.config
     dt = cfg.np_dtype()
     g = grid.count
-    blocks = [[s] for s in ordered_sets] if stats is None else [ordered_sets]
-    folded = []
-    if stats is None:
+    if stats is not None:
+        *hidden, last = weights.mlp
+        bufs = [ad._scratch.take((g * sum(s.shape[0] for s in ordered_sets), w), dt)
+                for w in (2 * cfg.dim, *cfg.mlp_widths[:-1])]
+        h = _descriptor_rows(ordered_sets, grid, dt, out=bufs[0])
+        for layer, buf in zip(hidden, bufs[1:]):
+            h = _bn_act(h, layer.weight.data, layer, stats, cfg.leaky_slope, out=buf)
+        fw = ad.dense_bn_act_pool_forward(h, last.weight.data, last.bias.data, last.bn_scale.data,
+                                          last.bn_shift.data, [s.shape[0] for s in ordered_sets], g,
+                                          cfg.leaky_slope)
+        stats.append((fw.mean, fw.var))
+        pooled = fw.out
+    else:
+        folded = []
         for layer in weights.mlp:
             mean, alpha = _bn_fold(layer)
             folded.append((layer.weight.data * alpha, (layer.bias.data - mean) * alpha + layer.bn_shift.data))
-    cap = g * max(sum(s.shape[0] for s in b) for b in blocks)
-    bufs = [ad._scratch.take((cap, w), dt) for w in (2 * cfg.dim, *cfg.mlp_widths)]
-    pooled = np.empty((len(ordered_sets) * g, cfg.mlp_widths[-1]), dt)
-    i = 0
-    for block in blocks:
-        rows = g * sum(s.shape[0] for s in block)
-        h = _descriptor_rows(block, grid, dt, out=bufs[0][:rows])
-        for li, (layer, buf) in enumerate(zip(weights.mlp, bufs[1:])):
-            if stats is None:
-                wf, bf = folded[li]
-                h = np.matmul(h, wf, out=buf[:rows])
+        cap = g * max(s.shape[0] for s in ordered_sets)
+        bufs = [ad._scratch.take((cap, w), dt) for w in (2 * cfg.dim, *cfg.mlp_widths)]
+        pooled = np.empty((len(ordered_sets) * g, cfg.mlp_widths[-1]), dt)
+        for i, s in enumerate(ordered_sets):
+            k = s.shape[0]
+            h = _descriptor_rows([s], grid, dt, out=bufs[0][:g * k])
+            for (wf, bf), buf in zip(folded, bufs[1:]):
+                h = np.matmul(h, wf, out=buf[:g * k])
                 h += bf
                 h = _leaky_relu(h, cfg.leaky_slope)
-            else:
-                h = _bn_act(h, layer.weight.data, layer, stats, cfg.leaky_slope, out=buf[:rows])
-        offset = 0
-        for s in block:
-            k = s.shape[0]
-            np.max(h[offset:offset + g * k].reshape(g, k, -1), axis=1, out=pooled[i * g:(i + 1) * g])
-            offset += g * k
-            i += 1
+            np.max(h.reshape(g, k, -1), axis=1, out=pooled[i * g:(i + 1) * g])
     for buf in bufs:
         ad._scratch.give(buf)
     norms = np.sqrt(np.einsum("nd,nd->n", pooled, pooled))[:, None]

@@ -4,6 +4,8 @@ Derived expectations are checked against independent oracles: naive loop
 implementations, finite differences, and mpmath extended precision.
 """
 
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
@@ -258,6 +260,164 @@ class TestFusedDense:
             ad.dense_bn_act(*leaves, slope=1.0)
 
 
+def assert_rel_close(got, ref, tol, what):
+    """Max absolute difference within ``tol`` times the reference's max."""
+    err = np.abs(got - ref).max() / np.abs(ref).max()
+    assert err <= tol, f"{what}: relative error {err:.3g} above {tol:g}"
+
+
+class TestFusedDensePool:
+    """dense_bn_act_pool against dense_bn_act followed by max_pool_rows on
+    each set."""
+
+    SIZES = (5, 3, 5, 7)
+    GROUPS = 4
+
+    def _params(self, rng, d_in=6, d_out=7):
+        """Dyadic x, w and b, so every z = x @ w + b is exact on both routes
+        and the ties planted here are exact ties; column 1 has a negative
+        scale and column 2 a zero one."""
+        n = self.GROUPS * sum(self.SIZES)
+        x = rng.integers(-8, 9, size=(n, d_in)) / 4.0
+        w = rng.integers(-8, 9, size=(d_in, d_out)) / 8.0
+        b = rng.integers(-8, 9, size=d_out) / 8.0
+        lo = 0
+        for k in self.SIZES:
+            for g in range(self.GROUPS):
+                rows = x[lo + g * k:lo + (g + 1) * k]
+                z = rows @ w + b
+                top, bottom = np.argmax(z[:, 0]), np.argmin(z[:, 1])
+                spare = [j for j in range(k) if j not in (top, bottom)]
+                # copies of the rows the pool selects, in other places
+                if spare:
+                    rows[spare[-1]] = rows[top]
+                if len(spare) > 1:
+                    rows[spare[0]] = rows[bottom]
+            lo += self.GROUPS * k
+        sc = rng.normal(size=d_out) + 1.5
+        sc[1], sc[2] = -1.3, 0.0
+        return {"x": x, "w": w, "b": b, "sc": sc, "sh": rng.normal(size=d_out),
+                "coef": rng.normal(size=(len(self.SIZES) * self.GROUPS * d_out, 1))}
+
+    def _run(self, p, fused):
+        leaves = {k: f64(p[k], requires_grad=True) for k in ("x", "w", "b", "sc", "sh")}
+        args = [leaves[k] for k in ("x", "w", "b", "sc", "sh")]
+        if fused:
+            parts = [ad.dense_bn_act_pool(*args, self.SIZES, self.GROUPS, slope=0.1)]
+        else:
+            h = ad.dense_bn_act(*args, slope=0.1)
+            parts, lo = [], 0
+            for k in self.SIZES:
+                parts.append(ad.max_pool_rows(ad.row_slice(h, lo, lo + self.GROUPS * k), k))
+                lo += self.GROUPS * k
+        out = np.concatenate([part.data for part in parts])
+        loss, at = None, 0
+        for part in parts:
+            size = part.data.size
+            term = ad.matmul(ad.reshape(part, (1, size)), p["coef"][at:at + size])
+            loss = term if loss is None else ad.add(loss, term)
+            at += size
+        loss.backward()
+        return out, {k: t.grad for k, t in leaves.items()}
+
+    def test_matches_composed_route(self, rng):
+        p = self._params(rng)
+        ref, ref_grads = self._run(p, fused=False)
+        got, got_grads = self._run(p, fused=True)
+        assert_rel_close(got, ref, 1e-10, "pooled output")
+        for k in ("x", "w", "sc", "sh"):
+            assert_rel_close(got_grads[k], ref_grads[k], 1e-10, f"d {k}")
+        # batch norm removes the bias: its gradient is rounding noise
+        np.testing.assert_allclose(got_grads["b"], ref_grads["b"], rtol=0, atol=1e-12)
+
+    def test_gradients_match_finite_differences(self, rng):
+        sizes, groups = (3, 2, 4), 2
+        n = groups * sum(sizes)
+        sc = rng.normal(size=4) + 1.5
+        sc[0] = -0.8
+        leaves = [f64(v, requires_grad=True) for v in (
+            rng.normal(size=(n, 3)), rng.normal(size=(3, 4)), rng.normal(size=4), sc, rng.normal(size=4))]
+        coef = rng.normal(size=(len(sizes) * groups * 4, 1))
+
+        def build():
+            out = ad.dense_bn_act_pool(*leaves, sizes, groups, slope=0.1)
+            return ad.tensor_sum(ad.matmul(ad.reshape(out, (1, out.data.size)), coef))
+
+        assert_grads_match(build, leaves, rtol=1e-4, atol=1e-6)
+
+    def test_float32_at_default_2d_sizes(self, rng):
+        # 17 sets of 96 points on the 121-point grid, 64 -> 128 columns;
+        # float32 against the same op in float64. x, w and b sit on coarse
+        # dyadic grids, so z is exact in float32 and both dtypes select the
+        # same rows; the float32 error is all in statistics and gradients.
+        sizes, groups, d_in, d_out = (96,) * 17, 121, 64, 128
+        x = rng.normal(size=(groups * sum(sizes), d_in))
+        x = np.round(np.where(x > 0, x, 0.1 * x) * 8) / 8
+        limit = np.sqrt(6.0 / d_in)
+        sc = 1.0 + 0.1 * rng.normal(size=d_out)
+        sc[[3, 50, 100]] *= -1
+        p = {"x": x, "w": np.round(rng.uniform(-limit, limit, size=(d_in, d_out)) * 64) / 64,
+             "b": np.round(6.4 * rng.normal(size=d_out)) / 64, "sc": sc, "sh": 0.1 * rng.normal(size=d_out)}
+        p = {k: v.astype(np.float32) for k, v in p.items()}
+        upstream = rng.normal(size=(len(sizes) * groups, d_out))
+        results = {}
+        for dtype in (np.float32, np.float64):
+            leaves = [ad.Tensor(p[k], requires_grad=True, dtype=dtype) for k in ("x", "w", "b", "sc", "sh")]
+            out = ad.dense_bn_act_pool(*leaves, sizes, groups, slope=0.1)
+            out._backward(upstream.astype(dtype))
+            results[dtype] = [out.data] + [t.grad for t in leaves]
+        for what, got, ref in zip(("pooled output", "d x", "d w", "d bias", "d scale", "d shift"),
+                                  results[np.float32], results[np.float64]):
+            assert got.dtype == np.float32, what
+            if what == "d bias":
+                assert not got.any() and not ref.any()
+            else:
+                assert_rel_close(got.astype(np.float64), ref, 1e-4, what)
+
+    def test_activation_is_never_stored(self, rng):
+        # fused forward plus backward on N rows allocates less than one
+        # [N, out] activation; the composed route allocates more
+        sizes, groups, d_in, d_out = (64,) * 16, 16, 64, 128
+        n = groups * sum(sizes)
+        args = [rng.normal(size=(n, d_in)), rng.normal(size=(d_in, d_out)), rng.normal(size=d_out),
+                rng.normal(size=d_out) + 1.5, rng.normal(size=d_out)]
+        upstream = rng.normal(size=(len(sizes) * groups, d_out))
+        bound = n * d_out * np.dtype(np.float64).itemsize
+
+        def fused(leaves):
+            out = ad.dense_bn_act_pool(*leaves, sizes, groups, slope=0.1)
+            out._backward(upstream)
+
+        def composed(leaves):
+            h = ad.dense_bn_act(*leaves, slope=0.1)
+            out = ad.max_pool_rows(h, sizes[0])
+            out._backward(upstream)
+            h._backward(h.grad)
+
+        peaks = {}
+        for route in (fused, composed):
+            leaves = [f64(a, requires_grad=True) for a in args]
+            ad._scratch.clear()
+            tracemalloc.start()
+            try:
+                route(leaves)
+                peaks[route.__name__] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                ad._scratch.clear()
+            assert leaves[0].grad.shape == (n, d_in)
+        assert peaks["fused"] < bound < peaks["composed"], (peaks, bound)
+
+    def test_set_layout_validated(self, rng):
+        leaves = [f64(rng.normal(size=s)) for s in ((10, 3), (3, 4), (4,), (4,), (4,))]
+        with pytest.raises(ad.ShapeError, match="do not hold"):
+            ad.dense_bn_act_pool(*leaves, (2, 2), 3)
+        with pytest.raises(ad.ShapeError, match="at least one set"):
+            ad.dense_bn_act_pool(*leaves, (5, 0), 2)
+        with pytest.raises(ValueError, match="slope"):
+            ad.dense_bn_act_pool(*leaves, (5,), 2, slope=0.0)
+
+
 class TestFusedConvBatch:
     """conv_bn_act_batch against per-element conv_valid plus shared batch norm."""
 
@@ -276,15 +436,18 @@ class TestFusedConvBatch:
                 "sh": f64(shv, requires_grad=True),
             }
 
-        # composed route: conv_valid per element, one batch norm over all rows
+        # composed route: conv_valid per element, one batch norm over all
+        # rows; each element's rows are put in place by an exact 0/1 product
         leaves = make_leaves()
         xs = [f64(xv[i], requires_grad=True) for i in range(3)]
         outs = [ad.conv_valid(x, leaves["k"], leaves["b"]) for x in xs]
         shape = outs[0].data.shape
         positions = int(np.prod(shape[1:]))
-        rows = ad.concat_rows(
-            [ad.transpose2d(ad.reshape(o, (shape[0], positions))) for o in outs]
-        )
+        place = np.eye(3 * positions).reshape(3 * positions, 3, positions)
+        rows = None
+        for i, o in enumerate(outs):
+            part = ad.matmul(place[:, i, :], ad.transpose2d(ad.reshape(o, (shape[0], positions))))
+            rows = part if rows is None else ad.add(rows, part)
         rows = ad.leaky_relu(ad.batch_norm(rows, leaves["sc"], leaves["sh"]), 0.1)
         ref = np.stack(
             [
@@ -432,20 +595,19 @@ class TestBackward:
 
 
 class TestPlumbingOps:
-    def test_reshape_transpose_slice_concat_values(self, rng):
+    def test_reshape_transpose_slice_values(self, rng):
         x = rng.normal(size=(4, 3))
         t = f64(x)
         np.testing.assert_array_equal(ad.reshape(t, (2, 6)).data, x.reshape(2, 6))
         np.testing.assert_array_equal(ad.transpose2d(t).data, x.T)
         np.testing.assert_array_equal(ad.row_slice(t, 1, 3).data, x[1:3])
-        np.testing.assert_array_equal(ad.concat_rows([t, t]).data, np.concatenate([x, x]))
 
     def test_plumbing_gradients(self, rng):
         x = f64(rng.normal(size=(4, 3)), requires_grad=True)
 
         def build():
             a = ad.transpose2d(ad.reshape(x, (3, 4)))
-            b = ad.concat_rows([a, ad.row_slice(a, 0, 2)])
+            b = ad.add(ad.row_slice(a, 0, 2), ad.row_slice(a, 1, 3))
             return ad.tensor_sum(ad.l2_normalize_rows(b))
 
         assert_grads_match(build, [x])

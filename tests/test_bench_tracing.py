@@ -6,6 +6,7 @@ breaks ``bench/run.py --trace 1``; this test makes such a rename fail here.
 
 from pathlib import Path
 
+from pointreg import autodiff as ad
 from pointreg import datagen, evaluator, model, trainer
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -37,3 +38,36 @@ def test_tracer_installs_times_and_uninstalls(monkeypatch):
     assert model.prepare_source is originals["prepare_source"]
     assert evaluator.register is originals["register"]
     assert tracer.layer_metrics((0.0, float("inf")), 1, 1)["model.forward_shared_source.self_ms"] > 0
+
+
+def test_tracer_times_a_training_epoch(monkeypatch, tmp_path):
+    # ``bench/run.py --trace 1`` on train-2d: the tracer labels fused layers
+    # by weight shape, for the default 2D net, so the net is the default
+    # one and the data is small
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracing
+
+    originals = {name: getattr(ad, name) for name in ("dense_bn_act", "conv_bn_act_batch", "max_pool_rows")}
+    data = datagen.generate_dataset(
+        datagen.sample_shape("fish", 16),
+        datagen.SynthConfig(noise_kind="pd", noise_level=0.02, seed=3, pair_count=5), tmp_path / "data")
+    weights = model.init_weights(model.PrNetConfig(), seed=1)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert ad.dense_bn_act is not originals["dense_bn_act"]
+        trainer.train(trainer.TrainConfig(epochs=1, batch_size=4, seed=3), data, weights)
+    finally:
+        tracer.uninstall()
+    names = {span[0] for span in tracer.spans}
+    assert {f"autodiff.dense_bn_act.mlp{i}.{p}" for i in range(3) for p in ("fwd", "bwd")} <= names
+    assert {"autodiff.dense_bn_act.fc1.bwd", "autodiff.conv_bn_act_batch.conv0.bwd",
+            "trainer.recalibrate_batch_norm", "trainer.validation_cd"} <= names
+    # the last MLP layer and the pool are one op, dense_bn_act_pool, which
+    # the tracer does not wrap
+    assert not [n for n in names if n.startswith(("autodiff.dense_bn_act.mlp3", "autodiff.max_pool_rows"))]
+    assert all(end is not None for _, _, end, _ in tracer.spans)
+    for name, fn in originals.items():
+        assert getattr(ad, name) is fn, name
+    metrics = tracer.layer_metrics((0.0, float("inf")), 1, 1)
+    assert metrics["autodiff.dense_bn_act.mlp0.bwd_ms"] > 0 and metrics["autodiff.mlp.gflop"] > 0

@@ -111,6 +111,42 @@ class TestSynth:
         assert code == 1
         assert "unknown config keys" in err
 
+    @staticmethod
+    def assert_rejected(code, err, out):
+        # exit 1 with one error line, and nothing a reader would reject on disk
+        assert code == 1
+        assert len([ln for ln in err.splitlines() if ln.startswith("error: ")]) == 1
+        assert not (out / "manifest").exists()
+        for path in out.glob("pair_*"):
+            datagen.load_points_file(path)
+
+    @pytest.mark.parametrize("argv", [
+        ["--noise", "pd", "--noise-level", "nan"],
+        ["--noise", "pd", "--noise-level", "inf"],
+        ["--noise", "pd", "--noise-level", "1e308"],
+        ["--noise", "do", "--noise-level", "inf"],
+        ["--level", "nan"],
+        ["--level", "inf"],
+        ["--level", "1e308"],
+    ])
+    def test_level_beyond_float_range_exits_1(self, capsys, tmp_path, argv):
+        out = tmp_path / "d"
+        code, _, err = run(capsys, "synth", "--count", "3", *argv, "--out", str(out))
+        self.assert_rejected(code, err, out)
+
+    @pytest.mark.parametrize("entries", [
+        "noise_kind=pd\nnoise_level=nan\n",
+        "noise_kind=pd\nnoise_level=1e308\n",
+        "deformation_level=inf\n",
+        "deformation_level=1e308\n",
+    ])
+    def test_level_beyond_float_range_in_config_exits_1(self, capsys, tmp_path, entries):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(entries)
+        out = tmp_path / "d"
+        code, _, err = run(capsys, "synth", "--config", str(cfg), "--count", "3", "--out", str(out))
+        self.assert_rejected(code, err, out)
+
     def test_global_flags_accepted_before_subcommand(self, capsys, tmp_path):
         code, _, err = run(capsys, "--seed", "4", "synth", "--count", "2",
                            "--out", str(tmp_path / "d"))

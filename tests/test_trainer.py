@@ -284,6 +284,7 @@ class TestBatchNormRecalibration:
 
         monkeypatch.setattr(ad, "dense_bn_act", refuse)
         monkeypatch.setattr(ad, "conv_bn_act_batch", refuse)
+        monkeypatch.setattr(ad, "dense_bn_act_pool", refuse)
         weights = fresh_weights()
         pairs = [small_dataset.load_pair(i) for i in range(small_dataset.pair_count)]
         before = bn_arrays(weights)
