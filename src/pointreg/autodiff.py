@@ -477,6 +477,57 @@ def batch_norm(x: Tensor, scale_t: Tensor, shift_t: Tensor) -> Tensor:
     return _make_node(out_data, (x, scale_t, shift_t), grad_fn)
 
 
+def bn_act_forward(z, scale, shift, slope: float, mean=None, var=None, out=None) -> tuple:
+    """Batch norm plus leaky ReLU of pre-norm rows ``z`` ``[N, F]``: the one
+    forward of every such layer, in training and in the graph-free model.
+
+    With ``mean`` None the statistics are ``z``'s own (``batch_stats``),
+    otherwise the given ``(mean, var)``, cast to ``z``'s dtype. Either way
+    ``z`` is centred in place. The activation goes to ``out`` (``z`` itself
+    is allowed) or a new array. Returns ``(out, mean, var, inv_std,
+    alpha)``, where ``alpha = scale * inv_std`` folds the 1/std and the
+    learned scale into one broadcast multiply.
+    """
+    if mean is None:
+        mean, var = batch_stats(z)
+    else:
+        mean, var = mean.astype(z.dtype), var.astype(z.dtype)
+        z -= mean
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
+    alpha = scale * inv_std
+    out = np.multiply(z, alpha, out=out)
+    out += shift
+    low = np.multiply(out, slope, out=_scratch.take(out.shape, out.dtype))
+    np.maximum(out, low, out=out)
+    _scratch.give(low)
+    return out, mean, var, inv_std, alpha
+
+
+def _bn_act_backward(gradient, out, z, inv_std, alpha, slope: float, scale_t, shift_t) -> np.ndarray:
+    """Backward of ``bn_act_forward`` under batch statistics: accumulates
+    ``d scale`` and ``d shift`` and returns the gradient of the pre-norm
+    rows. ``z`` is the centred pre-norm array, which this consumes."""
+    # leaky ReLU keeps the sign of its input, so the output's sign recovers
+    # which branch was active
+    mask = np.greater(out, 0, out=_scratch.take(out.shape, np.bool_))
+    dy = np.multiply(gradient, slope, out=_scratch.take(gradient.shape, gradient.dtype))
+    np.copyto(dy, gradient, where=mask)
+    _scratch.give(mask)
+    # every reduction the norm's backward needs comes from these sums
+    n = dy.shape[0]
+    col_sum = dy.sum(axis=0)
+    col_dot = np.einsum("nf,nf->f", dy, z)
+    if _needs_grad(scale_t):
+        _accumulate(scale_t, col_dot * inv_std)
+    if _needs_grad(shift_t):
+        _accumulate(shift_t, col_sum)
+    dy *= alpha
+    dy -= alpha * (col_sum / n)
+    dy -= np.multiply(z, alpha * inv_std * inv_std * (col_dot / n), out=z)
+    _scratch.give(z)
+    return dy
+
+
 def dense_bn_act(
     x,
     weight: Tensor,
@@ -486,7 +537,7 @@ def dense_bn_act(
     slope: float = 0.1,
 ) -> Tensor:
     """Fused linear + batch norm (batch statistics) + leaky ReLU over
-    ``[N, in] -> [N, out]``.
+    ``[N, in] -> [N, out]``: the matrix product, then ``bn_act_forward``.
 
     Matches composing the three ops but touches the large activation arrays
     far fewer times, which is what the training loop's throughput lives on.
@@ -501,56 +552,23 @@ def dense_bn_act(
     n = xd.shape[0]
     if n < 2:
         raise ShapeError(f"dense_bn_act: needs at least 2 rows, got {n}")
-    f = weight.data.shape[1]
-    if xd.dtype == weight.data.dtype:
-        z = np.matmul(xd, weight.data, out=_scratch.take((n, f), xd.dtype))
-    else:
-        z = xd @ weight.data
+    z = np.matmul(xd, weight.data, out=_scratch.take((n, weight.data.shape[1]), xd.dtype))
     z += bias.data
-    _, var = batch_stats(z)
-    inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    # z now holds the centered pre-norm values; alpha folds the 1/std and
-    # the learned scale into one broadcast multiply
-    alpha = scale_t.data * inv_std
-    out_data = np.multiply(z, alpha, out=_scratch.take(z.shape, z.dtype))
-    out_data += shift_t.data
-    low = np.multiply(out_data, slope, out=_scratch.take(z.shape, z.dtype))
-    np.maximum(out_data, low, out=out_data)
-    _scratch.give(low)
-    del low
+    out_data, _, _, inv_std, alpha = bn_act_forward(z, scale_t.data, shift_t.data, slope,
+                                                    out=_scratch.take(z.shape, z.dtype))
 
     def grad_fn(gradient):
         nonlocal z
         if z is None:
             raise GraphError("dense_bn_act: graph already consumed by backward()")
-        # leaky ReLU keeps the sign of its input, so the output's sign
-        # recovers which branch was active
-        mask = np.greater(out_data, 0, out=_scratch.take(out_data.shape, np.bool_))
-        dy = np.multiply(gradient, slope, out=_scratch.take(gradient.shape, gradient.dtype))
-        np.copyto(dy, gradient, where=mask)
-        _scratch.give(mask)
-        # every reduction the norm's backward needs comes from these sums
-        col_sum = dy.sum(axis=0)
-        col_dot = np.einsum("nf,nf->f", dy, z)
-        if _needs_grad(scale_t):
-            _accumulate(scale_t, col_dot * inv_std)
-        if _needs_grad(shift_t):
-            _accumulate(shift_t, col_sum)
-        dy *= alpha
-        dy -= alpha * (col_sum / n)
-        dy -= np.multiply(z, alpha * inv_std * inv_std * (col_dot / n), out=z)
-        _scratch.give(z)
+        dy = _bn_act_backward(gradient, out_data, z, inv_std, alpha, slope, scale_t, shift_t)
         z = None
         if _needs_grad(bias):
             _accumulate(bias, dy.sum(axis=0))
         if _needs_grad(weight):
             _accumulate(weight, xd.T @ dy, fresh=True)
         if _needs_grad(x):
-            if dy.dtype == weight.data.dtype:
-                dx = np.matmul(dy, weight.data.T, out=_scratch.take(xd.shape, dy.dtype))
-            else:
-                dx = dy @ weight.data.T
-            _accumulate(x, dx, fresh=True)
+            _accumulate(x, np.matmul(dy, weight.data.T, out=_scratch.take(xd.shape, dy.dtype)), fresh=True)
         _scratch.give(dy)
 
     return _make_node(out_data, (x, weight, bias, scale_t, shift_t), grad_fn)
@@ -791,13 +809,9 @@ def conv_bn_act_batch(
 
     cols, _ = window_rows(xd, ksize)
     w2 = kd.reshape(c_out, -1)
-    z = cols @ w2.T + bias.data
-    _, var = batch_stats(z)
-    inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    alpha = scale_t.data * inv_std
-    act = z * alpha
-    act += shift_t.data
-    np.maximum(act, act * slope, out=act)
+    z = cols @ w2.T
+    z += bias.data
+    act, _, _, inv_std, alpha = bn_act_forward(z, scale_t.data, shift_t.data, slope)
     out_data = np.ascontiguousarray(
         np.moveaxis(act.reshape((batch,) + out_spatial + (c_out,)), nd + 1, 1)
     )
@@ -807,18 +821,7 @@ def conv_bn_act_batch(
         if z is None:
             raise GraphError("conv_bn_act_batch: graph already consumed by backward()")
         gf = np.ascontiguousarray(np.moveaxis(gradient, 1, nd + 1)).reshape(rows, c_out)
-        dy = gf * slope
-        np.copyto(dy, gf, where=act > 0)
-        col_sum = dy.sum(axis=0)
-        col_dot = np.einsum("nf,nf->f", dy, z)
-        if _needs_grad(scale_t):
-            _accumulate(scale_t, col_dot * inv_std)
-        if _needs_grad(shift_t):
-            _accumulate(shift_t, col_sum)
-        dy *= alpha
-        dy -= alpha * (col_sum / rows)
-        dy -= np.multiply(z, alpha * inv_std * inv_std * (col_dot / rows), out=z)
-        _scratch.give(z)
+        dy = _bn_act_backward(gf, act, z, inv_std, alpha, slope, scale_t, shift_t)
         z = None
         if _needs_grad(bias):
             _accumulate(bias, dy.sum(axis=0))
@@ -828,6 +831,7 @@ def conv_bn_act_batch(
         cols = None
         if _needs_grad(x):
             _accumulate(x, _unwindow(dy @ w2, xd.shape, ksize), fresh=True)
+        _scratch.give(dy)
 
     return _make_node(out_data, (x, kernel, bias, scale_t, shift_t), grad_fn)
 

@@ -66,11 +66,19 @@ class _Resolver:
         log.info("resolved config [%s]: %s", subcommand, items)
 
 
-def _positive_int(text):
+def _int_at_least(text, low: int, what: str) -> int:
     value = int(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"expected {what} integer, got {text}")
     return value
+
+
+def _positive_int(text):
+    return _int_at_least(text, 1, "a positive")
+
+
+def _non_negative_int(text):
+    return _int_at_least(text, 0, "a non-negative")
 
 
 def _add_globals(parser, suppress=False):
@@ -155,7 +163,7 @@ def _build_parser():
     p.add_argument("--model", required=True, help="checkpoint path")
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--out-dir", required=True, help="output directory for SVGs")
-    p.add_argument("--limit", type=int,
+    p.add_argument("--limit", type=_non_negative_int,
                    help="plot only the first N pairs, 0 for all (default: 0)")
     _add_globals(p, suppress=True)
     return parser

@@ -29,6 +29,7 @@ class DatasetError(RuntimeError):
 
 
 _NOISE_KINDS = ("none", "pd", "do", "di")
+MAX_OUTLIERS_PER_POINT = 10  # bounds a do level, and so the target's size
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,8 @@ class SynthConfig:
     through breakdown (1.5) on unit-box shapes; see ``deform``. ``noise_kind``
     selects the degradation applied after deformation: ``pd`` jitters every
     point, ``do`` appends outliers, ``di`` removes points; ``noise_level`` is
-    the jitter std for pd and the added/removed fraction for do/di.
+    the jitter std for pd and the added/removed fraction for do/di. A do
+    level is at most ``MAX_OUTLIERS_PER_POINT`` and a di level below 1.
     """
 
     deformation_level: float = 0.5
@@ -65,6 +67,9 @@ class SynthConfig:
             raise ValueError(f"SynthConfig: noise_level must be >= 0, got {self.noise_level}")
         if self.noise_kind == "di" and self.noise_level >= 1:
             raise ValueError(f"SynthConfig: di noise_level must be < 1, got {self.noise_level}")
+        if self.noise_kind == "do" and self.noise_level > MAX_OUTLIERS_PER_POINT:
+            raise ValueError(f"SynthConfig: do noise_level must be <= {MAX_OUTLIERS_PER_POINT}, "
+                             f"got {self.noise_level}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"SynthConfig: seed must be a 64-bit unsigned integer, got {self.seed}")
         if self.pair_count < 1:

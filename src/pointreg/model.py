@@ -363,24 +363,20 @@ def compute_correlation(f_s: ad.Tensor, f_g_all: ad.Tensor, grid_count: int) -> 
 # without recording one. Each takes ``stats``: ``None`` normalises every
 # batch-norm layer by its running statistics (eval); a list normalises by
 # the call's own batch statistics and appends each layer's ``(mean, var)``
-# to it, in layer order (recalibration).
+# to it, in layer order (recalibration). Either way a layer's norm and
+# activation are ``autodiff.bn_act_forward``, the training ops' own; the
+# one exception is the eval MLP, whose running statistics fold into its
+# weights once per call.
 
 
-def _bn_fold(layer: _Layer, mean=None, var=None) -> tuple:
-    """``(mean, alpha)`` with which batch norm by ``(mean, var)``, by
-    default the layer's running statistics, maps pre-norm values ``z`` to
-    ``(z - mean) * alpha + bn_shift``."""
-    if mean is None:
-        mean, var = layer.bn_state.running_mean, layer.bn_state.running_var
+def _bn_fold(layer: _Layer) -> tuple:
+    """``(mean, alpha)`` with which batch norm by the layer's running
+    statistics maps pre-norm values ``z`` to ``(z - mean) * alpha +
+    bn_shift``."""
+    st = layer.bn_state
     dt = layer.weight.data.dtype
-    return mean.astype(dt), layer.bn_scale.data * (1.0 / np.sqrt(var.astype(dt) + ad.BN_EPS))
-
-
-def _leaky_relu(z: np.ndarray, slope: float) -> np.ndarray:
-    low = np.multiply(z, slope, out=ad._scratch.take(z.shape, z.dtype))
-    np.maximum(z, low, out=z)
-    ad._scratch.give(low)
-    return z
+    alpha = layer.bn_scale.data * (1.0 / np.sqrt(st.running_var.astype(dt) + ad.BN_EPS))
+    return st.running_mean.astype(dt), alpha
 
 
 def _bn_act(x, w, layer: _Layer, stats, slope: float, out=None) -> np.ndarray:
@@ -393,16 +389,13 @@ def _bn_act(x, w, layer: _Layer, stats, slope: float, out=None) -> np.ndarray:
     """
     z = np.matmul(x, w, out=out)
     z += layer.bias.data
-    if stats is None:
-        mean, alpha = _bn_fold(layer)
-        z -= mean
-    else:
-        mean, var = ad.batch_stats(z)
+    st = layer.bn_state
+    running = (st.running_mean, st.running_var) if stats is None else ()
+    act, mean, var, _, _ = ad.bn_act_forward(z, layer.bn_scale.data, layer.bn_shift.data, slope,
+                                             *running, out=z)
+    if stats is not None:
         stats.append((mean, var))
-        _, alpha = _bn_fold(layer, mean, var)
-    z *= alpha
-    z += layer.bn_shift.data
-    return _leaky_relu(z, slope)
+    return act
 
 
 def _descriptors(ordered_sets, grid: ReferenceGrid, weights: PrNetWeights, stats) -> np.ndarray:
@@ -444,7 +437,7 @@ def _descriptors(ordered_sets, grid: ReferenceGrid, weights: PrNetWeights, stats
             for (wf, bf), buf in zip(folded, bufs[1:]):
                 h = np.matmul(h, wf, out=buf[:g * k])
                 h += bf
-                h = _leaky_relu(h, cfg.leaky_slope)
+                np.maximum(h, h * cfg.leaky_slope, out=h)
             np.max(h.reshape(g, k, -1), axis=1, out=pooled[i * g:(i + 1) * g])
     for buf in bufs:
         ad._scratch.give(buf)
@@ -480,21 +473,16 @@ def _head(f_s: np.ndarray, f_g_all: np.ndarray, weights: PrNetWeights, stats) ->
 EVAL_CHUNK = 64
 
 
-@dataclass
+@dataclass(frozen=True)
 class SourceCache:
-    """Per-source constants shared by every forward of that source: sorted
-    points, warp basis (full precision plus the network dtype), and the
-    source descriptor, which the first ``forward_shared_source`` fills in.
-
-    The descriptor belongs to the weights it was computed with.
-    ``train_forward`` and recalibration never read or fill it, so the
-    trainer's caches may outlive weight updates; an eval cache must not.
+    """Per-source constants shared by every forward of that source: the
+    canonically ordered points and the float64 warp basis. Both depend on
+    the source alone, never on the weights, so a cache stays valid across
+    weight updates; ``train_forward`` casts the basis to the network dtype.
     """
 
     ordered: np.ndarray
     basis: np.ndarray
-    basis_f64: np.ndarray
-    sdt_eval: np.ndarray = None
 
 
 def _network_points(points, cfg: PrNetConfig, where: str, role: str) -> np.ndarray:
@@ -535,8 +523,7 @@ def source_runs(pairs) -> list:
 
 def prepare_source(source, weights: PrNetWeights) -> SourceCache:
     src = _network_points(source, weights.config, "prepare_source", "source")
-    basis = tps.tps_basis(tps.make_control_grid(weights.config.dim), src)
-    return SourceCache(ordered=src, basis=basis.astype(weights.config.np_dtype()), basis_f64=basis)
+    return SourceCache(ordered=src, basis=tps.tps_basis(tps.make_control_grid(weights.config.dim), src))
 
 
 def forward_shared_source(cache: SourceCache, targets, weights: PrNetWeights, grid: ReferenceGrid):
@@ -547,26 +534,25 @@ def forward_shared_source(cache: SourceCache, targets, weights: PrNetWeights, gr
     Returns plain arrays ``(deltas, transformed)``: the ``[B,
     theta_count*dim]`` predicted control-point displacements in the network
     dtype, and per target the warped, canonically ordered source as
-    ``basis_f64 @ (delta + theta0)`` in float64. Coordinates are taken as
+    ``basis @ (delta + theta0)`` in float64. Coordinates are taken as
     already being in the network frame; the evaluator fits and inverts the
     similarity normalization around this call.
 
     Graph-free, with every batch norm by its running statistics. The source
-    descriptor is computed once per cache; the targets go through the head
+    descriptor is computed once per call; the targets go through the head
     ``EVAL_CHUNK`` at a time.
     """
     cfg = weights.config
     ordered = _network_targets(targets, cfg, "forward_shared_source")
-    if cache.sdt_eval is None:
-        cache.sdt_eval = _descriptors([cache.ordered], grid, weights, None)
+    sdt = _descriptors([cache.ordered], grid, weights, None)
     deltas = np.concatenate([
-        _head(cache.sdt_eval, _descriptors(ordered[lo:lo + EVAL_CHUNK], grid, weights, None), weights, None)
+        _head(sdt, _descriptors(ordered[lo:lo + EVAL_CHUNK], grid, weights, None), weights, None)
         for lo in range(0, len(ordered), EVAL_CHUNK)
     ])
     thetas = deltas + tps.make_control_grid(cfg.dim).points.astype(deltas.dtype).reshape(1, -1)
     # theta is exact at identity, so with the full-precision basis the
     # transform round-trips to solver precision, not the network dtype's
-    return deltas, [cache.basis_f64 @ theta.reshape(cfg.theta_count, cfg.dim) for theta in thetas]
+    return deltas, [cache.basis @ theta.reshape(cfg.theta_count, cfg.dim) for theta in thetas]
 
 
 def train_forward(cache: SourceCache, targets, weights: PrNetWeights, grid: ReferenceGrid):
@@ -594,10 +580,11 @@ def train_forward(cache: SourceCache, targets, weights: PrNetWeights, grid: Refe
     deltas = ad.linear(h, weights.out.weight, weights.out.bias)
 
     theta0 = tps.make_control_grid(cfg.dim).points.astype(deltas.data.dtype).reshape(1, -1)
+    basis = ad.Tensor(cache.basis.astype(cfg.np_dtype()))
     transformed = []
     for i in range(batch):
         theta_i = ad.reshape(ad.add(ad.row_slice(deltas, i, i + 1), theta0), (cfg.theta_count, cfg.dim))
-        transformed.append(ad.matmul(ad.Tensor(cache.basis), theta_i))
+        transformed.append(ad.matmul(basis, theta_i))
     return deltas, transformed
 
 

@@ -171,26 +171,13 @@ def _trainable_runs(batch):
     return [run for run in prnet.source_runs(batch) if len(run[1]) >= 2]
 
 
-def _train_cache(caches, src, weights):
-    """``SourceCache`` for ``src``, made once per run. Training and
-    recalibration never fill its descriptor, which would go stale with the
-    next weight update."""
-    key = src.tobytes()
-    cache = caches.get(key)
-    if cache is None:
-        cache = prnet.prepare_source(src, weights)
-        caches[key] = cache
-    return cache
-
-
-def _train_batch(runs, weights, grid, caches, sigma, params, state):
+def _train_batch(runs, weights, grid, sigma, params, state):
     """One optimizer step on ``runs``, from ``_trainable_runs``. Returns
     the symmetric GMM loss averaged over their pairs, and their count."""
     total = None
     count = 0
     for src, targets in runs:
-        cache = _train_cache(caches, src, weights)
-        _, transformed = prnet.train_forward(cache, targets, weights, grid)
+        _, transformed = prnet.train_forward(prnet.prepare_source(src, weights), targets, weights, grid)
         for t, g in zip(transformed, targets):
             term = losses.gmm_loss_symmetric(t, g, sigma)
             total = term if total is None else ad.add(total, term)
@@ -226,24 +213,24 @@ def epoch_batches(train_pairs, batch_size: int, seed: int, epoch: int):
             yield batch_no, [train_pairs[k] for k in sel]
 
 
-def recalibrate_batch_norm(batches, weights, grid, caches) -> None:
+def recalibrate_batch_norm(batches, weights, grid) -> None:
     """Recompute every batch-norm running mean and variance from the current,
     frozen weights ("precise BN").
 
     For each source run of ``batches`` (lists of pairs) that training
     uses (``_trainable_runs``), takes the batch statistics the training
-    forward would see, from the graph-free forward with no transform. Each
-    running statistic becomes the plain mean, in float64, of its per-run
-    values. All are written at the end, so a forward that raises leaves
-    every one untouched. ``caches`` maps source bytes to ``SourceCache``s,
-    as in training.
+    forward would see, from the graph-free forward with no transform, on a
+    ``SourceCache`` made for the run as training makes one. Each running
+    statistic becomes the plain mean, in float64, of its per-run values.
+    All are written at the end, so a forward that raises leaves every one
+    untouched.
     """
     layers = [*weights.mlp, *weights.convs, weights.fc1]
     sums = [np.zeros((2,) + layer.bias.data.shape) for layer in layers]
     count = 0
     for batch in batches:
         for src, targets in _trainable_runs(batch):
-            cache = _train_cache(caches, src, weights)
+            cache = prnet.prepare_source(src, weights)
             for acc, (mean, var) in zip(sums, prnet.batch_norm_statistics(targets, weights, grid, cache)):
                 acc[0] += mean
                 acc[1] += var
@@ -304,7 +291,6 @@ def train(cfg: TrainConfig, data, weights, adam_state: ad.AdamState = None,
     )
     schedule = losses.AnnealingSchedule(cfg.sigma_initial, cfg.sigma_floor)
     grid = prnet.build_reference_grid(weights.config.dim, weights.config.grid_shape)
-    caches = {}
     history = []
 
     for epoch in range(start_epoch, cfg.epochs + 1):
@@ -321,7 +307,7 @@ def train(cfg: TrainConfig, data, weights, adam_state: ad.AdamState = None,
             # bandwidth narrows within the first epochs and survives resume
             # through the checkpointed step count
             sigma = losses.sigma_at(schedule, state.step_count + 1)
-            value, trained = _train_batch(runs, weights, grid, caches, sigma, params, state)
+            value, trained = _train_batch(runs, weights, grid, sigma, params, state)
             if not math.isfinite(value):
                 raise TrainingDivergedError(
                     f"non-finite loss {value} at epoch {epoch}, batch {batch_no}, "
@@ -335,7 +321,7 @@ def train(cfg: TrainConfig, data, weights, adam_state: ad.AdamState = None,
                 f"{len(train_pairs)} training pairs holds two consecutive pairs "
                 "that share a source, which batch norm needs"
             )
-        recalibrate_batch_norm((b for _, b in batches), weights, grid, caches)
+        recalibrate_batch_norm((b for _, b in batches), weights, grid)
         stats = EpochStats(
             epoch=epoch,
             sigma=float(losses.sigma_at(schedule, max(state.step_count, 1))),

@@ -57,6 +57,18 @@ class TestParsing:
         assert code == 2
         assert "usage" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--count", "0", "--out", "d"],
+        ["synth", "--points", "-2", "--out", "d"],
+        ["train", "--epochs", "0", "--data", "d", "--out", "m"],
+        ["plot", "--limit", "-1", "--model", "m", "--data", "d", "--out-dir", "o"],
+    ])
+    def test_out_of_range_count_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as e:
+            cli.main(argv)
+        assert e.value.code == 2
+        assert "integer, got" in capsys.readouterr().err
+
     def test_runtime_error_exits_1_with_one_line(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "eval", "--model", str(tmp_path / "missing.ckpt"),
@@ -128,6 +140,9 @@ class TestSynth:
         ["--level", "nan"],
         ["--level", "inf"],
         ["--level", "1e308"],
+        ["--noise", "do", "--noise-level", "1e308"],
+        ["--noise", "do", "--noise-level", "1e9"],
+        ["--noise", "do", "--noise-level", "11"],
     ])
     def test_level_beyond_float_range_exits_1(self, capsys, tmp_path, argv):
         out = tmp_path / "d"
@@ -232,6 +247,17 @@ class TestTrainInputs:
                            "--epochs", "1", "--batch-size", "4", "--seed", "2")
         assert code == 0, err
 
+    def test_missing_epochs_exits_1(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("batch_size=4\n")
+        code, out, err = run(capsys, "train", "--config", str(cfg), "--data", str(tmp_path / "data"),
+                             "--out", str(tmp_path / "m.ckpt"))
+        assert code == 1
+        assert out == ""
+        lines = [ln for ln in err.strip().split("\n") if ln.startswith("error: ")]
+        assert len(lines) == 1 and "--epochs is required" in lines[0], err
+        assert not (tmp_path / "m.ckpt").exists()
+
     def test_infinite_sigma_floor_exits_1(self, capsys, tmp_path):
         code, out, err = run(capsys, "train", "--data", str(tmp_path / "data"),
                              "--out", str(tmp_path / "m.ckpt"), "--epochs", "1",
@@ -254,6 +280,19 @@ class TestEvalIdentityModel:
         row = report.read_text().strip().split("\n")[2].split(",")
         cd_pre_mean, cd_post_mean = float(row[2]), float(row[4])
         assert cd_post_mean == pytest.approx(cd_pre_mean, abs=1e-9)
+
+    @pytest.mark.parametrize("key", ["pair_count", "dim"])
+    def test_manifest_lacking_a_required_key_exits_1(self, capsys, tmp_path, key):
+        ckpt = small_identity_checkpoint(tmp_path / "id.ckpt")
+        assert cli.main(["synth", "--count", "2", "--points", "40", "--out", str(tmp_path / "d")]) == 0
+        manifest = tmp_path / "d" / "manifest"
+        lines = manifest.read_text().splitlines(keepends=True)
+        manifest.write_text("".join(ln for ln in lines if not ln.startswith(f"{key}=")))
+        code, _, err = run(capsys, "eval", "--model", str(ckpt), "--data", str(tmp_path / "d"),
+                           "--report", str(tmp_path / "r.csv"))
+        assert code == 1
+        lines = [ln for ln in err.splitlines() if ln.startswith("error: ")]
+        assert len(lines) == 1 and f"missing required key {key}" in lines[0], err
 
 
 

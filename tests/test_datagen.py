@@ -34,6 +34,7 @@ class TestSynthConfig:
             ({"seed": -1}, "seed"),
             ({"seed": 2**64}, "seed"),
             ({"pair_count": 0}, "pair_count"),
+            ({"noise_kind": "do", "noise_level": 10.5}, "do noise_level"),
         ],
     )
     def test_invalid_fields_rejected(self, kwargs, match):
@@ -42,6 +43,9 @@ class TestSynthConfig:
 
     def test_di_level_below_one_accepted(self):
         datagen.SynthConfig(noise_kind="di", noise_level=0.99)
+
+    def test_do_level_at_bound_accepted(self):
+        datagen.SynthConfig(noise_kind="do", noise_level=datagen.MAX_OUTLIERS_PER_POINT)
 
 
 class TestBuiltinShape:
@@ -350,6 +354,15 @@ class TestDatasets:
         (d / "manifest").write_text("format=other-v9\npair_count=0\ndim=2\n")
         with pytest.raises(datagen.DatasetError, match="format"):
             datagen.load_dataset(d)
+
+    @pytest.mark.parametrize("key", ["pair_count", "dim"])
+    def test_manifest_lacking_a_required_key_rejected(self, tmp_path, cfg, shape, key):
+        datagen.generate_dataset(shape, cfg, tmp_path / "d")
+        manifest = tmp_path / "d" / "manifest"
+        lines = manifest.read_text().splitlines(keepends=True)
+        manifest.write_text("".join(ln for ln in lines if not ln.startswith(f"{key}=")))
+        with pytest.raises(datagen.DatasetError, match=f"missing required key {key}"):
+            datagen.load_dataset(tmp_path / "d")
 
     def test_pair_index_out_of_range(self, tmp_path, cfg, shape):
         ds = datagen.generate_dataset(shape, cfg, tmp_path / "d")

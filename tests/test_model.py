@@ -136,10 +136,9 @@ def batch_env():
 
 
 def eval_descriptor(points, grid, weights):
-    """The source descriptor an eval-mode forward computes and caches."""
+    """The source descriptor an eval-mode forward computes."""
     cache = model.prepare_source(points, weights)
-    model.forward_shared_source(cache, [points], weights, grid)
-    return cache.sdt_eval
+    return model._descriptors([cache.ordered], grid, weights, None)
 
 
 def grid_of(weights):
@@ -378,6 +377,53 @@ class TestGraphFreeForward:
         deltas, transformed = eval_forward(src, targets, weights)
         for t in [deltas, *transformed]:
             assert type(t) is np.ndarray
+
+
+class TestOneBatchNormLayer:
+    """The training ops and the graph-free stage share one batch norm plus
+    leaky ReLU: on the same inputs their outputs are equal byte for byte,
+    and the statistics the stage reports are ``batch_stats`` of the
+    pre-norm rows."""
+
+    @pytest.fixture(params=["float32", "float64"])
+    def weights(self, request):
+        weights = model.init_weights(tiny_config(dtype=request.param), seed=29)
+        randomize_weights(weights, np.random.default_rng(61))
+        return weights
+
+    @staticmethod
+    def stage(rows, w, layer, slope):
+        stats = []
+        act = model._bn_act(rows, w, layer, stats, slope)
+        z = rows @ w
+        z += layer.bias.data
+        [(mean, var)] = stats
+        ref_mean, ref_var = ad.batch_stats(z)
+        assert mean.tobytes() == ref_mean.tobytes() and var.tobytes() == ref_var.tobytes()
+        return act
+
+    @pytest.mark.parametrize("which,rows", [("mlp0", 300), ("mlp1", 300), ("fc1", 5)])
+    def test_dense_op_equals_stage(self, weights, which, rows):
+        layer = weights.fc1 if which == "fc1" else weights.mlp[int(which[-1])]
+        slope = weights.config.leaky_slope
+        dt = weights.config.np_dtype()
+        x = np.random.default_rng(67).normal(size=(rows, layer.weight.data.shape[0])).astype(dt)
+        out = ad.dense_bn_act(x, layer.weight, layer.bias, layer.bn_scale, layer.bn_shift, slope)
+        assert out.data.tobytes() == self.stage(x, layer.weight.data, layer, slope).tobytes()
+
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_conv_op_equals_stage(self, weights, index):
+        cfg = weights.config
+        layer = weights.convs[index]
+        kd = layer.weight.data
+        spatial = cfg.spatial_trace()[index]
+        x = np.random.default_rng(71).normal(size=(3, kd.shape[1]) + spatial).astype(cfg.np_dtype())
+        out = ad.conv_bn_act_batch(ad.Tensor(x), layer.weight, layer.bias, layer.bn_scale, layer.bn_shift,
+                                   cfg.leaky_slope)
+        cols, out_spatial = ad.window_rows(x, kd.shape[2:])
+        act = self.stage(cols, kd.reshape(kd.shape[0], -1).T, layer, cfg.leaky_slope)
+        act = np.moveaxis(act.reshape((3,) + out_spatial + (-1,)), -1, 1)
+        assert out.data.tobytes() == np.ascontiguousarray(act).tobytes()
 
 
 class TestCheckpointContainer:

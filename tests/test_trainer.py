@@ -212,7 +212,7 @@ class TestLearnability:
 def recalibrate(batches, weights):
     cfg = weights.config
     grid = model.build_reference_grid(cfg.dim, cfg.grid_shape)
-    trainer.recalibrate_batch_norm(batches, weights, grid, {})
+    trainer.recalibrate_batch_norm(batches, weights, grid)
 
 
 def bn_arrays(weights):
