@@ -55,7 +55,10 @@ class _Resolver:
         if flag_value is not None:
             value = flag_value
         elif key in self.config:
-            value = cast(self.config[key])
+            try:
+                value = cast(self.config[key])
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise ValueError(f"{self.args.config}: {key}: {exc}") from exc
         else:
             value = default
         self.resolved[key] = value
@@ -196,7 +199,7 @@ def _cmd_synth(args):
 def _cmd_train(args):
     r = _Resolver(args)
     seed = r.get("seed", 0, int)
-    epochs = r.get("epochs", None, int)
+    epochs = r.get("epochs", None, _positive_int)
     if epochs is None:
         raise ValueError("train: --epochs is required (flag or config file)")
     cfg = trainer.TrainConfig(
@@ -212,8 +215,7 @@ def _cmd_train(args):
     )
     r.log_resolved("train")
     ds = datagen.load_dataset(args.data)
-    net_cfg = model.PrNetConfig() if ds.dim == 2 else model.PrNetConfig.for_dim(3)
-    weights = model.init_weights(net_cfg, seed=seed)
+    weights = model.init_weights(model.PrNetConfig.for_dim(ds.dim), seed=seed)
     state = ad.init_adam(weights.params(), cfg.learning_rate, cfg.lr_decay)
 
     def progress(stats):
@@ -270,15 +272,13 @@ def _cmd_plot(args):
     r.log_resolved("plot")
     weights = _load_weights(args.model)
     ds = datagen.load_dataset(args.data)
-    summary = evaluator.evaluate(weights, ds)
+    count = ds.pair_count if limit == 0 else min(limit, ds.pair_count)
+    pairs = [ds.load_pair(i) for i in range(count)]
+    summary = evaluator.evaluate(weights, pairs)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    count = summary.pair_count if limit == 0 else min(limit, summary.pair_count)
-    for i in range(count):
-        src, tgt = ds.load_pair(i)
-        evaluator.emit_overlay_svg(
-            src, tgt, summary.results[i].transformed, out_dir / f"pair_{i:06d}.svg"
-        )
+    for i, ((src, tgt), result) in enumerate(zip(pairs, summary.results)):
+        evaluator.emit_overlay_svg(src, tgt, result.transformed, out_dir / f"pair_{i:06d}.svg")
     print(f"wrote {count} overlays to {out_dir}")
     return 0
 

@@ -372,9 +372,12 @@ def load_dataset(directory) -> Dataset:
     manifest = _parse_manifest(mpath)
     if manifest.get("format") != _DATASET_FORMAT:
         raise DatasetError(f"{mpath}: unsupported format {manifest.get('format')!r}")
-    for key in ("pair_count", "dim"):
+    for key, ok, want in (("pair_count", lambda n: n >= 1, "an integer >= 1"),
+                          ("dim", lambda n: n in (2, 3), "2 or 3")):
         if key not in manifest:
             raise DatasetError(f"{mpath}: missing required key {key}")
+        if not (manifest[key].isdecimal() and ok(int(manifest[key]))):
+            raise DatasetError(f"{mpath}: {key} must be {want}, got {manifest[key]!r}")
     ds = Dataset(directory=d, manifest=manifest)
     for i in range(ds.pair_count):
         for path in ds.pair_paths(i):

@@ -28,6 +28,7 @@ import math
 import numbers
 import os
 from dataclasses import asdict, dataclass, field, fields
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -118,6 +119,11 @@ class PrNetConfig:
     def flat_features(self) -> int:
         return self.conv_channels[-1] * int(np.prod(self.spatial_trace()[-1]))
 
+    @cached_property
+    def reference_grid(self) -> np.ndarray:
+        """The fixed grid the descriptors live on, built once per config."""
+        return build_reference_grid(self.dim, self.grid_shape)
+
     def np_dtype(self):
         return np.dtype(self.dtype)
 
@@ -126,19 +132,9 @@ class PrNetConfig:
 # reference grid
 
 
-@dataclass(frozen=True)
-class ReferenceGrid:
-    dim: int
-    shape: tuple
-    points: np.ndarray
-
-    @property
-    def count(self) -> int:
-        return self.points.shape[0]
-
-
-def build_reference_grid(dim: int, shape) -> ReferenceGrid:
-    """Uniform lattice over [-1, 1]^dim, row-major point order."""
+def build_reference_grid(dim: int, shape) -> np.ndarray:
+    """Uniform lattice over [-1, 1]^dim as read-only ``[G, dim]`` float64
+    points, row-major point order."""
     shape = tuple(int(s) for s in shape)
     if dim not in (2, 3) or len(shape) != dim:
         raise ValueError(f"build_reference_grid: shape {shape} invalid for dim {dim}")
@@ -146,7 +142,8 @@ def build_reference_grid(dim: int, shape) -> ReferenceGrid:
         raise ValueError(f"build_reference_grid: every resolution must be >= 2, got {shape}")
     axes = [np.linspace(-1.0, 1.0, s) for s in shape]
     pts = np.array(list(product(*axes)), dtype=np.float64)
-    return ReferenceGrid(dim=dim, shape=shape, points=pts)
+    pts.setflags(write=False)  # one grid serves every forward of a config
+    return pts
 
 
 # ---------------------------------------------------------------------------
@@ -306,23 +303,25 @@ def canonical_order(points: np.ndarray) -> np.ndarray:
     return pts[np.lexsort(pts.T[::-1])]
 
 
-def _descriptor_rows(point_sets, grid: ReferenceGrid, dtype, out=None) -> np.ndarray:
+def _descriptor_rows(point_sets, cfg: PrNetConfig, out=None) -> np.ndarray:
     """Stacked MLP input rows [grid_point, set_point] for each set in order,
     grid-point-major within a set; written into ``out`` when given."""
-    g, dim = grid.points.shape
+    grid = cfg.reference_grid
+    g, dim = grid.shape
+    dtype = cfg.np_dtype()
     if out is None:
         out = np.empty((g * sum(p.shape[0] for p in point_sets), 2 * dim), dtype)
     offset = 0
     for pts in point_sets:
         k = pts.shape[0]
         block = out[offset:offset + g * k].reshape(g, k, 2 * dim)
-        block[:, :, :dim] = grid.points.astype(dtype)[:, None, :]
+        block[:, :, :dim] = grid.astype(dtype)[:, None, :]
         block[:, :, dim:] = np.asarray(pts, dtype=dtype)
         offset += g * k
     return out
 
 
-def _descriptor_block(ordered_sets, grid: ReferenceGrid, weights: PrNetWeights) -> ad.Tensor:
+def _descriptor_block(ordered_sets, weights: PrNetWeights) -> ad.Tensor:
     """Training descriptors for pre-sorted sets, stacked as [(num_sets * G), d].
 
     All sets share a single MLP pass, and so one set of batch statistics.
@@ -330,13 +329,14 @@ def _descriptor_block(ordered_sets, grid: ReferenceGrid, weights: PrNetWeights) 
     size per grid point in the same call, so its ``[rows, d]`` activation
     is never stored.
     """
-    h = _descriptor_rows(ordered_sets, grid, weights.config.np_dtype())
+    cfg = weights.config
+    h = _descriptor_rows(ordered_sets, cfg)
     *hidden, last = weights.mlp
-    slope = weights.config.leaky_slope
+    slope = cfg.leaky_slope
     for layer in hidden:
         h = ad.dense_bn_act(h, layer.weight, layer.bias, layer.bn_scale, layer.bn_shift, slope)
     pooled = ad.dense_bn_act_pool(h, last.weight, last.bias, last.bn_scale, last.bn_shift,
-                                  [s.shape[0] for s in ordered_sets], grid.count, slope)
+                                  [s.shape[0] for s in ordered_sets], cfg.grid_count, slope)
     return ad.l2_normalize_rows(pooled)
 
 
@@ -398,7 +398,7 @@ def _bn_act(x, w, layer: _Layer, stats, slope: float, out=None) -> np.ndarray:
     return act
 
 
-def _descriptors(ordered_sets, grid: ReferenceGrid, weights: PrNetWeights, stats) -> np.ndarray:
+def _descriptors(ordered_sets, weights: PrNetWeights, stats) -> np.ndarray:
     """Unit-norm descriptors of pre-sorted sets, stacked as ``[(num_sets * G), d]``.
 
     With running statistics the sets go through one at a time, so the
@@ -410,12 +410,12 @@ def _descriptors(ordered_sets, grid: ReferenceGrid, weights: PrNetWeights, stats
     """
     cfg = weights.config
     dt = cfg.np_dtype()
-    g = grid.count
+    g = cfg.grid_count
     if stats is not None:
         *hidden, last = weights.mlp
         bufs = [ad._scratch.take((g * sum(s.shape[0] for s in ordered_sets), w), dt)
                 for w in (2 * cfg.dim, *cfg.mlp_widths[:-1])]
-        h = _descriptor_rows(ordered_sets, grid, dt, out=bufs[0])
+        h = _descriptor_rows(ordered_sets, cfg, out=bufs[0])
         for layer, buf in zip(hidden, bufs[1:]):
             h = _bn_act(h, layer.weight.data, layer, stats, cfg.leaky_slope, out=buf)
         fw = ad.dense_bn_act_pool_forward(h, last.weight.data, last.bias.data, last.bn_scale.data,
@@ -433,7 +433,7 @@ def _descriptors(ordered_sets, grid: ReferenceGrid, weights: PrNetWeights, stats
         pooled = np.empty((len(ordered_sets) * g, cfg.mlp_widths[-1]), dt)
         for i, s in enumerate(ordered_sets):
             k = s.shape[0]
-            h = _descriptor_rows([s], grid, dt, out=bufs[0][:g * k])
+            h = _descriptor_rows([s], cfg, out=bufs[0][:g * k])
             for (wf, bf), buf in zip(folded, bufs[1:]):
                 h = np.matmul(h, wf, out=buf[:g * k])
                 h += bf
@@ -473,18 +473,6 @@ def _head(f_s: np.ndarray, f_g_all: np.ndarray, weights: PrNetWeights, stats) ->
 EVAL_CHUNK = 64
 
 
-@dataclass(frozen=True)
-class SourceCache:
-    """Per-source constants shared by every forward of that source: the
-    canonically ordered points and the float64 warp basis. Both depend on
-    the source alone, never on the weights, so a cache stays valid across
-    weight updates; ``train_forward`` casts the basis to the network dtype.
-    """
-
-    ordered: np.ndarray
-    basis: np.ndarray
-
-
 def _network_points(points, cfg: PrNetConfig, where: str, role: str) -> np.ndarray:
     """A nonempty ``[N, dim]`` set in the network frame, canonically
     ordered, whose coordinates fit the network dtype."""
@@ -509,7 +497,7 @@ def _network_targets(targets, cfg: PrNetConfig, where: str) -> list:
 def source_runs(pairs) -> list:
     """``(source, [targets])`` for each run of consecutive ``(source,
     target)`` pairs whose sources are bitwise identical: the unit that
-    shares one ``SourceCache`` and one forward."""
+    shares one forward."""
     runs = []
     key = None
     for src, tgt in pairs:
@@ -521,15 +509,18 @@ def source_runs(pairs) -> list:
     return runs
 
 
-def prepare_source(source, weights: PrNetWeights) -> SourceCache:
+def prepare_source(source, weights: PrNetWeights) -> tuple:
+    """``(ordered, basis)``: the checked, canonically ordered source and its
+    float64 thin-plate-spline warp basis, which both forwards apply to the
+    predicted control points."""
     src = _network_points(source, weights.config, "prepare_source", "source")
-    return SourceCache(ordered=src, basis=tps.tps_basis(tps.make_control_grid(weights.config.dim), src))
+    return src, tps.tps_basis(tps.make_control_grid(weights.config.dim), src)
 
 
-def forward_shared_source(cache: SourceCache, targets, weights: PrNetWeights, grid: ReferenceGrid):
-    """Inference for ``cache``'s source against ``targets`` (point sets):
-    the one path by which ``evaluator.register``, ``evaluator.evaluate``
-    and ``trainer.validation_cd`` run the network.
+def forward_shared_source(source, targets, weights: PrNetWeights):
+    """Inference for ``source`` against ``targets`` (point sets): the one
+    path by which ``evaluator.register``, ``evaluator.evaluate`` and
+    ``trainer.validation_cd`` run the network.
 
     Returns plain arrays ``(deltas, transformed)``: the ``[B,
     theta_count*dim]`` predicted control-point displacements in the network
@@ -543,21 +534,22 @@ def forward_shared_source(cache: SourceCache, targets, weights: PrNetWeights, gr
     ``EVAL_CHUNK`` at a time.
     """
     cfg = weights.config
+    src, basis = prepare_source(source, weights)
     ordered = _network_targets(targets, cfg, "forward_shared_source")
-    sdt = _descriptors([cache.ordered], grid, weights, None)
+    sdt = _descriptors([src], weights, None)
     deltas = np.concatenate([
-        _head(sdt, _descriptors(ordered[lo:lo + EVAL_CHUNK], grid, weights, None), weights, None)
+        _head(sdt, _descriptors(ordered[lo:lo + EVAL_CHUNK], weights, None), weights, None)
         for lo in range(0, len(ordered), EVAL_CHUNK)
     ])
     thetas = deltas + tps.make_control_grid(cfg.dim).points.astype(deltas.dtype).reshape(1, -1)
     # theta is exact at identity, so with the full-precision basis the
     # transform round-trips to solver precision, not the network dtype's
-    return deltas, [cache.basis @ theta.reshape(cfg.theta_count, cfg.dim) for theta in thetas]
+    return deltas, [basis @ theta.reshape(cfg.theta_count, cfg.dim) for theta in thetas]
 
 
-def train_forward(cache: SourceCache, targets, weights: PrNetWeights, grid: ReferenceGrid):
-    """The training forward of ``cache``'s source against ``targets``: the
-    network of ``forward_shared_source``, recorded as an autodiff graph and
+def train_forward(source, targets, weights: PrNetWeights):
+    """The training forward of ``source`` against ``targets``: the network
+    of ``forward_shared_source``, recorded as an autodiff graph and
     normalized by batch statistics. Only the trainer calls it.
 
     The source goes through the MLP in the same batch as the targets, so
@@ -565,10 +557,11 @@ def train_forward(cache: SourceCache, targets, weights: PrNetWeights, grid: Refe
     transformed)``; the transform uses the basis in the network dtype.
     """
     cfg = weights.config
+    src, basis = prepare_source(source, weights)
     ordered = _network_targets(targets, cfg, "train_forward")
     batch = len(ordered)
-    g = grid.count
-    desc = _descriptor_block([cache.ordered] + ordered, grid, weights)
+    g = cfg.grid_count
+    desc = _descriptor_block([src] + ordered, weights)
     corr = compute_correlation(ad.row_slice(desc, 0, g), ad.row_slice(desc, g, (1 + batch) * g), g)
     h = ad.reshape(corr, (batch, g) + cfg.grid_shape)
     for layer in weights.convs:
@@ -580,7 +573,7 @@ def train_forward(cache: SourceCache, targets, weights: PrNetWeights, grid: Refe
     deltas = ad.linear(h, weights.out.weight, weights.out.bias)
 
     theta0 = tps.make_control_grid(cfg.dim).points.astype(deltas.data.dtype).reshape(1, -1)
-    basis = ad.Tensor(cache.basis.astype(cfg.np_dtype()))
+    basis = ad.Tensor(basis.astype(cfg.np_dtype()))
     transformed = []
     for i in range(batch):
         theta_i = ad.reshape(ad.add(ad.row_slice(deltas, i, i + 1), theta0), (cfg.theta_count, cfg.dim))
@@ -588,14 +581,18 @@ def train_forward(cache: SourceCache, targets, weights: PrNetWeights, grid: Refe
     return deltas, transformed
 
 
-def batch_norm_statistics(targets, weights: PrNetWeights, grid: ReferenceGrid, cache: SourceCache) -> list:
+def batch_norm_statistics(source, targets, weights: PrNetWeights) -> list:
     """``(mean, var)`` of every batch-norm layer, in layer order (MLP,
-    convs, fc1), as ``train_forward`` of ``cache``'s source against
-    ``targets`` computes them; with no graph and no transform."""
+    convs, fc1), as ``train_forward`` of ``source`` against ``targets``
+    computes them; with no graph and no transform, so no warp basis."""
+    cfg = weights.config
     stats = []
-    ordered = _network_targets(targets, weights.config, "batch_norm_statistics")
-    desc = _descriptors([cache.ordered] + ordered, grid, weights, stats)
-    _head(desc[:grid.count], desc[grid.count:], weights, stats)
+    src = _network_points(source, cfg, "batch_norm_statistics", "source")
+    if not np.isfinite(src).all():  # the forwards' tps_basis rejects such a source
+        raise ValueError("batch_norm_statistics: source coordinates must be finite")
+    ordered = _network_targets(targets, cfg, "batch_norm_statistics")
+    desc = _descriptors([src] + ordered, weights, stats)
+    _head(desc[:cfg.grid_count], desc[cfg.grid_count:], weights, stats)
     return stats
 
 

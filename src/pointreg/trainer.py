@@ -171,13 +171,13 @@ def _trainable_runs(batch):
     return [run for run in prnet.source_runs(batch) if len(run[1]) >= 2]
 
 
-def _train_batch(runs, weights, grid, sigma, params, state):
+def _train_batch(runs, weights, sigma, state):
     """One optimizer step on ``runs``, from ``_trainable_runs``. Returns
     the symmetric GMM loss averaged over their pairs, and their count."""
     total = None
     count = 0
     for src, targets in runs:
-        _, transformed = prnet.train_forward(prnet.prepare_source(src, weights), targets, weights, grid)
+        _, transformed = prnet.train_forward(src, targets, weights)
         for t, g in zip(transformed, targets):
             term = losses.gmm_loss_symmetric(t, g, sigma)
             total = term if total is None else ad.add(total, term)
@@ -186,6 +186,7 @@ def _train_batch(runs, weights, grid, sigma, params, state):
     loss.backward()
     value = float(loss.data)
     ad.recycle_graph(loss)
+    params = weights.params()
     if math.isfinite(value):
         ad.adam_step(params, state)
     ad.zero_grads(params, recycle=True)
@@ -213,15 +214,15 @@ def epoch_batches(train_pairs, batch_size: int, seed: int, epoch: int):
             yield batch_no, [train_pairs[k] for k in sel]
 
 
-def recalibrate_batch_norm(batches, weights, grid) -> None:
+def recalibrate_batch_norm(batches, weights) -> None:
     """Recompute every batch-norm running mean and variance from the current,
     frozen weights ("precise BN").
 
     For each source run of ``batches`` (lists of pairs) that training
     uses (``_trainable_runs``), takes the batch statistics the training
-    forward would see, from the graph-free forward with no transform, on a
-    ``SourceCache`` made for the run as training makes one. Each running
-    statistic becomes the plain mean, in float64, of its per-run values.
+    forward would see, from the graph-free forward with no transform
+    (``model.batch_norm_statistics``). Each running statistic becomes the
+    plain mean, in float64, of its per-run values.
     All are written at the end, so a forward that raises leaves every one
     untouched.
     """
@@ -230,8 +231,7 @@ def recalibrate_batch_norm(batches, weights, grid) -> None:
     count = 0
     for batch in batches:
         for src, targets in _trainable_runs(batch):
-            cache = prnet.prepare_source(src, weights)
-            for acc, (mean, var) in zip(sums, prnet.batch_norm_statistics(targets, weights, grid, cache)):
+            for acc, (mean, var) in zip(sums, prnet.batch_norm_statistics(src, targets, weights)):
                 acc[0] += mean
                 acc[1] += var
             count += 1
@@ -242,18 +242,14 @@ def recalibrate_batch_norm(batches, weights, grid) -> None:
             st.running_var = (acc[1] / count).astype(st.running_var.dtype)
 
 
-def validation_cd(pairs, weights, grid=None) -> float:
+def validation_cd(pairs, weights) -> float:
     """Mean normalized chamfer after registration, network frame, by
     ``model.forward_shared_source``, the path ``evaluator.evaluate`` runs."""
     if not pairs:
         return float("nan")
-    if grid is None:
-        cfg = weights.config
-        grid = prnet.build_reference_grid(cfg.dim, cfg.grid_shape)
     cds = []
     for src, targets in prnet.source_runs(pairs):
-        cache = prnet.prepare_source(src, weights)
-        _, transformed = prnet.forward_shared_source(cache, targets, weights, grid)
+        _, transformed = prnet.forward_shared_source(src, targets, weights)
         cds.extend(losses.chamfer_normalized(t, g) for t, g in zip(transformed, targets))
     return float(np.mean(cds))
 
@@ -285,12 +281,10 @@ def train(cfg: TrainConfig, data, weights, adam_state: ad.AdamState = None,
     if not train_pairs:
         raise ValueError(f"train: no training pairs (dataset has {len(pairs)})")
 
-    params = weights.params()
     state = adam_state if adam_state is not None else ad.init_adam(
-        params, learning_rate=cfg.learning_rate, decay=cfg.lr_decay
+        weights.params(), learning_rate=cfg.learning_rate, decay=cfg.lr_decay
     )
     schedule = losses.AnnealingSchedule(cfg.sigma_initial, cfg.sigma_floor)
-    grid = prnet.build_reference_grid(weights.config.dim, weights.config.grid_shape)
     history = []
 
     for epoch in range(start_epoch, cfg.epochs + 1):
@@ -307,7 +301,7 @@ def train(cfg: TrainConfig, data, weights, adam_state: ad.AdamState = None,
             # bandwidth narrows within the first epochs and survives resume
             # through the checkpointed step count
             sigma = losses.sigma_at(schedule, state.step_count + 1)
-            value, trained = _train_batch(runs, weights, grid, sigma, params, state)
+            value, trained = _train_batch(runs, weights, sigma, state)
             if not math.isfinite(value):
                 raise TrainingDivergedError(
                     f"non-finite loss {value} at epoch {epoch}, batch {batch_no}, "
@@ -321,13 +315,13 @@ def train(cfg: TrainConfig, data, weights, adam_state: ad.AdamState = None,
                 f"{len(train_pairs)} training pairs holds two consecutive pairs "
                 "that share a source, which batch norm needs"
             )
-        recalibrate_batch_norm((b for _, b in batches), weights, grid)
+        recalibrate_batch_norm((b for _, b in batches), weights)
         stats = EpochStats(
             epoch=epoch,
             sigma=float(losses.sigma_at(schedule, max(state.step_count, 1))),
             lr=float(lr),
             train_loss=loss_sum / counted,
-            val_cd=validation_cd(val_pairs, weights, grid),
+            val_cd=validation_cd(val_pairs, weights),
         )
         history.append(stats)
         if log is not None:

@@ -61,8 +61,10 @@ def test_tracer_times_a_training_epoch(monkeypatch, tmp_path):
         tracer.uninstall()
     names = {span[0] for span in tracer.spans}
     assert {f"autodiff.dense_bn_act.mlp{i}.{p}" for i in range(3) for p in ("fwd", "bwd")} <= names
+    # train_forward checks and orders its source through prepare_source, so
+    # model.prepare_source_ms covers training too
     assert {"autodiff.dense_bn_act.fc1.bwd", "autodiff.conv_bn_act_batch.conv0.bwd",
-            "trainer.recalibrate_batch_norm", "trainer.validation_cd"} <= names
+            "trainer.recalibrate_batch_norm", "trainer.validation_cd", "model.prepare_source"} <= names
     # the last MLP layer and the pool are one op, dense_bn_act_pool, which
     # the tracer does not wrap
     assert not [n for n in names if n.startswith(("autodiff.dense_bn_act.mlp3", "autodiff.max_pool_rows"))]

@@ -4,10 +4,17 @@ All invocations go through cli.main(argv) in-process; exit codes and the
 stdout/stderr contract are asserted the way a shell user would see them.
 """
 
+import contextlib
+import io
 import json
+import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pointreg import cli, datagen, model, trainer
 
@@ -234,6 +241,25 @@ class TestPipeline:
             ["pair_000000.svg", "pair_000001.svg"]
 
 
+    def test_plot_limit_reads_only_the_pairs_it_plots(self, capsys, pipeline, tmp_path):
+        # a malformed pair after the limit is never read, and the overlays
+        # equal those of the clean dataset
+        bad = tmp_path / "bad"
+        shutil.copytree(pipeline / "data", bad)
+        (bad / "pair_000004_tgt").write_text("1.0 2.0\nnot a point\n")
+        outs = {}
+        for name, data in (("clean", pipeline / "data"), ("bad", bad)):
+            outs[name] = tmp_path / f"plots_{name}"
+            code, stdout, err = run(capsys, "plot", "--model", str(pipeline / "model.ckpt"),
+                                    "--data", str(data), "--out-dir", str(outs[name]), "--limit", "2")
+            assert code == 0, err
+            assert "wrote 2 overlays" in stdout
+        names = ["pair_000000.svg", "pair_000001.svg"]
+        assert sorted(p.name for p in outs["bad"].iterdir()) == names
+        for name in names:
+            assert (outs["bad"] / name).read_bytes() == (outs["clean"] / name).read_bytes(), name
+
+
 class TestTrainInputs:
     def test_source_shared_by_no_neighbour_trains(self, capsys, tmp_path):
         # pair 3's source is its own, so it forms a source run of one
@@ -256,6 +282,21 @@ class TestTrainInputs:
         assert out == ""
         lines = [ln for ln in err.strip().split("\n") if ln.startswith("error: ")]
         assert len(lines) == 1 and "--epochs is required" in lines[0], err
+        assert not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("value", ["0", "-3", "two"])
+    def test_out_of_range_epochs_in_config_exits_1(self, capsys, tmp_path, value):
+        # the config value gets the check --epochs gets from argparse
+        data = tmp_path / "data"
+        assert run(capsys, "synth", "--count", "4", "--points", "24", "--out", str(data))[0] == 0
+        cfg = tmp_path / "cfg"
+        cfg.write_text(f"epochs={value}\n")
+        code, out, err = run(capsys, "train", "--config", str(cfg), "--data", str(data),
+                             "--out", str(tmp_path / "m.ckpt"))
+        assert code == 1
+        assert out == "" and "Traceback" not in err
+        lines = [ln for ln in err.strip().split("\n") if ln.startswith("error: ")]
+        assert len(lines) == 1 and "epochs" in lines[0] and value in lines[0], err
         assert not (tmp_path / "m.ckpt").exists()
 
     def test_infinite_sigma_floor_exits_1(self, capsys, tmp_path):
@@ -294,6 +335,25 @@ class TestEvalIdentityModel:
         lines = [ln for ln in err.splitlines() if ln.startswith("error: ")]
         assert len(lines) == 1 and f"missing required key {key}" in lines[0], err
 
+
+
+    @pytest.mark.parametrize("subcommand", ["eval", "train"])
+    @pytest.mark.parametrize("key,value", [("pair_count", "six"), ("pair_count", "-2"), ("dim", "7")])
+    def test_manifest_count_or_dim_out_of_range_exits_1(self, capsys, tmp_path, subcommand, key, value):
+        assert run(capsys, "synth", "--count", "2", "--points", "40", "--out", str(tmp_path / "d"))[0] == 0
+        manifest = tmp_path / "d" / "manifest"
+        lines = manifest.read_text().splitlines(keepends=True)
+        manifest.write_text("".join(f"{key}={value}\n" if ln.startswith(f"{key}=") else ln for ln in lines))
+        if subcommand == "eval":
+            ckpt = small_identity_checkpoint(tmp_path / "id.ckpt")
+            argv = ["eval", "--model", str(ckpt), "--report", str(tmp_path / "r.csv")]
+        else:
+            argv = ["train", "--epochs", "1", "--out", str(tmp_path / "m.ckpt")]
+        code, out, err = run(capsys, *argv, "--data", str(tmp_path / "d"))
+        assert code == 1
+        assert out == ""
+        lines = [ln for ln in err.splitlines() if ln.startswith("error: ")]
+        assert len(lines) == 1 and f"manifest: {key} must be" in lines[0], err
 
 
 class TestNonFinitePoints:
@@ -565,3 +625,75 @@ class TestMalformedCheckpoint:
 
         path = rewrite_checkpoint(valid, tmp_path / "m.ckpt", edit_meta=edit)
         self.assert_rejected(capsys, path, points, "invalid training meta")
+
+
+# values a fuzzed manifest or config line may carry: small integers, floats
+# at the edges of the range, and text with no digit in it, so that no count
+# (epochs above all) can get large; checkpoint_dir is never fuzzed and only
+# names a directory inside the example's own temporary one
+_FUZZ_VALUE = st.one_of(
+    st.integers(-3, 3).map(str),
+    st.sampled_from(["", "nan", "inf", "-inf", "1e400", "1e-3", "0.5", "2.0", "+2", " 3 ", "0_1",
+                     "0x2", "2e0", "pointreg-dataset-v1", "fish", "pd"]),
+    st.text(alphabet="abz=#-. _\t\u00e9\u4e2d", max_size=6),
+)
+_FUZZ_MANIFEST_KEYS = ["format", "pair_count", "dim", "point_count", "shape", "seed", "bogus"]
+_FUZZ_CONFIG_KEYS = sorted(cli._CONFIG_KEYS - {"checkpoint_dir"}) + ["limit", "bogus"]
+
+
+def _fuzz_lines(keys):
+    entry = st.tuples(st.sampled_from(keys), _FUZZ_VALUE).map("=".join)
+    other = st.sampled_from(["", "# comment", "no equals sign", "=", "=2", "checkpoint_dir=CKDIR"])
+    return st.lists(st.one_of(entry, entry, entry, other), max_size=5)
+
+
+def _main_output(argv) -> tuple:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def fuzz_env(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    _main_output(["synth", "--count", "3", "--points", "12", "--seed", "4", "--out", str(root / "data")])
+    return root / "data", small_identity_checkpoint(root / "id.ckpt")
+
+
+class TestFuzzedManifestAndConfig:
+    """Whatever the text of the dataset manifest and of the ``--config``
+    file, ``eval`` and ``train`` exit 0, or exit 1 with one ``error:`` line;
+    never with a traceback. Fuzzed lines follow the generated manifest and
+    an ``epochs=1`` config line, so they override those entries."""
+
+    @staticmethod
+    def check(fuzz_env, subcommand, manifest_lines, config_lines):
+        data, ckpt = fuzz_env
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            shutil.copytree(data, tmp / "d")
+            with open(tmp / "d" / "manifest", "a", encoding="utf-8") as f:
+                f.write("".join(ln + "\n" for ln in manifest_lines))
+            config = "".join(ln.replace("CKDIR", str(tmp / "ck")) + "\n" for ln in ["epochs=1", *config_lines])
+            (tmp / "cfg").write_text(config, encoding="utf-8")
+            argv = [subcommand, "--config", str(tmp / "cfg"), "--data", str(tmp / "d")]
+            if subcommand == "eval":
+                argv += ["--model", str(ckpt), "--report", str(tmp / "r.csv")]
+            else:
+                argv += ["--out", str(tmp / "m.ckpt")]
+            code, _, err = _main_output(argv)
+        assert code in (0, 1), err
+        assert "Traceback" not in err
+        errors = [ln for ln in err.splitlines() if ln.startswith("error: ")]
+        assert len(errors) == (code == 1), err
+
+    @given(manifest=_fuzz_lines(_FUZZ_MANIFEST_KEYS), config=_fuzz_lines(_FUZZ_CONFIG_KEYS))
+    @settings(max_examples=60, deadline=None)
+    def test_eval(self, fuzz_env, manifest, config):
+        self.check(fuzz_env, "eval", manifest, config)
+
+    @given(manifest=_fuzz_lines(_FUZZ_MANIFEST_KEYS), config=_fuzz_lines(_FUZZ_CONFIG_KEYS))
+    @settings(max_examples=50, deadline=None)
+    def test_train(self, fuzz_env, manifest, config):
+        self.check(fuzz_env, "train", manifest, config)

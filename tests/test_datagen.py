@@ -364,6 +364,18 @@ class TestDatasets:
         with pytest.raises(datagen.DatasetError, match=f"missing required key {key}"):
             datagen.load_dataset(tmp_path / "d")
 
+    @pytest.mark.parametrize("key,value", [
+        ("pair_count", "six"), ("pair_count", "-2"), ("pair_count", "0"), ("pair_count", "2.0"),
+        ("dim", "7"), ("dim", "1"), ("dim", "two"),
+    ])
+    def test_manifest_count_or_dim_out_of_range_rejected(self, tmp_path, cfg, shape, key, value):
+        datagen.generate_dataset(shape, cfg, tmp_path / "d", shape_name="fish")
+        manifest = tmp_path / "d" / "manifest"
+        lines = manifest.read_text().splitlines(keepends=True)
+        manifest.write_text("".join(f"{key}={value}\n" if ln.startswith(f"{key}=") else ln for ln in lines))
+        with pytest.raises(datagen.DatasetError, match=f"manifest: {key} must be"):
+            datagen.load_dataset(tmp_path / "d")
+
     def test_pair_index_out_of_range(self, tmp_path, cfg, shape):
         ds = datagen.generate_dataset(shape, cfg, tmp_path / "d")
         with pytest.raises(IndexError):

@@ -84,12 +84,12 @@ class TestConfig:
 class TestReferenceGrid:
     def test_row_major_unit_box(self):
         grid = model.build_reference_grid(2, (3, 4))
-        assert grid.count == 12
-        np.testing.assert_array_equal(grid.points[0], [-1.0, -1.0])
-        np.testing.assert_array_equal(grid.points[-1], [1.0, 1.0])
+        assert grid.shape == (12, 2)
+        np.testing.assert_array_equal(grid[0], [-1.0, -1.0])
+        np.testing.assert_array_equal(grid[-1], [1.0, 1.0])
         # row-major: the last axis varies fastest
-        np.testing.assert_allclose(grid.points[1], [-1.0, -1.0 + 2.0 / 3])
-        assert np.all(np.abs(grid.points) <= 1.0)
+        np.testing.assert_allclose(grid[1], [-1.0, -1.0 + 2.0 / 3])
+        assert np.all(np.abs(grid) <= 1.0)
 
     def test_resolution_validated(self):
         with pytest.raises(ValueError, match=">= 2"):
@@ -119,8 +119,7 @@ class TestCanonicalOrder:
 def descriptor_env():
     cfg = model.PrNetConfig()
     weights = model.init_weights(cfg, seed=5)
-    grid = model.build_reference_grid(cfg.dim, cfg.grid_shape)
-    return cfg, weights, grid
+    return cfg, weights
 
 
 @pytest.fixture(scope="module")
@@ -135,72 +134,61 @@ def batch_env():
     return weights, src, targets
 
 
-def eval_descriptor(points, grid, weights):
+def eval_descriptor(points, weights):
     """The source descriptor an eval-mode forward computes."""
-    cache = model.prepare_source(points, weights)
-    return model._descriptors([cache.ordered], grid, weights, None)
-
-
-def grid_of(weights):
-    cfg = weights.config
-    return model.build_reference_grid(cfg.dim, cfg.grid_shape)
-
-
-def eval_forward(src, targets, weights):
-    """``forward_shared_source`` of ``src`` against ``targets`` with a fresh cache."""
-    return model.forward_shared_source(model.prepare_source(src, weights), targets, weights, grid_of(weights))
+    ordered, _ = model.prepare_source(points, weights)
+    return model._descriptors([ordered], weights, None)
 
 
 class TestDescriptor:
     def test_shape_and_unit_rows(self, descriptor_env):
-        cfg, weights, grid = descriptor_env
+        cfg, weights = descriptor_env
         pts = np.random.default_rng(0).uniform(-0.9, 0.9, size=(40, 2))
-        sdt = eval_descriptor(pts, grid, weights)
+        sdt = eval_descriptor(pts, weights)
         assert sdt.shape == (cfg.grid_count, cfg.mlp_widths[-1])
         norms = np.linalg.norm(sdt, axis=1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-5)
 
     def test_bitwise_permutation_invariance(self, descriptor_env):
-        _, weights, grid = descriptor_env
+        _, weights = descriptor_env
         rng = np.random.default_rng(1)
         pts = rng.uniform(-0.9, 0.9, size=(64, 2))
-        base = eval_descriptor(pts, grid, weights).tobytes()
+        base = eval_descriptor(pts, weights).tobytes()
         for _ in range(30):
             shuffled = pts[rng.permutation(64)]
-            assert eval_descriptor(shuffled, grid, weights).tobytes() == base
+            assert eval_descriptor(shuffled, weights).tobytes() == base
 
     def test_empty_set_rejected(self, descriptor_env):
-        _, weights, _ = descriptor_env
+        _, weights = descriptor_env
         src = np.zeros((5, 2))
         with pytest.raises(ValueError, match="empty source"):
             model.prepare_source(np.zeros((0, 2)), weights)
         with pytest.raises(ValueError, match="empty target"):
-            eval_forward(src, [src, np.zeros((0, 2))], weights)
+            model.forward_shared_source(src, [src, np.zeros((0, 2))], weights)
 
     def test_dim_mismatch_rejected(self, descriptor_env):
-        _, weights, _ = descriptor_env
+        _, weights = descriptor_env
         with pytest.raises(ValueError, match="dim"):
             model.prepare_source(np.zeros((5, 3)), weights)
         with pytest.raises(ValueError, match="dim"):
-            eval_forward(np.zeros((5, 2)), [np.zeros((5, 3))], weights)
+            model.forward_shared_source(np.zeros((5, 2)), [np.zeros((5, 3))], weights)
 
     def test_coordinates_beyond_the_dtype_range_rejected(self, descriptor_env):
         # float32 tops out near 3.4e38; such a point would turn into inf
         # and then NaN inside the network
-        _, weights, _ = descriptor_env
+        _, weights = descriptor_env
         pts = np.random.default_rng(4).uniform(-0.9, 0.9, size=(8, 2))
         huge = np.vstack([pts, [[1e39, 0.0]]])
         with pytest.raises(ValueError, match="float32 range"):
             model.prepare_source(huge, weights)
         with pytest.raises(ValueError, match="float32 range"):
-            eval_forward(pts, [pts, huge], weights)
+            model.forward_shared_source(pts, [pts, huge], weights)
 
     def test_3d_descriptor_shape(self):
         cfg = model.PrNetConfig.for_dim(3)
         weights = model.init_weights(cfg, seed=6)
-        grid = model.build_reference_grid(3, cfg.grid_shape)
         pts = np.random.default_rng(3).uniform(-0.9, 0.9, size=(32, 3))
-        sdt = eval_descriptor(pts, grid, weights)
+        sdt = eval_descriptor(pts, weights)
         assert sdt.shape == (125, 128)
 
 
@@ -259,17 +247,16 @@ class TestIdentityAtInitialization:
 class TestSharedSourceBatch:
     def test_batched_eval_matches_single_pair(self, batch_env):
         weights, src, targets = batch_env
-        deltas, transformed = eval_forward(src, targets, weights)
+        deltas, transformed = model.forward_shared_source(src, targets, weights)
         assert deltas.shape == (5, 18)
         for i, tgt in enumerate(targets):
-            d_one, t_one = eval_forward(src, [tgt], weights)
+            d_one, t_one = model.forward_shared_source(src, [tgt], weights)
             np.testing.assert_allclose(deltas[i], d_one[0], rtol=1e-4, atol=1e-6)
             np.testing.assert_allclose(transformed[i], t_one[0], rtol=1e-4, atol=1e-6)
 
     def test_train_mode_builds_graph_over_all_pairs(self, batch_env):
         weights, src, targets = batch_env
-        cache = model.prepare_source(src, weights)
-        deltas, transformed = model.train_forward(cache, targets, weights, grid_of(weights))
+        deltas, transformed = model.train_forward(src, targets, weights)
         total = ad.tensor_sum(transformed[0])
         for t in transformed[1:]:
             total = ad.add(total, ad.tensor_sum(t))
@@ -283,16 +270,16 @@ class TestSharedSourceBatch:
         weights, src, _ = batch_env
         rng = np.random.default_rng(43)
         targets = [rng.uniform(-0.9, 0.9, size=(n, 2)) for n in (30, 46, 30)]
-        deltas, transformed = eval_forward(src, targets, weights)
+        deltas, transformed = model.forward_shared_source(src, targets, weights)
         assert deltas.shape == (3, 18)
         assert [t.shape[0] for t in transformed] == [48, 48, 48]
 
     def test_no_targets_rejected(self, batch_env):
         weights, src, _ = batch_env
         with pytest.raises(ValueError, match="no targets"):
-            eval_forward(src, [], weights)
+            model.forward_shared_source(src, [], weights)
         with pytest.raises(ValueError, match="no targets"):
-            model.train_forward(model.prepare_source(src, weights), [], weights, grid_of(weights))
+            model.train_forward(src, [], weights)
 
 
 class TestFullNetworkGradients:
@@ -304,13 +291,11 @@ class TestFullNetworkGradients:
         weights = model.init_weights(cfg, seed=13)
         rng = np.random.default_rng(47)
         randomize_weights(weights, rng)
-        grid = model.build_reference_grid(cfg.dim, cfg.grid_shape)
         src = rng.uniform(-0.9, 0.9, size=(10, 2))
         targets = [rng.uniform(-0.9, 0.9, size=(10, 2)) for _ in range(2)]
-        cache = model.prepare_source(src, weights)
 
         def build():
-            _, transformed = model.train_forward(cache, targets, weights, grid)
+            _, transformed = model.train_forward(src, targets, weights)
             total = losses.gmm_loss(transformed[0], targets[0], 0.5)
             for t, g in zip(transformed[1:], targets[1:]):
                 total = ad.add(total, losses.gmm_loss(t, g, 0.5))
@@ -341,40 +326,39 @@ class TestGraphFreeForward:
         weights = model.init_weights(cfg, seed=17)
         rng = np.random.default_rng(59)
         randomize_weights(weights, rng)
-        grid = model.build_reference_grid(cfg.dim, cfg.grid_shape)
         src = rng.uniform(-0.9, 0.9, size=(12, cfg.dim))
         targets = [rng.uniform(-0.9, 0.9, size=(n, cfg.dim)) for n in (12, 9, 12, 15)]
-        return weights, grid, src, targets
+        return weights, src, targets
 
     @staticmethod
-    def batch_mode(weights, grid, src, targets):
+    def batch_mode(weights, src, targets):
         stats = []
         sets = [model.canonical_order(p) for p in [src, *targets]]
-        desc = model._descriptors(sets, grid, weights, stats)
-        return model._head(desc[:grid.count], desc[grid.count:], weights, stats), stats
+        desc = model._descriptors(sets, weights, stats)
+        g = weights.config.grid_count
+        return model._head(desc[:g], desc[g:], weights, stats), stats
 
     def test_batch_mode_matches_train_route(self, env):
-        weights, grid, src, targets = env
-        cache = model.prepare_source(src, weights)
-        train_deltas, _ = model.train_forward(cache, targets, weights, grid)
-        deltas, stats = self.batch_mode(weights, grid, src, targets)
+        weights, src, targets = env
+        train_deltas, _ = model.train_forward(src, targets, weights)
+        deltas, stats = self.batch_mode(weights, src, targets)
         np.testing.assert_allclose(deltas, train_deltas.data, rtol=1e-4, atol=1e-6)
         assert len(stats) == len(bn_layers(weights))
-        for (m, v), (m2, v2) in zip(stats, model.batch_norm_statistics(targets, weights, grid, cache)):
+        for (m, v), (m2, v2) in zip(stats, model.batch_norm_statistics(src, targets, weights)):
             assert m.tobytes() == m2.tobytes() and v.tobytes() == v2.tobytes()
 
     def test_running_mode_with_batch_statistics_matches_batch_mode(self, env):
-        weights, grid, src, targets = env
-        deltas, stats = self.batch_mode(weights, grid, src, targets)
+        weights, src, targets = env
+        deltas, stats = self.batch_mode(weights, src, targets)
         for layer, (mean, var) in zip(bn_layers(weights), stats):
             layer.bn_state.running_mean = mean
             layer.bn_state.running_var = var
-        eval_deltas, _ = eval_forward(src, targets, weights)
+        eval_deltas, _ = model.forward_shared_source(src, targets, weights)
         np.testing.assert_allclose(eval_deltas, deltas, rtol=1e-4, atol=1e-6)
 
     def test_eval_outputs_carry_no_graph(self, env):
-        weights, _, src, targets = env
-        deltas, transformed = eval_forward(src, targets, weights)
+        weights, src, targets = env
+        deltas, transformed = model.forward_shared_source(src, targets, weights)
         for t in [deltas, *transformed]:
             assert type(t) is np.ndarray
 

@@ -209,12 +209,6 @@ class TestLearnability:
         assert after <= 0.5 * before
 
 
-def recalibrate(batches, weights):
-    cfg = weights.config
-    grid = model.build_reference_grid(cfg.dim, cfg.grid_shape)
-    trainer.recalibrate_batch_norm(batches, weights, grid)
-
-
 def bn_arrays(weights):
     return {k: v.copy() for k, v in weights.named_arrays().items()
             if k.endswith((".bn_mean", ".bn_var"))}
@@ -232,7 +226,7 @@ class TestBatchNormRecalibration:
         train_pairs, _ = trainer.split_pairs(pairs)
         batches = [b for _, b in trainer.epoch_batches(train_pairs, cfg.batch_size, cfg.seed, 3)]
         before = bn_arrays(weights)
-        recalibrate(batches, weights)
+        trainer.recalibrate_batch_norm(batches, weights)
         after = bn_arrays(weights)
         assert before.keys() == after.keys() and len(before) == 2 * 7
         for k in before:
@@ -244,9 +238,9 @@ class TestBatchNormRecalibration:
         batches = [pairs[0:8], pairs[8:16]]
         per_batch = []
         for b in batches:
-            recalibrate([b], weights)
+            trainer.recalibrate_batch_norm([b], weights)
             per_batch.append(bn_arrays(weights))
-        recalibrate(batches, weights)
+        trainer.recalibrate_batch_norm(batches, weights)
         both = bn_arrays(weights)
         for k in both:
             expected = (per_batch[0][k].astype(np.float64) + per_batch[1][k]) / 2
@@ -255,23 +249,26 @@ class TestBatchNormRecalibration:
     def test_statistics_untouched_when_a_forward_raises(self, small_dataset):
         weights = fresh_weights()
         pairs = [small_dataset.load_pair(i) for i in range(small_dataset.pair_count)]
-        recalibrate([pairs[0:8]], weights)
+        trainer.recalibrate_batch_norm([pairs[0:8]], weights)
         before = bn_arrays(weights)
         src = pairs[0][0]
-        bad = [(src, pairs[0][1]), (src, np.zeros((0, 2)))]
-        with pytest.raises(ValueError, match="empty target"):
-            recalibrate([pairs[8:16], bad], weights)
-        after = bn_arrays(weights)
-        for k in before:
-            assert before[k].tobytes() == after[k].tobytes(), k
+        nan_src = src.copy()
+        nan_src[3, 0] = np.nan
+        for bad, match in (([(src, pairs[0][1]), (src, np.zeros((0, 2)))], "empty target"),
+                           ([(nan_src, pairs[0][1]), (nan_src, pairs[1][1])], "must be finite")):
+            with pytest.raises(ValueError, match=match):
+                trainer.recalibrate_batch_norm([pairs[8:16], bad], weights)
+            after = bn_arrays(weights)
+            for k in before:
+                assert before[k].tobytes() == after[k].tobytes(), k
 
     def test_runs_of_one_target_are_skipped(self, small_dataset):
         weights = fresh_weights()
         pairs = [small_dataset.load_pair(i) for i in range(small_dataset.pair_count)]
-        recalibrate([pairs[0:8]], weights)
+        trainer.recalibrate_batch_norm([pairs[0:8]], weights)
         before = bn_arrays(weights)
         lone = (pairs[8][0] * 0.9, pairs[8][1])
-        recalibrate([[lone] + pairs[0:8]], weights)
+        trainer.recalibrate_batch_norm([[lone] + pairs[0:8]], weights)
         after = bn_arrays(weights)
         for k in before:
             assert before[k].tobytes() == after[k].tobytes(), k
@@ -288,7 +285,7 @@ class TestBatchNormRecalibration:
         weights = fresh_weights()
         pairs = [small_dataset.load_pair(i) for i in range(small_dataset.pair_count)]
         before = bn_arrays(weights)
-        recalibrate([pairs[0:8], pairs[8:16]], weights)
+        trainer.recalibrate_batch_norm([pairs[0:8], pairs[8:16]], weights)
         after = bn_arrays(weights)
         assert all(before[k].tobytes() != after[k].tobytes() for k in before)
 
