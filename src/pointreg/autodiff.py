@@ -290,6 +290,22 @@ def row_slice(x: Tensor, start: int, stop: int) -> Tensor:
     return _make_node(out_data, (x,), grad_fn)
 
 
+def concat_rows(parts) -> Tensor:
+    """2-d tensors of equal width stacked by rows; the backward hands each
+    part its slice of the gradient. A single part is returned as it is."""
+    if len(parts) == 1:
+        return parts[0]
+    out_data = np.concatenate([p.data for p in parts])
+    stops = np.cumsum([p.data.shape[0] for p in parts])
+
+    def grad_fn(gradient):
+        for p, stop in zip(parts, stops):
+            if _needs_grad(p):
+                _accumulate(p, gradient[stop - p.data.shape[0]:stop])
+
+    return _make_node(out_data, tuple(parts), grad_fn)
+
+
 # ---------------------------------------------------------------------------
 # linear algebra
 

@@ -84,6 +84,10 @@ class SynthConfig:
 
 _MESH_STRUCTURE = {"f", "l", "vn", "vt", "vp", "o", "g", "s", "usemtl", "mtllib"}
 
+# largest coordinate magnitude a points file may hold: squared distances in
+# 3D stay below 12 * 2**1000, and sums of a million of them stay finite
+MAX_COORDINATE = 2.0 ** 500
+
 
 def load_points_file(path) -> np.ndarray:
     pts = []
@@ -94,9 +98,9 @@ def load_points_file(path) -> np.ndarray:
             if not line:
                 continue
             tokens = line.replace(",", " ").split()
-            if tokens[0] == "v":
+            if tokens[:1] == ["v"]:
                 tokens = tokens[1:]
-            elif tokens[0] in _MESH_STRUCTURE:
+            elif tokens and tokens[0] in _MESH_STRUCTURE:
                 continue
             if len(tokens) not in (2, 3):
                 raise PointFileError(
@@ -108,6 +112,8 @@ def load_points_file(path) -> np.ndarray:
                 raise PointFileError(f"{path}:{lineno}: non-numeric coordinate in {line!r}") from None
             if not all(map(math.isfinite, row)):
                 raise PointFileError(f"{path}:{lineno}: non-finite coordinate in {line!r}")
+            if max(map(abs, row)) > MAX_COORDINATE:
+                raise PointFileError(f"{path}:{lineno}: coordinate beyond {MAX_COORDINATE:.3g} in {line!r}")
             if ncols is None:
                 ncols = len(row)
             elif len(row) != ncols:

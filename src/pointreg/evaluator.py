@@ -64,22 +64,12 @@ class EvaluationSummary:
 
 
 def register(weights, source, target) -> RegistrationResult:
-    """Register one pair with a single forward pass: ``evaluate``'s path
-    with one target.
+    """Register one pair: ``evaluate`` of that one pair.
 
     Inputs are not modified and neither are the weights (evaluation-mode
     batch norm reads, never updates, the running statistics).
     """
-    src = np.asarray(source, dtype=np.float64)
-    tgt = np.asarray(target, dtype=np.float64)
-    [(transformed, theta)], elapsed = _register_group(weights, src, [tgt])
-    return RegistrationResult(
-        transformed=transformed,
-        theta=theta,
-        cd_pre=losses.chamfer_normalized(src, tgt),
-        cd_post=losses.chamfer_normalized(transformed, tgt),
-        elapsed=elapsed,
-    )
+    return evaluate(weights, [(source, target)]).results[0]
 
 
 def _as_pairs(data):
@@ -92,62 +82,47 @@ def _as_pairs(data):
             for s, t in data], "pairs"
 
 
-def _register_group(weights, source, targets):
-    """Register one source against its targets in original coordinates.
-
-    The similarity normalization is fitted on the source, applied to every
-    set before ``model.forward_shared_source`` and inverted on its output.
-    Returns per target ``(transformed, theta)``, with ``theta`` the control
-    points' targets in the network frame, plus the model wall time.
-    """
-    start = time.perf_counter()
-    norm = model.fit_normalizer(source)
-    deltas, transformed = model.forward_shared_source(
-        norm.apply(source), [norm.apply(t) for t in targets], weights
-    )
-    control = tps.make_control_grid(weights.config.dim).points
-    outs = [(norm.invert(out), control + d.reshape(control.shape))
-            for d, out in zip(deltas.astype(np.float64), transformed)]
-    return outs, time.perf_counter() - start
-
-
 def evaluate(weights, data, dataset_id: str = None) -> EvaluationSummary:
     """Register every pair of ``data`` and aggregate Chamfer statistics.
 
     ``data`` is a Dataset, a dataset directory, or a list of (source,
-    target) array pairs. Each run of consecutive pairs sharing a
-    bitwise-identical source goes through ``register``'s path as one
-    batch; results equal registering each pair alone up to rounding, as the
-    head's matrix products, and so their last bits, depend on the batch.
-    ``model_time_s`` excludes dataset loading and metric computation;
-    ``total_time_s`` is the whole call.
+    target) array pairs. Each pair is normalized by a similarity fitted on
+    its own source, around one ``model.forward_shared_source`` of all pairs;
+    a result equals registering the pair alone up to rounding, as the head's
+    matrix products, and so their last bits, depend on the batch.
+    ``model_time_s`` excludes dataset loading and metric computation, and
+    each pair's ``elapsed`` is an equal share of it.
     """
     t0 = time.perf_counter()
     pairs, default_id = _as_pairs(data)
     if not pairs:
         raise ValueError("evaluate: no pairs to evaluate")
-    dim = pairs[0][0].shape[1]
-    if dim != weights.config.dim:
-        raise ValueError(
-            f"evaluate: dimension mismatch, data is {dim}D but the model "
-            f"expects {weights.config.dim}D"
+    dim = weights.config.dim
+    for i, (src, tgt) in enumerate(pairs):
+        if src.ndim != 2 or tgt.ndim != 2 or src.shape[1] != dim or tgt.shape[1] != dim:
+            raise ValueError(f"evaluate: dimension mismatch, pair {i} has sets {src.shape} and {tgt.shape}, "
+                             f"not [N, {dim}]")
+
+    start = time.perf_counter()
+    norms = [model.fit_normalizer(src) for src, _ in pairs]
+    deltas, transformed = model.forward_shared_source(
+        [(n.apply(src), n.apply(tgt)) for n, (src, tgt) in zip(norms, pairs)], weights
+    )
+    control = tps.make_control_grid(dim).points
+    outs = [(n.invert(out), control + d.reshape(control.shape))
+            for n, d, out in zip(norms, deltas.astype(np.float64), transformed)]
+    model_time = time.perf_counter() - start
+
+    results = [
+        RegistrationResult(
+            transformed=out,
+            theta=theta,
+            cd_pre=losses.chamfer_normalized(src, tgt),
+            cd_post=losses.chamfer_normalized(out, tgt),
+            elapsed=model_time / len(pairs),
         )
-
-    results = []
-    model_time = 0.0
-    for src, targets in model.source_runs(pairs):
-        outs, group_time = _register_group(weights, src, targets)
-        model_time += group_time
-        share = group_time / len(targets)
-        for tgt, (transformed, theta) in zip(targets, outs):
-            results.append(RegistrationResult(
-                transformed=transformed,
-                theta=theta,
-                cd_pre=losses.chamfer_normalized(src, tgt),
-                cd_post=losses.chamfer_normalized(transformed, tgt),
-                elapsed=share,
-            ))
-
+        for (src, tgt), (out, theta) in zip(pairs, outs)
+    ]
     pre = np.array([r.cd_pre for r in results])
     post = np.array([r.cd_post for r in results])
     return EvaluationSummary(

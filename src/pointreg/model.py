@@ -11,8 +11,12 @@ Descriptor computation sorts the input points canonically first. Max-pooling
 makes the result mathematically order-free; the sort makes it bitwise
 order-free, which the determinism guarantees elsewhere rely on.
 
-Training throughput note: the MLP rows of every set in a training forward
-(the source and its targets) go through each layer as one stacked matrix
+Every forward takes a list of (source, target) pairs; this module alone
+groups them by source, so that consecutive pairs with one source share its
+descriptor. Each target is correlated against its own source.
+
+Training throughput note: one training forward takes the whole batch. The
+MLP rows of all its sets go through each layer as one stacked matrix
 product under one set of batch statistics. The last and widest layer is
 fused with the max-pool (``autodiff.dense_bn_act_pool``): its statistics
 come from the Gram matrix of its input (64x64 at the default sizes), and its
@@ -29,7 +33,7 @@ import numbers
 import os
 from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
-from itertools import product
+from itertools import groupby, product
 
 import numpy as np
 
@@ -271,7 +275,9 @@ class Normalizer:
     scale: float
 
     def apply(self, points: np.ndarray) -> np.ndarray:
-        return (np.asarray(points, dtype=np.float64) - self.center) * self.scale
+        # a far set may overflow to inf, which the network's input check rejects
+        with np.errstate(over="ignore"):
+            return (np.asarray(points, dtype=np.float64) - self.center) * self.scale
 
     def invert(self, points: np.ndarray) -> np.ndarray:
         return np.asarray(points, dtype=np.float64) / self.scale + self.center
@@ -284,9 +290,11 @@ def fit_normalizer(points, extent: float = 0.9) -> Normalizer:
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise ValueError(f"fit_normalizer: need a nonempty [N, dim] set, got {pts.shape}")
     center = pts.mean(axis=0)
-    spread = np.abs(pts - center).max()
+    spread = float(np.abs(pts - center).max())
     scale = extent / spread if spread > 0 else 1.0
-    return Normalizer(center=center, scale=float(scale))
+    if not math.isfinite(scale):
+        raise ValueError(f"fit_normalizer: spread {spread:.3g} is too small to scale to {extent}")
+    return Normalizer(center=center, scale=scale)
 
 
 # ---------------------------------------------------------------------------
@@ -319,25 +327,6 @@ def _descriptor_rows(point_sets, cfg: PrNetConfig, out=None) -> np.ndarray:
         block[:, :, dim:] = np.asarray(pts, dtype=dtype)
         offset += g * k
     return out
-
-
-def _descriptor_block(ordered_sets, weights: PrNetWeights) -> ad.Tensor:
-    """Training descriptors for pre-sorted sets, stacked as [(num_sets * G), d].
-
-    All sets share a single MLP pass, and so one set of batch statistics.
-    The last layer is ``dense_bn_act_pool``, which pools each set of any
-    size per grid point in the same call, so its ``[rows, d]`` activation
-    is never stored.
-    """
-    cfg = weights.config
-    h = _descriptor_rows(ordered_sets, cfg)
-    *hidden, last = weights.mlp
-    slope = cfg.leaky_slope
-    for layer in hidden:
-        h = ad.dense_bn_act(h, layer.weight, layer.bias, layer.bn_scale, layer.bn_shift, slope)
-    pooled = ad.dense_bn_act_pool(h, last.weight, last.bias, last.bn_scale, last.bn_shift,
-                                  [s.shape[0] for s in ordered_sets], cfg.grid_count, slope)
-    return ad.l2_normalize_rows(pooled)
 
 
 def compute_correlation(f_s: ad.Tensor, f_g_all: ad.Tensor, grid_count: int) -> ad.Tensor:
@@ -446,14 +435,26 @@ def _descriptors(ordered_sets, weights: PrNetWeights, stats) -> np.ndarray:
     return pooled
 
 
-def _head(f_s: np.ndarray, f_g_all: np.ndarray, weights: PrNetWeights, stats) -> np.ndarray:
-    """Control-point displacements ``[B, theta_count*dim]`` from the source
-    descriptor and the stacked target descriptors."""
+def _correlations(desc: ad.Tensor, owners, g: int) -> ad.Tensor:
+    """Each target's correlation tensor against its own source, stacked as
+    ``[B*G, G]``. ``desc`` stacks descriptors of ``G`` rows, first the
+    ``owners[-1] + 1`` sources of ``_source_runs``, then the B targets."""
+    parts, lo = [], owners[-1] + 1
+    for owner, run in groupby(owners):
+        hi = lo + len(list(run))
+        parts.append(compute_correlation(ad.row_slice(desc, owner * g, (owner + 1) * g),
+                                         ad.row_slice(desc, lo * g, hi * g), g))
+        lo = hi
+    return ad.concat_rows(parts)
+
+
+def _head(corr: np.ndarray, weights: PrNetWeights, stats) -> np.ndarray:
+    """Control-point displacements ``[B, theta_count*dim]`` from the stacked
+    correlation tensors ``[B*G, G]`` of ``_correlations``."""
     cfg = weights.config
     g = cfg.grid_count
-    batch = f_g_all.shape[0] // g
-    corr = compute_correlation(ad.Tensor(f_s), ad.Tensor(f_g_all), g)
-    h = corr.data.reshape((batch, g) + cfg.grid_shape)
+    batch = corr.shape[0] // g
+    h = corr.reshape((batch, g) + cfg.grid_shape)
     for layer in weights.convs:
         kd = layer.weight.data
         cols, out_spatial = ad.window_rows(h, kd.shape[2:])
@@ -467,7 +468,7 @@ def _head(f_s: np.ndarray, f_g_all: np.ndarray, weights: PrNetWeights, stats) ->
 # ---------------------------------------------------------------------------
 # full forward
 
-# Targets per graph-free head pass: bounds the conv stage's window rows,
+# Pairs per graph-free inference pass: bounds the conv stage's window rows,
 # which grow with the batch (81 rows of 1089 columns per pair at conv0 of
 # the default 2D net).
 EVAL_CHUNK = 64
@@ -475,38 +476,40 @@ EVAL_CHUNK = 64
 
 def _network_points(points, cfg: PrNetConfig, where: str, role: str) -> np.ndarray:
     """A nonempty ``[N, dim]`` set in the network frame, canonically
-    ordered, whose coordinates fit the network dtype."""
+    ordered, whose coordinates are finite and fit the network dtype."""
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != cfg.dim:
         raise ValueError(f"{where}: {role} points {pts.shape} do not match model dim {cfg.dim}")
     if pts.shape[0] == 0:
         raise ValueError(f"{where}: empty {role} set")
     peak = np.abs(pts).max()
+    if np.isnan(peak):
+        raise ValueError(f"{where}: {role} coordinates must be finite, got NaN")
     if peak > np.finfo(cfg.np_dtype()).max:
         raise ValueError(f"{where}: {role} coordinate of magnitude {peak:.3g} in the network "
                          f"frame exceeds the {cfg.dtype} range")
     return canonical_order(pts)
 
 
-def _network_targets(targets, cfg: PrNetConfig, where: str) -> list:
-    if len(targets) == 0:
-        raise ValueError(f"{where}: no targets")
-    return [_network_points(t, cfg, where, "target") for t in targets]
+def _source_runs(pairs, cfg: PrNetConfig, where: str) -> tuple:
+    """``(sources, owners, targets)`` of a nonempty list of ``(source,
+    target)`` pairs.
 
-
-def source_runs(pairs) -> list:
-    """``(source, [targets])`` for each run of consecutive ``(source,
-    target)`` pairs whose sources are bitwise identical: the unit that
-    shares one forward."""
-    runs = []
-    key = None
-    for src, tgt in pairs:
-        if runs and src.tobytes() == key:
-            runs[-1][1].append(tgt)
-        else:
-            key = src.tobytes()
-            runs.append((src, [tgt]))
-    return runs
+    Consecutive pairs whose sources are bitwise identical form a run, which
+    shares one source descriptor: ``sources`` holds each run's source once,
+    as given, and ``owners[i]`` indexes pair ``i``'s source in it.
+    ``targets`` are the pairs' targets, checked and canonically ordered.
+    """
+    if len(pairs) == 0:
+        raise ValueError(f"{where}: no pairs")
+    sources, owners, key = [], [], None
+    for src, _ in pairs:
+        src = np.asarray(src, dtype=np.float64)
+        if (src.shape, src.tobytes()) != key:
+            key = (src.shape, src.tobytes())
+            sources.append(src)
+        owners.append(len(sources) - 1)
+    return sources, owners, [_network_points(t, cfg, where, "target") for _, t in pairs]
 
 
 def prepare_source(source, weights: PrNetWeights) -> tuple:
@@ -517,53 +520,70 @@ def prepare_source(source, weights: PrNetWeights) -> tuple:
     return src, tps.tps_basis(tps.make_control_grid(weights.config.dim), src)
 
 
-def forward_shared_source(source, targets, weights: PrNetWeights):
-    """Inference for ``source`` against ``targets`` (point sets): the one
-    path by which ``evaluator.register``, ``evaluator.evaluate`` and
-    ``trainer.validation_cd`` run the network.
+def forward_shared_source(pairs, weights: PrNetWeights):
+    """Inference for a list of ``(source, target)`` pairs of point sets: the
+    one path by which ``evaluator.evaluate`` and ``trainer.validation_cd``
+    run the network.
 
     Returns plain arrays ``(deltas, transformed)``: the ``[B,
     theta_count*dim]`` predicted control-point displacements in the network
-    dtype, and per target the warped, canonically ordered source as
+    dtype, and per pair the warped, canonically ordered source as
     ``basis @ (delta + theta0)`` in float64. Coordinates are taken as
     already being in the network frame; the evaluator fits and inverts the
     similarity normalization around this call.
 
-    Graph-free, with every batch norm by its running statistics. The source
-    descriptor is computed once per call; the targets go through the head
-    ``EVAL_CHUNK`` at a time.
+    Graph-free, with every batch norm by its running statistics. The pairs
+    go through ``EVAL_CHUNK`` at a time; in a chunk, each run of pairs with
+    one source (``_source_runs``) computes its descriptor and basis once.
     """
     cfg = weights.config
-    src, basis = prepare_source(source, weights)
-    ordered = _network_targets(targets, cfg, "forward_shared_source")
-    sdt = _descriptors([src], weights, None)
-    deltas = np.concatenate([
-        _head(sdt, _descriptors(ordered[lo:lo + EVAL_CHUNK], weights, None), weights, None)
-        for lo in range(0, len(ordered), EVAL_CHUNK)
-    ])
-    thetas = deltas + tps.make_control_grid(cfg.dim).points.astype(deltas.dtype).reshape(1, -1)
-    # theta is exact at identity, so with the full-precision basis the
-    # transform round-trips to solver precision, not the network dtype's
-    return deltas, [basis @ theta.reshape(cfg.theta_count, cfg.dim) for theta in thetas]
+    deltas, transformed = [], []
+    theta0 = tps.make_control_grid(cfg.dim).points.reshape(1, -1)
+    # an empty list still makes one pass, in which _source_runs rejects it
+    for lo in range(0, max(len(pairs), 1), EVAL_CHUNK):
+        sources, owners, targets = _source_runs(pairs[lo:lo + EVAL_CHUNK], cfg, "forward_shared_source")
+        prepared = [prepare_source(s, weights) for s in sources]
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught below
+            desc = _descriptors([src for src, _ in prepared] + targets, weights, None)
+            chunk = _head(_correlations(ad.Tensor(desc), owners, cfg.grid_count).data, weights, None)
+        bad = np.flatnonzero(~np.isfinite(chunk).all(axis=1))
+        if bad.size:  # coordinates in the dtype's range can still overflow the network
+            raise ValueError(f"forward_shared_source: pair {lo + bad[0]} overflows the {cfg.dtype} network")
+        # theta is exact at identity, so with the full-precision basis the
+        # transform round-trips to solver precision, not the network dtype's
+        thetas = chunk + theta0.astype(chunk.dtype)
+        transformed += [prepared[o][1] @ theta.reshape(cfg.theta_count, cfg.dim)
+                        for o, theta in zip(owners, thetas)]
+        deltas.append(chunk)
+    return np.concatenate(deltas), transformed
 
 
-def train_forward(source, targets, weights: PrNetWeights):
-    """The training forward of ``source`` against ``targets``: the network
-    of ``forward_shared_source``, recorded as an autodiff graph and
+def train_forward(pairs, weights: PrNetWeights):
+    """The training forward of a batch of ``(source, target)`` pairs: the
+    network of ``forward_shared_source``, recorded as an autodiff graph and
     normalized by batch statistics. Only the trainer calls it.
 
-    The source goes through the MLP in the same batch as the targets, so
-    its descriptor sees their batch statistics. Returns tensors ``(deltas,
-    transformed)``; the transform uses the basis in the network dtype.
+    One forward for the whole batch: its sources (one per run of
+    ``_source_runs``) and targets share the MLP's batch statistics, and the
+    head's statistics span all its pairs, so it needs two or more. Returns
+    tensors ``(deltas, transformed)``; the transform uses the basis in the
+    network dtype.
     """
     cfg = weights.config
-    src, basis = prepare_source(source, weights)
-    ordered = _network_targets(targets, cfg, "train_forward")
-    batch = len(ordered)
+    sources, owners, targets = _source_runs(pairs, cfg, "train_forward")
+    prepared = [prepare_source(s, weights) for s in sources]
+    batch = len(targets)
     g = cfg.grid_count
-    desc = _descriptor_block([src] + ordered, weights)
-    corr = compute_correlation(ad.row_slice(desc, 0, g), ad.row_slice(desc, g, (1 + batch) * g), g)
-    h = ad.reshape(corr, (batch, g) + cfg.grid_shape)
+    sets = [src for src, _ in prepared] + targets
+    # one MLP pass over every set, under one set of batch statistics; the
+    # last layer pools each set per grid point and never stores its rows
+    h = _descriptor_rows(sets, cfg)
+    *hidden, last = weights.mlp
+    for layer in hidden:
+        h = ad.dense_bn_act(h, layer.weight, layer.bias, layer.bn_scale, layer.bn_shift, cfg.leaky_slope)
+    desc = ad.l2_normalize_rows(ad.dense_bn_act_pool(h, last.weight, last.bias, last.bn_scale, last.bn_shift,
+                                                     [s.shape[0] for s in sets], g, cfg.leaky_slope))
+    h = ad.reshape(_correlations(desc, owners, g), (batch, g) + cfg.grid_shape)
     for layer in weights.convs:
         h = ad.conv_bn_act_batch(h, layer.weight, layer.bias, layer.bn_scale, layer.bn_shift,
                                  cfg.leaky_slope)
@@ -573,26 +593,26 @@ def train_forward(source, targets, weights: PrNetWeights):
     deltas = ad.linear(h, weights.out.weight, weights.out.bias)
 
     theta0 = tps.make_control_grid(cfg.dim).points.astype(deltas.data.dtype).reshape(1, -1)
-    basis = ad.Tensor(basis.astype(cfg.np_dtype()))
+    bases = [ad.Tensor(basis.astype(cfg.np_dtype())) for _, basis in prepared]
     transformed = []
-    for i in range(batch):
+    for i, owner in enumerate(owners):
         theta_i = ad.reshape(ad.add(ad.row_slice(deltas, i, i + 1), theta0), (cfg.theta_count, cfg.dim))
-        transformed.append(ad.matmul(basis, theta_i))
+        transformed.append(ad.matmul(bases[owner], theta_i))
     return deltas, transformed
 
 
-def batch_norm_statistics(source, targets, weights: PrNetWeights) -> list:
+def batch_norm_statistics(pairs, weights: PrNetWeights) -> list:
     """``(mean, var)`` of every batch-norm layer, in layer order (MLP,
-    convs, fc1), as ``train_forward`` of ``source`` against ``targets``
-    computes them; with no graph and no transform, so no warp basis."""
+    convs, fc1), as ``train_forward`` of the same pairs computes them; with
+    no graph and no transform, so no warp basis."""
     cfg = weights.config
+    sources, owners, targets = _source_runs(pairs, cfg, "batch_norm_statistics")
+    if len(targets) < 2:
+        raise ValueError("batch_norm_statistics: fc1's batch norm needs two or more pairs, got 1")
     stats = []
-    src = _network_points(source, cfg, "batch_norm_statistics", "source")
-    if not np.isfinite(src).all():  # the forwards' tps_basis rejects such a source
-        raise ValueError("batch_norm_statistics: source coordinates must be finite")
-    ordered = _network_targets(targets, cfg, "batch_norm_statistics")
-    desc = _descriptors([src] + ordered, weights, stats)
-    _head(desc[:cfg.grid_count], desc[cfg.grid_count:], weights, stats)
+    sets = [_network_points(s, cfg, "batch_norm_statistics", "source") for s in sources]
+    desc = _descriptors(sets + targets, weights, stats)
+    _head(_correlations(ad.Tensor(desc), owners, cfg.grid_count).data, weights, stats)
     return stats
 
 

@@ -1,18 +1,20 @@
 """Training loop for the registration network.
 
 Per epoch: seeded shuffle, mini-batches of pairs, mean symmetric GMM loss
-per batch backpropagated through ``model.train_forward``, Adam with
-a per-epoch decayed learning rate. The mixture bandwidth sigma anneals per optimizer
-step (max(initial/sqrt(step), floor)), so the coarse phase lasts on the
-order of a hundred batches and most of training runs at the floor. Every
+per batch backpropagated through one ``model.train_forward`` of the whole
+batch, whatever its pairs' sources, Adam with a per-epoch decayed learning
+rate. The mixture bandwidth sigma anneals per optimizer step
+(max(initial/sqrt(step), floor)), so the coarse phase lasts on the order of
+a hundred batches and most of training runs at the floor. Every
 piece of randomness is derived from (seed, epoch), so a run can be
 reproduced or resumed from a checkpoint without replaying earlier epochs.
 
 Training normalises by batch statistics only. The running statistics that
 eval mode reads are computed at the end of every epoch from the weights as
 they now stand, frozen, over that epoch's batches ("precise BN", Wu &
-Johnson, arXiv 2105.07576), by a graph-free forward; validation, the
-``log`` callback and the checkpoint all see those statistics.
+Johnson, arXiv 2105.07576), by one graph-free forward per batch;
+validation, the ``log`` callback and the checkpoint all see those
+statistics.
 """
 
 from __future__ import annotations
@@ -163,26 +165,16 @@ def _load_pairs(data, dim: int):
     return pairs
 
 
-def _trainable_runs(batch):
-    """The source runs of ``batch`` (``model.source_runs``) that can train:
-    those of two or more targets. fc1's batch norm sees one row per target,
-    and cannot run on one, so a run of one is skipped, as ``epoch_batches``
-    skips a one-pair batch."""
-    return [run for run in prnet.source_runs(batch) if len(run[1]) >= 2]
-
-
-def _train_batch(runs, weights, sigma, state):
-    """One optimizer step on ``runs``, from ``_trainable_runs``. Returns
-    the symmetric GMM loss averaged over their pairs, and their count."""
+def _train_batch(batch, weights, sigma, state):
+    """One optimizer step on ``batch``, a list of pairs, by one
+    ``model.train_forward``. Returns the symmetric GMM loss averaged over
+    its pairs."""
+    _, transformed = prnet.train_forward(batch, weights)
     total = None
-    count = 0
-    for src, targets in runs:
-        _, transformed = prnet.train_forward(src, targets, weights)
-        for t, g in zip(transformed, targets):
-            term = losses.gmm_loss_symmetric(t, g, sigma)
-            total = term if total is None else ad.add(total, term)
-        count += len(targets)
-    loss = ad.scale(total, 1.0 / count)
+    for t, (_, g) in zip(transformed, batch):
+        term = losses.gmm_loss_symmetric(t, g, sigma)
+        total = term if total is None else ad.add(total, term)
+    loss = ad.scale(total, 1.0 / len(batch))
     loss.backward()
     value = float(loss.data)
     ad.recycle_graph(loss)
@@ -190,7 +182,7 @@ def _train_batch(runs, weights, sigma, state):
     if math.isfinite(value):
         ad.adam_step(params, state)
     ad.zero_grads(params, recycle=True)
-    return value, count
+    return value
 
 
 def split_pairs(pairs):
@@ -218,11 +210,10 @@ def recalibrate_batch_norm(batches, weights) -> None:
     """Recompute every batch-norm running mean and variance from the current,
     frozen weights ("precise BN").
 
-    For each source run of ``batches`` (lists of pairs) that training
-    uses (``_trainable_runs``), takes the batch statistics the training
-    forward would see, from the graph-free forward with no transform
-    (``model.batch_norm_statistics``). Each running statistic becomes the
-    plain mean, in float64, of its per-run values.
+    For each of ``batches`` (lists of two or more pairs), takes the batch
+    statistics the training forward would see, from the graph-free forward
+    with no transform (``model.batch_norm_statistics``). Each running
+    statistic becomes the plain mean, in float64, of its per-batch values.
     All are written at the end, so a forward that raises leaves every one
     untouched.
     """
@@ -230,11 +221,10 @@ def recalibrate_batch_norm(batches, weights) -> None:
     sums = [np.zeros((2,) + layer.bias.data.shape) for layer in layers]
     count = 0
     for batch in batches:
-        for src, targets in _trainable_runs(batch):
-            for acc, (mean, var) in zip(sums, prnet.batch_norm_statistics(src, targets, weights)):
-                acc[0] += mean
-                acc[1] += var
-            count += 1
+        for acc, (mean, var) in zip(sums, prnet.batch_norm_statistics(batch, weights)):
+            acc[0] += mean
+            acc[1] += var
+        count += 1
     if count:
         for layer, acc in zip(layers, sums):
             st = layer.bn_state
@@ -247,11 +237,8 @@ def validation_cd(pairs, weights) -> float:
     ``model.forward_shared_source``, the path ``evaluator.evaluate`` runs."""
     if not pairs:
         return float("nan")
-    cds = []
-    for src, targets in prnet.source_runs(pairs):
-        _, transformed = prnet.forward_shared_source(src, targets, weights)
-        cds.extend(losses.chamfer_normalized(t, g) for t, g in zip(transformed, targets))
-    return float(np.mean(cds))
+    _, transformed = prnet.forward_shared_source(pairs, weights)
+    return float(np.mean([losses.chamfer_normalized(t, g) for t, (_, g) in zip(transformed, pairs)]))
 
 
 def train(cfg: TrainConfig, data, weights, adam_state: ad.AdamState = None,
@@ -265,10 +252,10 @@ def train(cfg: TrainConfig, data, weights, adam_state: ad.AdamState = None,
     shuffling draws from ``(seed, epoch)``, lr is closed-form in the epoch,
     and sigma is closed-form in the checkpointed optimizer step count.
 
-    A batch trains on its runs of two or more consecutive pairs sharing a
-    source; a pair whose source neither neighbour shares is skipped, since
-    batch norm cannot normalize its one row, and an epoch in which nothing
-    is left raises ``ValueError``.
+    Each batch is one forward of all of its pairs, whatever their sources.
+    Batch norm cannot normalise one pair, so fewer than two training pairs
+    raise ``ValueError`` before the first epoch, and ``epoch_batches`` skips
+    a trailing batch of one.
 
     Each epoch ends with ``recalibrate_batch_norm`` over that epoch's
     batches, so the running statistics are recomputed from the frozen
@@ -278,8 +265,9 @@ def train(cfg: TrainConfig, data, weights, adam_state: ad.AdamState = None,
     """
     pairs = _load_pairs(data, weights.config.dim)
     train_pairs, val_pairs = split_pairs(pairs)
-    if not train_pairs:
-        raise ValueError(f"train: no training pairs (dataset has {len(pairs)})")
+    if len(train_pairs) < 2:
+        raise ValueError(f"train: {len(train_pairs)} training pairs (dataset has {len(pairs)}); "
+                         "batch norm needs two or more")
 
     state = adam_state if adam_state is not None else ad.init_adam(
         weights.params(), learning_rate=cfg.learning_rate, decay=cfg.lr_decay
@@ -292,35 +280,24 @@ def train(cfg: TrainConfig, data, weights, adam_state: ad.AdamState = None,
         lr = ad.effective_lr(state)
         batches = list(epoch_batches(train_pairs, cfg.batch_size, cfg.seed, epoch))
         loss_sum = 0.0
-        counted = 0
         for batch_no, batch in batches:
-            runs = _trainable_runs(batch)
-            if not runs:
-                continue
             # the annealing index is the global optimizer step, so the
             # bandwidth narrows within the first epochs and survives resume
             # through the checkpointed step count
             sigma = losses.sigma_at(schedule, state.step_count + 1)
-            value, trained = _train_batch(runs, weights, sigma, state)
+            value = _train_batch(batch, weights, sigma, state)
             if not math.isfinite(value):
                 raise TrainingDivergedError(
                     f"non-finite loss {value} at epoch {epoch}, batch {batch_no}, "
                     f"sigma={sigma}, lr={lr}"
                 )
-            loss_sum += value * trained
-            counted += trained
-        if not counted:
-            raise ValueError(
-                f"train: in epoch {epoch}, no batch of {cfg.batch_size} from "
-                f"{len(train_pairs)} training pairs holds two consecutive pairs "
-                "that share a source, which batch norm needs"
-            )
+            loss_sum += value * len(batch)
         recalibrate_batch_norm((b for _, b in batches), weights)
         stats = EpochStats(
             epoch=epoch,
             sigma=float(losses.sigma_at(schedule, max(state.step_count, 1))),
             lr=float(lr),
-            train_loss=loss_sum / counted,
+            train_loss=loss_sum / sum(len(b) for _, b in batches),
             val_cd=validation_cd(val_pairs, weights),
         )
         history.append(stats)

@@ -533,6 +533,33 @@ class TestBlockColumnNormalize:
             ad.l2_normalize_block_cols(f64(rng.normal(size=(7, 2))), block_rows=3)
 
 
+class TestConcatRows:
+    def test_stacks_parts_in_order(self, rng):
+        parts = [f64(rng.normal(size=(n, 3))) for n in (2, 5, 1)]
+        out = ad.concat_rows(parts)
+        np.testing.assert_array_equal(out.data, np.vstack([p.data for p in parts]))
+
+    def test_single_part_is_returned_as_is(self, rng):
+        x = f64(rng.normal(size=(4, 3)), requires_grad=True)
+        assert ad.concat_rows([x]) is x
+
+    def test_gradients_match_finite_differences(self, rng):
+        # the middle part is a constant, so the backward must skip it
+        a = f64(rng.normal(size=(3, 4)), requires_grad=True)
+        b = f64(rng.normal(size=(2, 4)))
+        c = f64(rng.normal(size=(4, 4)), requires_grad=True)
+        weight = rng.normal(size=(9, 4))
+        assert_grads_match(
+            lambda: ad.tensor_sum(ad.l2_normalize_rows(ad.add(ad.concat_rows([a, b, c]), weight))),
+            [a, c],
+        )
+        assert b.grad is None
+
+    def test_widths_must_agree(self, rng):
+        with pytest.raises(ValueError):
+            ad.concat_rows([f64(rng.normal(size=(2, 3))), f64(rng.normal(size=(2, 4)))])
+
+
 class TestLogSumExp:
     def test_two_zeros(self):
         out = ad.log_sum_exp(f64([0.0, 0.0]), axis=0)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pointreg import cli, datagen, model, trainer
@@ -262,8 +262,8 @@ class TestPipeline:
 
 class TestTrainInputs:
     def test_source_shared_by_no_neighbour_trains(self, capsys, tmp_path):
-        # pair 3's source is its own, so it forms a source run of one
-        # target, which fc1's batch norm cannot take: the run is skipped
+        # pair 3's source is its own; it trains in one forward with the
+        # rest of its batch
         data = tmp_path / "data"
         assert cli.main(["synth", "--count", "8", "--points", "48", "--level", "0.4",
                          "--seed", "2", "--out", str(data)]) == 0
@@ -399,7 +399,7 @@ class TestOutOfRangePoints:
         src = tmp_path / "src"
         datagen.save_points_file(src, datagen.sample_shape("fish", 20))
         tgt = tmp_path / "tgt"
-        tgt.write_text(src.read_text() + "1e300 0\n")
+        tgt.write_text(src.read_text() + "1e100 0\n")
         out_points = tmp_path / "warped"
         code, out, err = run(capsys, "register", "--model", str(ckpt), "--src", str(src),
                              "--tgt", str(tgt), "--out-points", str(out_points))
@@ -415,7 +415,7 @@ class TestOutOfRangePoints:
         assert cli.main(["synth", "--count", "3", "--points", "30",
                          "--seed", "5", "--out", str(data)]) == 0
         bad = data / "pair_000001_tgt"
-        bad.write_text("1e300 0.0\n" + bad.read_text())
+        bad.write_text("1e100 0.0\n" + bad.read_text())
         report = tmp_path / "r.csv"
         code, _, err = run(capsys, "eval", "--model", str(ckpt), "--data", str(data),
                            "--report", str(report))
@@ -697,3 +697,61 @@ class TestFuzzedManifestAndConfig:
     @settings(max_examples=50, deadline=None)
     def test_train(self, fuzz_env, manifest, config):
         self.check(fuzz_env, "train", manifest, config)
+
+
+# a points-file token: any float, an integer, a word the reader knows, or
+# short text; a line is a few tokens under any separator, with an optional
+# vertex prefix or trailing comment
+_POINT_TOKEN = st.one_of(
+    st.floats().map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["nan", "-inf", "1e400", "1e-320", "0x1p3", "1_0", "v", "f", "vn", "#", ",", ""]),
+    st.text(alphabet="0123456789.e+-, \tv#x", max_size=5),
+)
+_POINT_LINE = st.builds(
+    lambda prefix, tokens, sep, comment: prefix + sep.join(tokens) + comment,
+    st.sampled_from(["", "", "v ", "  "]),
+    st.lists(_POINT_TOKEN, max_size=4),
+    st.sampled_from([" ", " ", ",", "\t", ", "]),
+    st.sampled_from(["", "", "", " # note"]),
+)
+_POINTS_TEXT = st.lists(_POINT_LINE, max_size=8).map(lambda lines: "".join(ln + "\n" for ln in lines))
+
+
+class TestFuzzedPointsFiles:
+    """Whatever the text of a points file, ``register`` and ``eval`` exit 0,
+    or exit 1 with one ``error:`` line; never with a traceback. The fuzzed
+    text replaces the source or the target of a valid pair."""
+
+    @staticmethod
+    def check(argv):
+        code, _, err = _main_output(argv)
+        assert code in (0, 1), err
+        errors = [ln for ln in err.splitlines() if ln.startswith("error: ")]
+        assert len(errors) == (code == 1), err
+
+    @given(text=_POINTS_TEXT, role=st.sampled_from(["src", "tgt"]))
+    @example(text="1e-320 0\n0 0\n", role="src")  # a subnormal spread
+    @example(text="1e200 0\n0 0\n", role="tgt")  # squared distances overflow
+    @example(text="3e38 0\n", role="tgt")  # in the float32 range, overflows the network
+    @example(text=",\n", role="src")  # a line of separators alone
+    @settings(max_examples=100, deadline=None)
+    def test_register(self, fuzz_env, text, role):
+        data, ckpt = fuzz_env
+        with tempfile.TemporaryDirectory() as tmp:
+            files = {r: Path(tmp) / r for r in ("src", "tgt")}
+            for r, path in files.items():
+                shutil.copyfile(data / f"pair_000000_{r}", path)
+            files[role].write_text(text, encoding="utf-8")
+            self.check(["register", "--model", str(ckpt), "--src", str(files["src"]),
+                        "--tgt", str(files["tgt"]), "--out-points", str(Path(tmp) / "out")])
+
+    @given(text=_POINTS_TEXT, role=st.sampled_from(["src", "tgt"]))
+    @settings(max_examples=60, deadline=None)
+    def test_eval(self, fuzz_env, text, role):
+        data, ckpt = fuzz_env
+        with tempfile.TemporaryDirectory() as tmp:
+            shutil.copytree(data, Path(tmp) / "d")
+            (Path(tmp) / "d" / f"pair_000001_{role}").write_text(text, encoding="utf-8")
+            self.check(["eval", "--model", str(ckpt), "--data", str(Path(tmp) / "d"),
+                        "--report", str(Path(tmp) / "r.csv")])

@@ -115,6 +115,24 @@ class TestPointFiles:
         with pytest.raises(datagen.PointFileError, match=r"p\.txt:2: non-finite"):
             datagen.load_points_file(path)
 
+    def test_coordinate_beyond_the_limit_reported_with_line(self, tmp_path):
+        # the squared distance of two points at the limit, in 3D, is finite;
+        # one at 1e200 would overflow the chamfer statistics
+        path = tmp_path / "p.txt"
+        path.write_text(f"{datagen.MAX_COORDINATE!r} 0 0\n0 0 {-datagen.MAX_COORDINATE!r}\n")
+        pts = datagen.load_points_file(path)
+        assert np.isfinite(losses.chamfer(pts, -pts))
+        path.write_text("1.0 2.0\n3.0 -1e200\n")
+        with pytest.raises(datagen.PointFileError, match=r"p\.txt:2: coordinate beyond"):
+            datagen.load_points_file(path)
+
+    @pytest.mark.parametrize("text", [",\n", " , ,\n", "v\n"])
+    def test_line_without_coordinates_rejected(self, tmp_path, text):
+        path = tmp_path / "p.txt"
+        path.write_text("1.0 2.0\n" + text)
+        with pytest.raises(datagen.PointFileError, match=r":2: expected 2 or 3 coordinates, got 0"):
+            datagen.load_points_file(path)
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "p.txt"
         path.write_text("# nothing here\n")

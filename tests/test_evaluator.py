@@ -72,10 +72,12 @@ class TestRegister:
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            evaluator.register(
-                identity_weights(), rng.normal(size=(10, 3)), rng.normal(size=(10, 3))
-            )
+        good = rng.normal(size=(10, 2))
+        for src, tgt in ((rng.normal(size=(10, 3)), rng.normal(size=(10, 3))),
+                         (np.zeros(5), np.zeros(5)), (good, np.zeros(5)),
+                         (good, rng.normal(size=(10, 3))), (rng.normal(size=(10, 1)), good)):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                evaluator.register(identity_weights(), src, tgt)
 
 
 class TestEvaluate:
@@ -122,6 +124,21 @@ class TestEvaluate:
             assert np.allclose(r.transformed, single.transformed, rtol=1e-3, atol=1e-6)
             assert np.isclose(r.cd_post, single.cd_post, rtol=1e-2, atol=1e-8)
 
+    def test_mixed_sources_match_single_pair_register(self, fish_pairs, monkeypatch):
+        # runs of shared and of own sources, in chunks of three pairs that
+        # split the runs; each pair is normalized by and warps its own source
+        monkeypatch.setattr(model, "EVAL_CHUNK", 3)
+        weights = randomized_weights()
+        scales = (1.0, 1.0, 1.3, 1.0, 0.8, 0.8, 0.8, 1.1, 1.0, 1.0)
+        pairs = [(src * k + (k - 1.0), tgt) for (src, tgt), k in zip(fish_pairs, scales)]
+        summary = evaluator.evaluate(weights, pairs)
+        assert summary.pair_count == len(pairs)
+        for (src, tgt), r in zip(pairs, summary.results):
+            single = evaluator.register(weights, src, tgt)
+            np.testing.assert_allclose(r.transformed, single.transformed, rtol=1e-4, atol=1e-6)
+            np.testing.assert_allclose(r.theta, single.theta, rtol=1e-4, atol=1e-6)
+            assert r.cd_pre == single.cd_pre
+
     def test_per_pair_times_cover_the_total(self, fish_pairs):
         summary = evaluator.evaluate(randomized_weights(), fish_pairs)
         assert sum(r.elapsed for r in summary.results) == pytest.approx(
@@ -146,10 +163,15 @@ class TestEvaluate:
             evaluator.evaluate(identity_weights(), [])
 
     def test_dimension_mismatch(self):
+        # every set is checked, not only the first pair's source
         rng = np.random.default_rng(1)
-        pairs = [(rng.normal(size=(12, 3)), rng.normal(size=(12, 3)))]
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            evaluator.evaluate(identity_weights(), pairs)
+        good = (rng.normal(size=(12, 2)), rng.normal(size=(12, 2)))
+        for bad in ((rng.normal(size=(12, 3)), rng.normal(size=(12, 3))),
+                    (np.zeros(5), np.zeros(5)), (good[0], np.zeros(5)),
+                    (good[0], rng.normal(size=(12, 3))), (rng.normal(size=(12, 4)), good[1])):
+            for pairs in ([bad], [good, bad]):
+                with pytest.raises(ValueError, match="dimension mismatch"):
+                    evaluator.evaluate(identity_weights(), pairs)
 
     def test_deformation_sweep_trend(self):
         # an identity model scores cd_post == cd_pre, so the sweep reduces to

@@ -164,14 +164,14 @@ class TestDescriptor:
         with pytest.raises(ValueError, match="empty source"):
             model.prepare_source(np.zeros((0, 2)), weights)
         with pytest.raises(ValueError, match="empty target"):
-            model.forward_shared_source(src, [src, np.zeros((0, 2))], weights)
+            model.forward_shared_source([(src, src), (src, np.zeros((0, 2)))], weights)
 
     def test_dim_mismatch_rejected(self, descriptor_env):
         _, weights = descriptor_env
         with pytest.raises(ValueError, match="dim"):
             model.prepare_source(np.zeros((5, 3)), weights)
         with pytest.raises(ValueError, match="dim"):
-            model.forward_shared_source(np.zeros((5, 2)), [np.zeros((5, 3))], weights)
+            model.forward_shared_source([(np.zeros((5, 2)), np.zeros((5, 3)))], weights)
 
     def test_coordinates_beyond_the_dtype_range_rejected(self, descriptor_env):
         # float32 tops out near 3.4e38; such a point would turn into inf
@@ -182,7 +182,28 @@ class TestDescriptor:
         with pytest.raises(ValueError, match="float32 range"):
             model.prepare_source(huge, weights)
         with pytest.raises(ValueError, match="float32 range"):
-            model.forward_shared_source(pts, [pts, huge], weights)
+            model.forward_shared_source([(pts, pts), (pts, huge)], weights)
+
+    @pytest.mark.parametrize("forward", ["forward_shared_source", "train_forward", "batch_norm_statistics"])
+    @pytest.mark.parametrize("bad,match", [(np.nan, "must be finite"), (np.inf, "float32 range")])
+    def test_non_finite_coordinates_rejected(self, descriptor_env, forward, bad, match):
+        # NaN compares false with the dtype's range, so it needs a check of
+        # its own; without one it would flow through to NaN deltas
+        _, weights = descriptor_env
+        pts = np.random.default_rng(5).uniform(-0.9, 0.9, size=(8, 2))
+        poisoned = pts.copy()
+        poisoned[3, 1] = bad
+        for pairs, role in (([(poisoned, pts), (poisoned, pts)], "source"),
+                            ([(pts, pts), (pts, poisoned)], "target")):
+            with pytest.raises(ValueError, match=f"{role} coordinate.*{match}"):
+                getattr(model, forward)(pairs, weights)
+
+    def test_overflow_inside_the_network_rejected(self, descriptor_env):
+        # 3e38 fits float32, but the first layer's products do not
+        _, weights = descriptor_env
+        pts = np.random.default_rng(6).uniform(-0.9, 0.9, size=(8, 2))
+        with pytest.raises(ValueError, match="pair 1 overflows the float32 network"):
+            model.forward_shared_source([(pts, pts), (pts, np.array([[3e38, 0.0]]))], weights)
 
     def test_3d_descriptor_shape(self):
         cfg = model.PrNetConfig.for_dim(3)
@@ -190,6 +211,25 @@ class TestDescriptor:
         pts = np.random.default_rng(3).uniform(-0.9, 0.9, size=(32, 3))
         sdt = eval_descriptor(pts, weights)
         assert sdt.shape == (125, 128)
+
+
+class TestNormalizer:
+    def test_unit_box_extent(self):
+        pts = np.array([[1.0, 3.0], [5.0, -1.0], [3.0, 1.0]])
+        norm = model.fit_normalizer(pts)
+        np.testing.assert_allclose(np.abs(norm.apply(pts)).max(), 0.9)
+        np.testing.assert_allclose(norm.invert(norm.apply(pts)), pts)
+
+    def test_subnormal_spread_rejected(self):
+        # 0.9 / 5e-321 overflows; the set cannot be scaled into the box
+        with pytest.raises(ValueError, match="too small to scale"):
+            model.fit_normalizer(np.array([[1e-320, 0.0], [0.0, 0.0]]))
+
+    def test_far_set_becomes_inf_without_warning(self):
+        # the network's input check rejects the inf; the suite turns any
+        # RuntimeWarning into an error, so none may be raised on the way
+        norm = model.fit_normalizer(np.array([[1e-300, 0.0], [0.0, 0.0]]))
+        assert np.isinf(norm.apply(np.array([[1e150, 0.0]]))[0, 0])
 
 
 class TestCorrelation:
@@ -247,16 +287,31 @@ class TestIdentityAtInitialization:
 class TestSharedSourceBatch:
     def test_batched_eval_matches_single_pair(self, batch_env):
         weights, src, targets = batch_env
-        deltas, transformed = model.forward_shared_source(src, targets, weights)
+        deltas, transformed = model.forward_shared_source([(src, t) for t in targets], weights)
         assert deltas.shape == (5, 18)
         for i, tgt in enumerate(targets):
-            d_one, t_one = model.forward_shared_source(src, [tgt], weights)
+            d_one, t_one = model.forward_shared_source([(src, tgt)], weights)
             np.testing.assert_allclose(deltas[i], d_one[0], rtol=1e-4, atol=1e-6)
             np.testing.assert_allclose(transformed[i], t_one[0], rtol=1e-4, atol=1e-6)
 
+    def test_mixed_sources_match_single_pairs(self, batch_env, monkeypatch):
+        # runs of one pair and of two, with chunks of three pairs that
+        # split the runs; each pair warps its own source
+        monkeypatch.setattr(model, "EVAL_CHUNK", 3)
+        weights, src, targets = batch_env
+        other = src[::-1] * 0.8
+        pairs = [(src, targets[0]), (other, targets[1]), (other, targets[2]), (src, targets[3]),
+                 (other, targets[4]), (src, targets[4])]
+        deltas, transformed = model.forward_shared_source(pairs, weights)
+        for i, pair in enumerate(pairs):
+            d_one, t_one = model.forward_shared_source([pair], weights)
+            np.testing.assert_allclose(deltas[i], d_one[0], rtol=1e-4, atol=1e-6)
+            np.testing.assert_allclose(transformed[i], t_one[0], rtol=1e-4, atol=1e-6)
+        assert not np.allclose(deltas[4], deltas[5], rtol=1e-4, atol=1e-6)
+
     def test_train_mode_builds_graph_over_all_pairs(self, batch_env):
         weights, src, targets = batch_env
-        deltas, transformed = model.train_forward(src, targets, weights)
+        deltas, transformed = model.train_forward([(src, t) for t in targets], weights)
         total = ad.tensor_sum(transformed[0])
         for t in transformed[1:]:
             total = ad.add(total, ad.tensor_sum(t))
@@ -270,38 +325,56 @@ class TestSharedSourceBatch:
         weights, src, _ = batch_env
         rng = np.random.default_rng(43)
         targets = [rng.uniform(-0.9, 0.9, size=(n, 2)) for n in (30, 46, 30)]
-        deltas, transformed = model.forward_shared_source(src, targets, weights)
+        deltas, transformed = model.forward_shared_source([(src, t) for t in targets], weights)
         assert deltas.shape == (3, 18)
         assert [t.shape[0] for t in transformed] == [48, 48, 48]
 
     def test_no_targets_rejected(self, batch_env):
         weights, src, _ = batch_env
-        with pytest.raises(ValueError, match="no targets"):
-            model.forward_shared_source(src, [], weights)
-        with pytest.raises(ValueError, match="no targets"):
-            model.train_forward(src, [], weights)
+        for forward in (model.forward_shared_source, model.train_forward, model.batch_norm_statistics):
+            with pytest.raises(ValueError, match="no pairs"):
+                forward([], weights)
+
+    def test_one_pair_has_no_batch_statistics(self, batch_env):
+        # fc1 normalises one row per pair, so one pair leaves it nothing to
+        # normalise by; the training forward refuses it the same way
+        weights, src, targets = batch_env
+        with pytest.raises(ValueError, match="two or more pairs"):
+            model.batch_norm_statistics([(src, targets[0])], weights)
+        with pytest.raises(ValueError, match="at least 2 rows"):
+            model.train_forward([(src, targets[0])], weights)
 
 
 class TestFullNetworkGradients:
     """Finite-difference checks of the training forward on a narrow float64
     configuration."""
 
-    def test_every_parameter_matches_finite_differences(self):
+    @staticmethod
+    def check(pairs_of):
         cfg = tiny_config()
         weights = model.init_weights(cfg, seed=13)
         rng = np.random.default_rng(47)
         randomize_weights(weights, rng)
         src = rng.uniform(-0.9, 0.9, size=(10, 2))
         targets = [rng.uniform(-0.9, 0.9, size=(10, 2)) for _ in range(2)]
+        pairs = pairs_of(src, targets)
 
         def build():
-            _, transformed = model.train_forward(src, targets, weights)
+            _, transformed = model.train_forward(pairs, weights)
             total = losses.gmm_loss(transformed[0], targets[0], 0.5)
             for t, g in zip(transformed[1:], targets[1:]):
                 total = ad.add(total, losses.gmm_loss(t, g, 0.5))
             return total
 
         assert_grads_match(build, weights.params(), h=1e-6, rtol=1e-4, atol=1e-7)
+
+    def test_every_parameter_matches_finite_differences(self):
+        self.check(lambda src, targets: [(src, t) for t in targets])
+
+    def test_two_sources_match_finite_differences(self):
+        # each pair its own source: the correlations stack two runs, and
+        # each transform uses its own source's warp basis
+        self.check(lambda src, targets: [(src, targets[0]), (src[::-1] * 0.7 + 0.05, targets[1])])
 
 
 def tiny_config_3d():
@@ -326,39 +399,41 @@ class TestGraphFreeForward:
         weights = model.init_weights(cfg, seed=17)
         rng = np.random.default_rng(59)
         randomize_weights(weights, rng)
-        src = rng.uniform(-0.9, 0.9, size=(12, cfg.dim))
+        # two sources: the first two pairs share one, the last two the other
+        sources = [rng.uniform(-0.9, 0.9, size=(n, cfg.dim)) for n in (12, 10)]
         targets = [rng.uniform(-0.9, 0.9, size=(n, cfg.dim)) for n in (12, 9, 12, 15)]
-        return weights, src, targets
+        return weights, [(sources[i // 2], t) for i, t in enumerate(targets)]
 
     @staticmethod
-    def batch_mode(weights, src, targets):
+    def batch_mode(weights, pairs):
         stats = []
-        sets = [model.canonical_order(p) for p in [src, *targets]]
+        sources = [pairs[0][0], pairs[2][0]]
+        sets = [model.canonical_order(p) for p in [*sources, *(t for _, t in pairs)]]
         desc = model._descriptors(sets, weights, stats)
-        g = weights.config.grid_count
-        return model._head(desc[:g], desc[g:], weights, stats), stats
+        corr = model._correlations(ad.Tensor(desc), [0, 0, 1, 1], weights.config.grid_count)
+        return model._head(corr.data, weights, stats), stats
 
     def test_batch_mode_matches_train_route(self, env):
-        weights, src, targets = env
-        train_deltas, _ = model.train_forward(src, targets, weights)
-        deltas, stats = self.batch_mode(weights, src, targets)
+        weights, pairs = env
+        train_deltas, _ = model.train_forward(pairs, weights)
+        deltas, stats = self.batch_mode(weights, pairs)
         np.testing.assert_allclose(deltas, train_deltas.data, rtol=1e-4, atol=1e-6)
         assert len(stats) == len(bn_layers(weights))
-        for (m, v), (m2, v2) in zip(stats, model.batch_norm_statistics(src, targets, weights)):
+        for (m, v), (m2, v2) in zip(stats, model.batch_norm_statistics(pairs, weights)):
             assert m.tobytes() == m2.tobytes() and v.tobytes() == v2.tobytes()
 
     def test_running_mode_with_batch_statistics_matches_batch_mode(self, env):
-        weights, src, targets = env
-        deltas, stats = self.batch_mode(weights, src, targets)
+        weights, pairs = env
+        deltas, stats = self.batch_mode(weights, pairs)
         for layer, (mean, var) in zip(bn_layers(weights), stats):
             layer.bn_state.running_mean = mean
             layer.bn_state.running_var = var
-        eval_deltas, _ = model.forward_shared_source(src, targets, weights)
+        eval_deltas, _ = model.forward_shared_source(pairs, weights)
         np.testing.assert_allclose(eval_deltas, deltas, rtol=1e-4, atol=1e-6)
 
     def test_eval_outputs_carry_no_graph(self, env):
-        weights, src, targets = env
-        deltas, transformed = model.forward_shared_source(src, targets, weights)
+        weights, pairs = env
+        deltas, transformed = model.forward_shared_source(pairs, weights)
         for t in [deltas, *transformed]:
             assert type(t) is np.ndarray
 

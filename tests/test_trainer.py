@@ -119,18 +119,31 @@ class TestTrainBasics:
         ds = datagen.generate_dataset(
             shape, datagen.SynthConfig(seed=1, pair_count=8), tmp_path / "d"
         )
-        # poison one training pair; the abort must name epoch, batch, and the
-        # schedule values. The points-file reader rejects NaN, so the poison
-        # goes in after it.
-        load_pair = datagen.Dataset.load_pair
+        # poison the loss; the abort must name epoch, batch, and the schedule
+        # values. The network rejects non-finite input, so the poison goes in
+        # after it.
+        gmm_loss_symmetric = losses.gmm_loss_symmetric
 
-        def poisoned(self, index):
-            src, tgt = load_pair(self, index)
-            return (src, np.full_like(tgt, np.nan)) if index == 2 else (src, tgt)
+        def poisoned(transformed, target, sigma):
+            return ad.scale(gmm_loss_symmetric(transformed, target, sigma), float("nan"))
 
-        monkeypatch.setattr(datagen.Dataset, "load_pair", poisoned)
+        monkeypatch.setattr(losses, "gmm_loss_symmetric", poisoned)
         with pytest.raises(trainer.TrainingDivergedError, match=r"epoch 1.*sigma"):
             trainer.train(trainer.TrainConfig(epochs=1, batch_size=8), ds, fresh_weights())
+
+    @pytest.mark.parametrize("pair_count", [1, 2])
+    def test_too_few_training_pairs_rejected_before_epoch_one(self, tmp_path, pair_count):
+        # one pair (none held out) or two (one held out) leave one pair to
+        # train on, and batch norm cannot normalise one
+        ds = datagen.generate_dataset(
+            datagen.sample_shape("fish", 32), datagen.SynthConfig(seed=1, pair_count=pair_count),
+            tmp_path / "d",
+        )
+        epochs = []
+        with pytest.raises(ValueError, match=f"1 training pairs \\(dataset has {pair_count}\\)"):
+            trainer.train(trainer.TrainConfig(epochs=1, batch_size=4), ds, fresh_weights(),
+                          log=epochs.append)
+        assert epochs == []
 
     def test_history_csv_round_trip(self, tmp_path, small_dataset):
         _, history = trainer.train(
@@ -159,13 +172,13 @@ def scaled_sources_dataset(directory, scaled):
 
 
 class TestSourceRuns:
-    """A batch trains on its runs of two or more consecutive pairs sharing
-    a source; fc1's batch norm cannot run on the one row of a lone pair."""
+    """A batch trains as one forward of all of its pairs, whether they share
+    a source or not."""
 
     def test_loss_is_averaged_over_the_trained_pairs(self, tmp_path, monkeypatch):
         # every pair's loss is 1, so the mean over the trained pairs is
-        # exactly 1; pair 3's source is its own, so its batch trains fewer
-        # pairs than it holds
+        # exactly 1; pair 3's source is its own, and it trains with the rest
+        # of its batch
         def unit_loss(transformed, target, sigma):
             return ad.add(ad.scale(ad.tensor_sum(transformed), 0.0), np.ones((), transformed.data.dtype))
 
@@ -174,10 +187,14 @@ class TestSourceRuns:
         _, history = trainer.train(trainer.TrainConfig(epochs=2, batch_size=4), ds, fresh_weights())
         assert [s.train_loss for s in history] == [1.0, 1.0]
 
-    def test_no_run_of_two_rejected(self, tmp_path):
+    def test_every_pair_with_its_own_source_trains(self, tmp_path):
         ds = scaled_sources_dataset(tmp_path / "d", scaled=range(1, 8))
-        with pytest.raises(ValueError, match="share a source"):
-            trainer.train(trainer.TrainConfig(epochs=1, batch_size=4), ds, fresh_weights())
+        weights = fresh_weights()
+        before = {k: v.copy() for k, v in weights.named_arrays().items()}
+        _, history = trainer.train(trainer.TrainConfig(epochs=1, batch_size=4), ds, weights)
+        assert len(history) == 1 and np.isfinite(history[0].train_loss)
+        after = weights.named_arrays()
+        assert all(after[k].tobytes() != before[k].tobytes() for k in before if k.endswith(".weight"))
 
 
 class TestLearnability:
@@ -255,23 +272,31 @@ class TestBatchNormRecalibration:
         nan_src = src.copy()
         nan_src[3, 0] = np.nan
         for bad, match in (([(src, pairs[0][1]), (src, np.zeros((0, 2)))], "empty target"),
-                           ([(nan_src, pairs[0][1]), (nan_src, pairs[1][1])], "must be finite")):
+                           ([(nan_src, pairs[0][1]), (nan_src, pairs[1][1])], "must be finite"),
+                           ([pairs[0]], "two or more pairs")):
             with pytest.raises(ValueError, match=match):
                 trainer.recalibrate_batch_norm([pairs[8:16], bad], weights)
             after = bn_arrays(weights)
             for k in before:
                 assert before[k].tobytes() == after[k].tobytes(), k
 
-    def test_runs_of_one_target_are_skipped(self, small_dataset):
+    def test_lone_source_joins_the_batch_statistics(self, small_dataset):
+        # a pair whose source no neighbour shares is part of its batch: the
+        # statistics are those of the whole batch, lone pair included
         weights = fresh_weights()
         pairs = [small_dataset.load_pair(i) for i in range(small_dataset.pair_count)]
         trainer.recalibrate_batch_norm([pairs[0:8]], weights)
-        before = bn_arrays(weights)
-        lone = (pairs[8][0] * 0.9, pairs[8][1])
-        trainer.recalibrate_batch_norm([[lone] + pairs[0:8]], weights)
+        without = bn_arrays(weights)
+        batch = [(pairs[8][0] * 0.9, pairs[8][1])] + pairs[0:8]
+        trainer.recalibrate_batch_norm([batch], weights)
         after = bn_arrays(weights)
-        for k in before:
-            assert before[k].tobytes() == after[k].tobytes(), k
+        names = [f"mlp{i}" for i in range(len(weights.mlp))] + \
+            [f"conv{i}" for i in range(len(weights.convs))] + ["fc1"]
+        for name, (mean, var) in zip(names, model.batch_norm_statistics(batch, weights)):
+            for kind, value in (("mean", mean), ("var", var)):
+                stored = after[f"{name}.bn_{kind}"]
+                assert stored.tobytes() == value.astype(np.float64).astype(stored.dtype).tobytes(), name
+            assert after[f"{name}.bn_mean"].tobytes() != without[f"{name}.bn_mean"].tobytes(), name
 
     def test_runs_no_graph_op(self, small_dataset, monkeypatch):
         # the statistics come from the graph-free forward; the autodiff
