@@ -114,13 +114,16 @@ class _BufferPool:
     anonymous mapping costs a page fault plus a kernel zero-fill per touched
     page. One training batch churns through the same big temporary shapes
     over and over, so handing them back for reuse removes most of that cost.
+    Arrays under ``MIN_BYTES`` are left to malloc; the pool holds at most
+    ``MAX_BYTES``.
     """
 
-    def __init__(self, min_bytes: int = 1 << 20, max_bytes: int = 2 << 30):
+    MIN_BYTES = 1 << 20
+    MAX_BYTES = 2 << 30
+
+    def __init__(self):
         self._free: dict = {}
         self._held = 0
-        self.min_bytes = min_bytes
-        self.max_bytes = max_bytes
 
     def take(self, shape, dtype) -> np.ndarray:
         key = (tuple(shape), np.dtype(dtype).str)
@@ -134,10 +137,10 @@ class _BufferPool:
     def give(self, arr) -> None:
         if (
             arr is None
-            or arr.nbytes < self.min_bytes
+            or arr.nbytes < self.MIN_BYTES
             or not arr.flags["C_CONTIGUOUS"]
             or not arr.flags["OWNDATA"]
-            or self._held + arr.nbytes > self.max_bytes
+            or self._held + arr.nbytes > self.MAX_BYTES
         ):
             return
         self._free.setdefault((arr.shape, arr.dtype.str), []).append(arr)
@@ -182,12 +185,11 @@ def _make_node(data: np.ndarray, parents: tuple, backward) -> Tensor:
     return out
 
 
-def zero_grads(params, recycle: bool = False) -> None:
-    """Clear gradients. ``recycle`` hands the buffers back to the scratch
-    pool, which is only safe when no other reference to them is kept."""
+def zero_grads(params) -> None:
+    """Clear gradients, handing the buffers back to the scratch pool: no
+    reference to a gradient may be kept past this call."""
     for p in params:
-        if recycle:
-            _scratch.give(p.grad)
+        _scratch.give(p.grad)
         p.grad = None
 
 
@@ -406,19 +408,7 @@ def max_pool_rows(x: Tensor, group_size: int) -> Tensor:
 
 
 BN_EPS = 1e-5  # added to every batch-norm variance
-
-
-@dataclass
-class BatchNormState:
-    """Running statistics for one batch-norm layer. Not trainable.
-
-    The ops below normalise by batch statistics only and never write here.
-    ``trainer.recalibrate_batch_norm`` sets both arrays at the end of every
-    epoch, from the frozen weights; the model's eval forward reads them.
-    """
-
-    running_mean: np.ndarray
-    running_var: np.ndarray
+_NORM_EPS = 1e-12  # the smallest norm an L2 normalisation divides by
 
 
 def batch_stats(z: np.ndarray) -> tuple:
@@ -852,7 +842,7 @@ def conv_bn_act_batch(
     return _make_node(out_data, (x, kernel, bias, scale_t, shift_t), grad_fn)
 
 
-def l2_normalize_block_cols(x: Tensor, block_rows: int, eps: float = 1e-12) -> Tensor:
+def l2_normalize_block_cols(x: Tensor, block_rows: int) -> Tensor:
     """Normalize each column to unit norm within consecutive row blocks.
 
     ``[B*R, S]`` input is treated as B blocks of R rows; every length-R
@@ -865,7 +855,7 @@ def l2_normalize_block_cols(x: Tensor, block_rows: int, eps: float = 1e-12) -> T
         raise ShapeError(f"l2_normalize_block_cols: {n} rows not divisible into blocks of {block_rows}")
     blocks = x.data.reshape(n // block_rows, block_rows, s)
     norms = np.sqrt(np.einsum("brs,brs->bs", blocks, blocks))[:, None, :]
-    safe = np.maximum(norms, eps)
+    safe = np.maximum(norms, _NORM_EPS)
     out_data = (blocks / safe).reshape(n, s)
 
     def grad_fn(gradient):
@@ -877,16 +867,16 @@ def l2_normalize_block_cols(x: Tensor, block_rows: int, eps: float = 1e-12) -> T
     return _make_node(out_data, (x,), grad_fn)
 
 
-def l2_normalize_rows(x: Tensor, eps: float = 1e-12) -> Tensor:
+def l2_normalize_rows(x: Tensor) -> Tensor:
     """Scale each row of ``[N, F]`` to unit Euclidean norm.
 
-    Rows with norm below ``eps`` divide by ``eps`` instead, and the clamp is
+    Rows with norm below ``_NORM_EPS`` divide by it instead, and the clamp is
     treated as constant in the backward pass.
     """
     if x.data.ndim != 2:
         raise ShapeError(f"l2_normalize_rows: expected 2-d input, got {x.data.shape}")
     norms = np.sqrt(np.sum(x.data * x.data, axis=1, keepdims=True))
-    safe = np.maximum(norms, eps)
+    safe = np.maximum(norms, _NORM_EPS)
     out_data = x.data / safe
 
     def grad_fn(gradient):

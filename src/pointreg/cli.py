@@ -19,7 +19,6 @@ import numpy as np
 
 from . import autodiff as ad
 from . import datagen, evaluator, model, trainer
-from .datagen import _parse_manifest
 
 log = logging.getLogger("pointreg")
 
@@ -35,7 +34,7 @@ _CONFIG_KEYS = {
 
 
 def _read_config(path) -> dict:
-    entries = _parse_manifest(path)
+    entries = datagen.read_key_values(path)
     unknown = sorted(set(entries) - _CONFIG_KEYS)
     if unknown:
         raise ValueError(f"{path}: unknown config keys: {', '.join(unknown)}")

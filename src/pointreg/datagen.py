@@ -208,9 +208,8 @@ def deform(points, level: float, k_controls: int, rng: np.random.Generator) -> n
         idx = rng.choice(pts.shape[0], size=k_controls, replace=False)
         controls = pts[idx]
         drift = rng.normal(0.0, std, size=controls.shape)
-        grid = tps.ControlGrid(dim=pts.shape[1], points=controls)
         try:
-            basis = tps.tps_basis(grid, pts)
+            basis = tps.tps_basis(controls, pts)
         except tps.SingularSystemError:
             continue
         # a level near the float range overflows here; generate_dataset
@@ -315,7 +314,9 @@ def _manifest_lines(entries: dict) -> str:
     return "".join(f"{k}={v}\n" for k, v in entries.items())
 
 
-def _parse_manifest(path) -> dict:
+def read_key_values(path) -> dict:
+    """The ``key=value`` lines of a dataset manifest or config file as a
+    dict of strings; blank lines and ``#`` comments are skipped."""
     entries = {}
     with open(path, "r", encoding="utf-8") as f:
         for lineno, raw in enumerate(f, start=1):
@@ -375,7 +376,7 @@ def load_dataset(directory) -> Dataset:
     mpath = d / _MANIFEST_NAME
     if not mpath.is_file():
         raise DatasetError(f"{d}: no {_MANIFEST_NAME} file, not a dataset directory")
-    manifest = _parse_manifest(mpath)
+    manifest = read_key_values(mpath)
     if manifest.get("format") != _DATASET_FORMAT:
         raise DatasetError(f"{mpath}: unsupported format {manifest.get('format')!r}")
     for key, ok, want in (("pair_count", lambda n: n >= 1, "an integer >= 1"),
@@ -390,3 +391,10 @@ def load_dataset(directory) -> Dataset:
             if not path.is_file():
                 raise DatasetError(f"{d}: manifest promises {ds.pair_count} pairs but {path.name} is missing")
     return ds
+
+
+def load_pairs(data) -> tuple:
+    """``(pairs, name)``: every ``(source, target)`` pair of a Dataset or
+    dataset directory, in index order, and the directory's name."""
+    ds = data if isinstance(data, Dataset) else load_dataset(data)
+    return [ds.load_pair(i) for i in range(ds.pair_count)], ds.directory.name

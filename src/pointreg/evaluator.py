@@ -13,8 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import losses, model, tps
-from .datagen import Dataset, load_dataset
+from . import losses, model
+from .datagen import Dataset, load_pairs
 
 REPORT_VERSION = "pointreg-report-v1"
 REPORT_HEADER = (
@@ -72,45 +72,25 @@ def register(weights, source, target) -> RegistrationResult:
     return evaluate(weights, [(source, target)]).results[0]
 
 
-def _as_pairs(data):
-    if isinstance(data, Dataset):
-        return [data.load_pair(i) for i in range(data.pair_count)], data.directory.name
-    if isinstance(data, (str, Path)):
-        ds = load_dataset(data)
-        return [ds.load_pair(i) for i in range(ds.pair_count)], ds.directory.name
-    return [(np.asarray(s, dtype=np.float64), np.asarray(t, dtype=np.float64))
-            for s, t in data], "pairs"
-
-
 def evaluate(weights, data, dataset_id: str = None) -> EvaluationSummary:
     """Register every pair of ``data`` and aggregate Chamfer statistics.
 
     ``data`` is a Dataset, a dataset directory, or a list of (source,
-    target) array pairs. Each pair is normalized by a similarity fitted on
-    its own source, around one ``model.forward_shared_source`` of all pairs;
-    a result equals registering the pair alone up to rounding, as the head's
-    matrix products, and so their last bits, depend on the batch.
-    ``model_time_s`` excludes dataset loading and metric computation, and
-    each pair's ``elapsed`` is an equal share of it.
+    target) array pairs, all registered by one
+    ``model.forward_shared_source``, which checks every pair and maps each
+    into its source's network frame and back. Results and Chamfer numbers
+    are in the pairs' own coordinates. A result equals registering the pair
+    alone up to rounding, as the head's matrix products, and so their last
+    bits, depend on the batch. ``model_time_s`` excludes dataset loading and
+    metric computation, and each pair's ``elapsed`` is an equal share of it.
     """
     t0 = time.perf_counter()
-    pairs, default_id = _as_pairs(data)
-    if not pairs:
-        raise ValueError("evaluate: no pairs to evaluate")
-    dim = weights.config.dim
-    for i, (src, tgt) in enumerate(pairs):
-        if src.ndim != 2 or tgt.ndim != 2 or src.shape[1] != dim or tgt.shape[1] != dim:
-            raise ValueError(f"evaluate: dimension mismatch, pair {i} has sets {src.shape} and {tgt.shape}, "
-                             f"not [N, {dim}]")
+    pairs, default_id = load_pairs(data) if isinstance(data, (Dataset, str, Path)) else (list(data), "pairs")
 
     start = time.perf_counter()
-    norms = [model.fit_normalizer(src) for src, _ in pairs]
-    deltas, transformed = model.forward_shared_source(
-        [(n.apply(src), n.apply(tgt)) for n, (src, tgt) in zip(norms, pairs)], weights
-    )
-    control = tps.make_control_grid(dim).points
-    outs = [(n.invert(out), control + d.reshape(control.shape))
-            for n, d, out in zip(norms, deltas.astype(np.float64), transformed)]
+    deltas, transformed = model.forward_shared_source(pairs, weights)
+    control = weights.config.control_points
+    thetas = control + deltas.astype(np.float64).reshape((-1,) + control.shape)
     model_time = time.perf_counter() - start
 
     results = [
@@ -121,7 +101,7 @@ def evaluate(weights, data, dataset_id: str = None) -> EvaluationSummary:
             cd_post=losses.chamfer_normalized(out, tgt),
             elapsed=model_time / len(pairs),
         )
-        for (src, tgt), (out, theta) in zip(pairs, outs)
+        for (src, tgt), out, theta in zip(pairs, transformed, thetas)
     ]
     pre = np.array([r.cd_pre for r in results])
     post = np.array([r.cd_post for r in results])

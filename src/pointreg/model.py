@@ -1,19 +1,25 @@
 """The registration network.
 
-Pipeline for one (source, target) pair, both sets normalized into the unit
-box: a per-grid-point MLP turns each set into a descriptor tensor over a
-fixed reference grid, descriptors correlate all-to-all into a correlation
-tensor, and a small CNN plus two fully connected layers regress control-point
-displacements for a thin-plate-spline warp of the source. The final layer
-starts at zero, so an untrained model is the identity warp.
+Pipeline for one (source, target) pair in the network frame: a
+per-grid-point MLP turns each set into a descriptor tensor over a fixed
+reference grid, descriptors correlate all-to-all into a correlation
+tensor, and a small CNN plus two fully connected layers regress
+displacements of the control points (``PrNetConfig.control_points``) for a
+thin-plate-spline warp of the source. The final layer starts at zero, so an
+untrained model is the identity warp.
 
 Descriptor computation sorts the input points canonically first. Max-pooling
 makes the result mathematically order-free; the sort makes it bitwise
 order-free, which the determinism guarantees elsewhere rely on.
 
-Every forward takes a list of (source, target) pairs; this module alone
-groups them by source, so that consecutive pairs with one source share its
-descriptor. Each target is correlated against its own source.
+Every forward takes a list of (source, target) pairs in the caller's
+coordinates; this module alone decides how they reach the network
+(``_source_runs``). Consecutive pairs with one source share its descriptor,
+and each pair is mapped into its source's network frame: the source's
+centroid at the origin and its largest coordinate magnitude at 0.9
+(``fit_normalizer``). Training, recalibration and inference all see pairs
+in that frame, so a dataset and a scaled copy of it train alike. Each
+target is correlated against its own source.
 
 Training throughput note: one training forward takes the whole batch. The
 MLP rows of all its sets go through each layer as one stacked matrix
@@ -128,6 +134,15 @@ class PrNetConfig:
         """The fixed grid the descriptors live on, built once per config."""
         return build_reference_grid(self.dim, self.grid_shape)
 
+    @cached_property
+    def control_points(self) -> np.ndarray:
+        """The thin-plate-spline control lattice as read-only ``[3**dim,
+        dim]`` float64 points: every combination of {-1, 0, 1} per axis, in
+        lexicographic order, the row order of the predicted displacements."""
+        pts = np.array(list(product((-1.0, 0.0, 1.0), repeat=self.dim)))
+        pts.setflags(write=False)
+        return pts
+
     def np_dtype(self):
         return np.dtype(self.dtype)
 
@@ -156,11 +171,16 @@ def build_reference_grid(dim: int, shape) -> np.ndarray:
 
 @dataclass
 class _Layer:
+    """One layer's parameters. A batch-norm layer also holds the running
+    statistics that eval mode normalises by; they are not trainable, and
+    ``trainer.recalibrate_batch_norm`` sets them."""
+
     weight: ad.Tensor
     bias: ad.Tensor
     bn_scale: ad.Tensor = None
     bn_shift: ad.Tensor = None
-    bn_state: ad.BatchNormState = None
+    bn_mean: np.ndarray = None
+    bn_var: np.ndarray = None
 
 
 @dataclass
@@ -189,8 +209,8 @@ class PrNetWeights:
             if with_bn:
                 out[f"{prefix}.bn_scale"] = layer.bn_scale.data
                 out[f"{prefix}.bn_shift"] = layer.bn_shift.data
-                out[f"{prefix}.bn_mean"] = layer.bn_state.running_mean
-                out[f"{prefix}.bn_var"] = layer.bn_state.running_var
+                out[f"{prefix}.bn_mean"] = layer.bn_mean
+                out[f"{prefix}.bn_var"] = layer.bn_var
 
         for i, layer in enumerate(self.mlp):
             put(f"mlp{i}", layer)
@@ -220,10 +240,8 @@ def _build_weights(config: PrNetConfig, array) -> PrNetWeights:
             weight, bias,
             ad.Tensor(array(f"{prefix}.bn_scale", (width,), None, 1.0), requires_grad=True),
             ad.Tensor(array(f"{prefix}.bn_shift", (width,), None, 0.0), requires_grad=True),
-            ad.BatchNormState(
-                running_mean=array(f"{prefix}.bn_mean", (width,), None, 0.0),
-                running_var=array(f"{prefix}.bn_var", (width,), None, 1.0),
-            ),
+            array(f"{prefix}.bn_mean", (width,), None, 0.0),
+            array(f"{prefix}.bn_var", (width,), None, 1.0),
         )
 
     weights = PrNetWeights(config=config)
@@ -283,17 +301,20 @@ class Normalizer:
         return np.asarray(points, dtype=np.float64) / self.scale + self.center
 
 
-def fit_normalizer(points, extent: float = 0.9) -> Normalizer:
+_EXTENT = 0.9  # largest coordinate magnitude of a source in the network frame
+
+
+def fit_normalizer(points) -> Normalizer:
     """Transform putting the centroid at the origin and the largest
-    coordinate magnitude at ``extent``."""
+    coordinate magnitude at 0.9: the network frame of a source."""
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise ValueError(f"fit_normalizer: need a nonempty [N, dim] set, got {pts.shape}")
     center = pts.mean(axis=0)
     spread = float(np.abs(pts - center).max())
-    scale = extent / spread if spread > 0 else 1.0
+    scale = _EXTENT / spread if spread > 0 else 1.0
     if not math.isfinite(scale):
-        raise ValueError(f"fit_normalizer: spread {spread:.3g} is too small to scale to {extent}")
+        raise ValueError(f"fit_normalizer: spread {spread:.3g} is too small to scale to {_EXTENT}")
     return Normalizer(center=center, scale=scale)
 
 
@@ -362,10 +383,9 @@ def _bn_fold(layer: _Layer) -> tuple:
     """``(mean, alpha)`` with which batch norm by the layer's running
     statistics maps pre-norm values ``z`` to ``(z - mean) * alpha +
     bn_shift``."""
-    st = layer.bn_state
     dt = layer.weight.data.dtype
-    alpha = layer.bn_scale.data * (1.0 / np.sqrt(st.running_var.astype(dt) + ad.BN_EPS))
-    return st.running_mean.astype(dt), alpha
+    alpha = layer.bn_scale.data * (1.0 / np.sqrt(layer.bn_var.astype(dt) + ad.BN_EPS))
+    return layer.bn_mean.astype(dt), alpha
 
 
 def _bn_act(x, w, layer: _Layer, stats, slope: float, out=None) -> np.ndarray:
@@ -378,8 +398,7 @@ def _bn_act(x, w, layer: _Layer, stats, slope: float, out=None) -> np.ndarray:
     """
     z = np.matmul(x, w, out=out)
     z += layer.bias.data
-    st = layer.bn_state
-    running = (st.running_mean, st.running_var) if stats is None else ()
+    running = (layer.bn_mean, layer.bn_var) if stats is None else ()
     act, mean, var, _, _ = ad.bn_act_forward(z, layer.bn_scale.data, layer.bn_shift.data, slope,
                                              *running, out=z)
     if stats is not None:
@@ -394,8 +413,10 @@ def _descriptors(ordered_sets, weights: PrNetWeights, stats) -> np.ndarray:
     intermediates stay cache-sized, and the statistics fold into the
     weights once per call. With batch statistics the sets go through as one
     block, as in training, and the last layer is the forward of
-    ``autodiff.dense_bn_act_pool``, the training op's own. The row buffers
-    come from the scratch pool and go back to it.
+    ``autodiff.dense_bn_act_pool``, the training op's own. Either way the
+    rows are normalised by ``autodiff.l2_normalize_rows``, as in training,
+    so the head's batch statistics are the training forward's bit for bit.
+    The row buffers come from the scratch pool and go back to it.
     """
     cfg = weights.config
     dt = cfg.np_dtype()
@@ -430,9 +451,7 @@ def _descriptors(ordered_sets, weights: PrNetWeights, stats) -> np.ndarray:
             np.max(h.reshape(g, k, -1), axis=1, out=pooled[i * g:(i + 1) * g])
     for buf in bufs:
         ad._scratch.give(buf)
-    norms = np.sqrt(np.einsum("nd,nd->n", pooled, pooled))[:, None]
-    pooled /= np.maximum(norms, 1e-12, out=norms)
-    return pooled
+    return ad.l2_normalize_rows(ad.Tensor(pooled)).data
 
 
 def _correlations(desc: ad.Tensor, owners, g: int) -> ad.Tensor:
@@ -474,50 +493,61 @@ def _head(corr: np.ndarray, weights: PrNetWeights, stats) -> np.ndarray:
 EVAL_CHUNK = 64
 
 
-def _network_points(points, cfg: PrNetConfig, where: str, role: str) -> np.ndarray:
-    """A nonempty ``[N, dim]`` set in the network frame, canonically
-    ordered, whose coordinates are finite and fit the network dtype."""
+def _checked_points(points, cfg: PrNetConfig, where: str, role: str, limit: float) -> np.ndarray:
+    """A nonempty ``[N, dim]`` float64 set with no NaN and no coordinate
+    larger in magnitude than ``limit``, in the caller's point order."""
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != cfg.dim:
-        raise ValueError(f"{where}: {role} points {pts.shape} do not match model dim {cfg.dim}")
+        raise ValueError(f"{where}: dimension mismatch, {role} points {pts.shape} do not match "
+                         f"model dim {cfg.dim}")
     if pts.shape[0] == 0:
         raise ValueError(f"{where}: empty {role} set")
     peak = np.abs(pts).max()
     if np.isnan(peak):
         raise ValueError(f"{where}: {role} coordinates must be finite, got NaN")
-    if peak > np.finfo(cfg.np_dtype()).max:
-        raise ValueError(f"{where}: {role} coordinate of magnitude {peak:.3g} in the network "
-                         f"frame exceeds the {cfg.dtype} range")
-    return canonical_order(pts)
+    if peak > limit:
+        raise ValueError(f"{where}: {role} coordinate of magnitude {peak:.3g} exceeds the {cfg.dtype} range")
+    return pts
 
 
 def _source_runs(pairs, cfg: PrNetConfig, where: str) -> tuple:
-    """``(sources, owners, targets)`` of a nonempty list of ``(source,
-    target)`` pairs.
+    """``(runs, owners, targets)``: a nonempty list of ``(source, target)``
+    pairs mapped into the network frame.
 
     Consecutive pairs whose sources are bitwise identical form a run, which
-    shares one source descriptor: ``sources`` holds each run's source once,
-    as given, and ``owners[i]`` indexes pair ``i``'s source in it.
-    ``targets`` are the pairs' targets, checked and canonically ordered.
+    shares one source descriptor and one frame, the ``fit_normalizer`` of
+    its raw source. ``runs`` holds each run's ``(normalizer, source)``, the
+    source mapped into that frame, and ``owners[i]`` indexes pair ``i``'s
+    run. ``targets`` are the pairs' targets in their run's frame, checked to
+    fit the network dtype. Both keep the caller's point order. Every raw
+    set is checked before any frame is fitted, so a malformed pair anywhere
+    in the list raises before any forward work.
     """
     if len(pairs) == 0:
         raise ValueError(f"{where}: no pairs")
-    sources, owners, key = [], [], None
-    for src, _ in pairs:
-        src = np.asarray(src, dtype=np.float64)
+    raw = [[_checked_points(pts, cfg, f"{where}: pair {i}", role, np.finfo(np.float64).max)
+            for pts, role in zip(pair, ("source", "target"))] for i, pair in enumerate(pairs)]
+    runs, owners, key = [], [], None
+    for src, _ in raw:
         if (src.shape, src.tobytes()) != key:
             key = (src.shape, src.tobytes())
-            sources.append(src)
-        owners.append(len(sources) - 1)
-    return sources, owners, [_network_points(t, cfg, where, "target") for _, t in pairs]
+            norm = fit_normalizer(src)
+            runs.append((norm, norm.apply(src)))
+        owners.append(len(runs) - 1)
+    limit = np.finfo(cfg.np_dtype()).max
+    targets = [_checked_points(runs[o][0].apply(tgt), cfg, f"{where}: pair {i}", "target", limit)
+               for i, (o, (_, tgt)) in enumerate(zip(owners, raw))]
+    return runs, owners, targets
 
 
 def prepare_source(source, weights: PrNetWeights) -> tuple:
-    """``(ordered, basis)``: the checked, canonically ordered source and its
-    float64 thin-plate-spline warp basis, which both forwards apply to the
-    predicted control points."""
-    src = _network_points(source, weights.config, "prepare_source", "source")
-    return src, tps.tps_basis(tps.make_control_grid(weights.config.dim), src)
+    """``(ordered, basis)`` of a source in the network frame: the checked,
+    canonically ordered points and their float64 thin-plate-spline warp
+    basis, which both forwards apply to the predicted control points."""
+    cfg = weights.config
+    src = canonical_order(_checked_points(source, cfg, "prepare_source", "source",
+                                          np.finfo(cfg.np_dtype()).max))
+    return src, tps.tps_basis(cfg.control_points, src)
 
 
 def forward_shared_source(pairs, weights: PrNetWeights):
@@ -527,33 +557,36 @@ def forward_shared_source(pairs, weights: PrNetWeights):
 
     Returns plain arrays ``(deltas, transformed)``: the ``[B,
     theta_count*dim]`` predicted control-point displacements in the network
-    dtype, and per pair the warped, canonically ordered source as
-    ``basis @ (delta + theta0)`` in float64. Coordinates are taken as
-    already being in the network frame; the evaluator fits and inverts the
-    similarity normalization around this call.
+    frame and dtype, and per pair the warped, canonically ordered source,
+    ``basis @ (delta + control_points)`` in float64, mapped back from the
+    network frame into the caller's.
 
     Graph-free, with every batch norm by its running statistics. The pairs
     go through ``EVAL_CHUNK`` at a time; in a chunk, each run of pairs with
-    one source (``_source_runs``) computes its descriptor and basis once.
+    one source (``_source_runs``) computes its descriptor once.
     """
     cfg = weights.config
+    runs, owners, targets = _source_runs(pairs, cfg, "forward_shared_source")
+    prepared = [prepare_source(src, weights) for _, src in runs]
+    theta0 = cfg.control_points.reshape(1, -1)
     deltas, transformed = [], []
-    theta0 = tps.make_control_grid(cfg.dim).points.reshape(1, -1)
-    # an empty list still makes one pass, in which _source_runs rejects it
-    for lo in range(0, max(len(pairs), 1), EVAL_CHUNK):
-        sources, owners, targets = _source_runs(pairs[lo:lo + EVAL_CHUNK], cfg, "forward_shared_source")
-        prepared = [prepare_source(s, weights) for s in sources]
+    for lo in range(0, len(pairs), EVAL_CHUNK):
+        chunk_owners = owners[lo:lo + EVAL_CHUNK]
+        first = chunk_owners[0]
+        sets = [src for src, _ in prepared[first:chunk_owners[-1] + 1]]
+        sets += [canonical_order(t) for t in targets[lo:lo + EVAL_CHUNK]]
         with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught below
-            desc = _descriptors([src for src, _ in prepared] + targets, weights, None)
-            chunk = _head(_correlations(ad.Tensor(desc), owners, cfg.grid_count).data, weights, None)
+            desc = _descriptors(sets, weights, None)
+            corr = _correlations(ad.Tensor(desc), [o - first for o in chunk_owners], cfg.grid_count)
+            chunk = _head(corr.data, weights, None)
         bad = np.flatnonzero(~np.isfinite(chunk).all(axis=1))
         if bad.size:  # coordinates in the dtype's range can still overflow the network
             raise ValueError(f"forward_shared_source: pair {lo + bad[0]} overflows the {cfg.dtype} network")
         # theta is exact at identity, so with the full-precision basis the
         # transform round-trips to solver precision, not the network dtype's
         thetas = chunk + theta0.astype(chunk.dtype)
-        transformed += [prepared[o][1] @ theta.reshape(cfg.theta_count, cfg.dim)
-                        for o, theta in zip(owners, thetas)]
+        transformed += [runs[o][0].invert(prepared[o][1] @ theta.reshape(cfg.theta_count, cfg.dim))
+                        for o, theta in zip(chunk_owners, thetas)]
         deltas.append(chunk)
     return np.concatenate(deltas), transformed
 
@@ -566,15 +599,17 @@ def train_forward(pairs, weights: PrNetWeights):
     One forward for the whole batch: its sources (one per run of
     ``_source_runs``) and targets share the MLP's batch statistics, and the
     head's statistics span all its pairs, so it needs two or more. Returns
-    tensors ``(deltas, transformed)``; the transform uses the basis in the
-    network dtype.
+    ``(deltas, transformed, targets)``, all in the network frame: tensors of
+    the displacements and of each pair's warped source (by the basis in the
+    network dtype), and each pair's target as an array in the caller's
+    point order, which the loss scores the warped source against.
     """
     cfg = weights.config
-    sources, owners, targets = _source_runs(pairs, cfg, "train_forward")
-    prepared = [prepare_source(s, weights) for s in sources]
+    runs, owners, targets = _source_runs(pairs, cfg, "train_forward")
+    prepared = [prepare_source(src, weights) for _, src in runs]
     batch = len(targets)
     g = cfg.grid_count
-    sets = [src for src, _ in prepared] + targets
+    sets = [src for src, _ in prepared] + [canonical_order(t) for t in targets]
     # one MLP pass over every set, under one set of batch statistics; the
     # last layer pools each set per grid point and never stores its rows
     h = _descriptor_rows(sets, cfg)
@@ -592,26 +627,27 @@ def train_forward(pairs, weights: PrNetWeights):
                         fc1.bn_scale, fc1.bn_shift, cfg.leaky_slope)
     deltas = ad.linear(h, weights.out.weight, weights.out.bias)
 
-    theta0 = tps.make_control_grid(cfg.dim).points.astype(deltas.data.dtype).reshape(1, -1)
+    theta0 = cfg.control_points.astype(deltas.data.dtype).reshape(1, -1)
     bases = [ad.Tensor(basis.astype(cfg.np_dtype())) for _, basis in prepared]
     transformed = []
     for i, owner in enumerate(owners):
         theta_i = ad.reshape(ad.add(ad.row_slice(deltas, i, i + 1), theta0), (cfg.theta_count, cfg.dim))
         transformed.append(ad.matmul(bases[owner], theta_i))
-    return deltas, transformed
+    return deltas, transformed, targets
 
 
 def batch_norm_statistics(pairs, weights: PrNetWeights) -> list:
     """``(mean, var)`` of every batch-norm layer, in layer order (MLP,
-    convs, fc1), as ``train_forward`` of the same pairs computes them; with
-    no graph and no transform, so no warp basis."""
+    convs, fc1), as ``train_forward`` of the same pairs computes them: the
+    same network frame and batch, with no graph and no transform, so no
+    warp basis."""
     cfg = weights.config
-    sources, owners, targets = _source_runs(pairs, cfg, "batch_norm_statistics")
+    runs, owners, targets = _source_runs(pairs, cfg, "batch_norm_statistics")
     if len(targets) < 2:
         raise ValueError("batch_norm_statistics: fc1's batch norm needs two or more pairs, got 1")
     stats = []
-    sets = [_network_points(s, cfg, "batch_norm_statistics", "source") for s in sources]
-    desc = _descriptors(sets + targets, weights, stats)
+    sets = [canonical_order(s) for s in [*(src for _, src in runs), *targets]]
+    desc = _descriptors(sets, weights, stats)
     _head(_correlations(ad.Tensor(desc), owners, cfg.grid_count).data, weights, stats)
     return stats
 

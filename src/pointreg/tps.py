@@ -1,48 +1,25 @@
 """Thin-plate-spline warps driven by a small set of control points.
 
-A warp is defined by a fixed base grid of control points and a matching set
-of target coordinates. Because the base grid never moves, the interpolation
+A warp is defined by fixed control points and a matching set of target
+coordinates. Because the control points never move, the interpolation
 solve can be folded into a basis matrix that depends only on the query
 points; applying the warp is then a single matrix product, linear in the
 targets. That keeps the warp cheap to differentiate: gradients flow through
 one matmul instead of a linear solver.
+
+The network's control points are config data
+(``model.PrNetConfig.control_points``), its queries the source in the
+network frame; the data generator warps shapes through drifted sample
+points with the same basis.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
 
 class SingularSystemError(RuntimeError):
     """Raised when the interpolation system cannot be solved."""
-
-
-@dataclass(frozen=True)
-class ControlGrid:
-    """A set of TPS control points.
-
-    ``make_control_grid`` builds the standard lattice (every combination of
-    {-1, 0, 1} per axis); arbitrary control sets are equally valid, which the
-    data generator uses to warp shapes through drifted sample points.
-    """
-
-    dim: int
-    points: np.ndarray
-
-    @property
-    def count(self) -> int:
-        return self.points.shape[0]
-
-
-def make_control_grid(dim: int) -> ControlGrid:
-    """Build the 3x3 (2D) or 3x3x3 (3D) control lattice in lexicographic order."""
-    if dim not in (2, 3):
-        raise ValueError(f"make_control_grid: dim must be 2 or 3, got {dim}")
-    pts = np.array(list(product((-1.0, 0.0, 1.0), repeat=dim)), dtype=np.float64)
-    return ControlGrid(dim=dim, points=pts)
 
 
 def _kernel(r: np.ndarray, dim: int) -> np.ndarray:
@@ -60,25 +37,25 @@ def _radial_block(a: np.ndarray, b: np.ndarray, dim: int) -> np.ndarray:
     return _kernel(np.sqrt(np.sum(diff * diff, axis=2)), dim)
 
 
-def tps_basis(grid: ControlGrid, queries, regularization: float = 1e-6) -> np.ndarray:
-    """Weight matrix ``B`` with ``warp(queries) = B @ theta``.
+def tps_basis(controls, queries, regularization: float = 1e-6) -> np.ndarray:
+    """Weight matrix ``B`` with ``warp(queries) = B @ theta`` for the ``[K,
+    dim]`` control points ``controls``.
 
     Row q holds the K weights that mix the target coordinates when the warp
     is evaluated at query q. The regularization is added to the kernel
     diagonal; it smooths interpolation but leaves affine maps (identity,
     translation) exact, since those need no kernel term at all.
     """
+    c = np.asarray(controls, dtype=np.float64)
+    k, d = c.shape
     q = np.asarray(queries, dtype=np.float64)
-    if q.ndim != 2 or q.shape[1] != grid.dim:
-        raise ValueError(f"tps_basis: queries {q.shape} do not match grid dim {grid.dim}")
+    if q.ndim != 2 or q.shape[1] != d:
+        raise ValueError(f"tps_basis: queries {q.shape} do not match control dim {d}")
     if not np.all(np.isfinite(q)):
         raise ValueError("tps_basis: queries must be finite")
     if regularization < 0:
         raise ValueError(f"tps_basis: regularization must be non-negative, got {regularization}")
 
-    c = grid.points
-    k = grid.count
-    d = grid.dim
     kk = _radial_block(c, c, d) + regularization * np.eye(k)
     p = np.hstack([np.ones((k, 1)), c])
     system = np.zeros((k + d + 1, k + d + 1))

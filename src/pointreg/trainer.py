@@ -151,27 +151,13 @@ def load_checkpoint(path):
 # training
 
 
-def _load_pairs(data, dim: int):
-    ds = data if isinstance(data, datagen.Dataset) else datagen.load_dataset(data)
-    pairs = []
-    for i in range(ds.pair_count):
-        src, tgt = ds.load_pair(i)
-        if src.shape[1] != dim or tgt.shape[1] != dim:
-            raise ValueError(
-                f"pair {i}: dimension mismatch, model is {dim}D but pair is "
-                f"{src.shape[1]}D/{tgt.shape[1]}D"
-            )
-        pairs.append((src, tgt))
-    return pairs
-
-
 def _train_batch(batch, weights, sigma, state):
     """One optimizer step on ``batch``, a list of pairs, by one
-    ``model.train_forward``. Returns the symmetric GMM loss averaged over
-    its pairs."""
-    _, transformed = prnet.train_forward(batch, weights)
+    ``model.train_forward``. Returns the symmetric GMM loss, in the network
+    frame, averaged over its pairs."""
+    _, transformed, targets = prnet.train_forward(batch, weights)
     total = None
-    for t, (_, g) in zip(transformed, batch):
+    for t, g in zip(transformed, targets):
         term = losses.gmm_loss_symmetric(t, g, sigma)
         total = term if total is None else ad.add(total, term)
     loss = ad.scale(total, 1.0 / len(batch))
@@ -181,7 +167,7 @@ def _train_batch(batch, weights, sigma, state):
     params = weights.params()
     if math.isfinite(value):
         ad.adam_step(params, state)
-    ad.zero_grads(params, recycle=True)
+    ad.zero_grads(params)
     return value
 
 
@@ -227,14 +213,14 @@ def recalibrate_batch_norm(batches, weights) -> None:
         count += 1
     if count:
         for layer, acc in zip(layers, sums):
-            st = layer.bn_state
-            st.running_mean = (acc[0] / count).astype(st.running_mean.dtype)
-            st.running_var = (acc[1] / count).astype(st.running_var.dtype)
+            layer.bn_mean = (acc[0] / count).astype(layer.bn_mean.dtype)
+            layer.bn_var = (acc[1] / count).astype(layer.bn_var.dtype)
 
 
 def validation_cd(pairs, weights) -> float:
-    """Mean normalized chamfer after registration, network frame, by
-    ``model.forward_shared_source``, the path ``evaluator.evaluate`` runs."""
+    """Mean normalized chamfer after registration, in the pairs' own frame,
+    by ``model.forward_shared_source``, the path ``evaluator.evaluate``
+    runs."""
     if not pairs:
         return float("nan")
     _, transformed = prnet.forward_shared_source(pairs, weights)
@@ -246,7 +232,10 @@ def train(cfg: TrainConfig, data, weights, adam_state: ad.AdamState = None,
     """Optimize ``weights`` on a dataset; returns ``(weights, history)``.
 
     ``data`` is a dataset object or directory. The last 5% of pairs are held
-    out for the per-epoch validation chamfer and never trained on. Pass the
+    out for the per-epoch validation chamfer and never trained on. The
+    network sees each pair in its source's network frame, as in evaluation
+    (``model``); the loss is taken there, the validation chamfer in the
+    data's own frame. Every pair is checked before the first step. Pass the
     optimizer state and ``start_epoch`` from ``load_checkpoint`` to resume;
     the resumed trajectory is identical to the uninterrupted one because
     shuffling draws from ``(seed, epoch)``, lr is closed-form in the epoch,
@@ -263,7 +252,8 @@ def train(cfg: TrainConfig, data, weights, adam_state: ad.AdamState = None,
     Then come, in this order, the validation chamfer, ``log`` and the
     checkpoint, which therefore all describe the same network.
     """
-    pairs = _load_pairs(data, weights.config.dim)
+    pairs, _ = datagen.load_pairs(data)
+    prnet._source_runs(pairs, weights.config, "train")  # every pair checked before the first step
     train_pairs, val_pairs = split_pairs(pairs)
     if len(train_pairs) < 2:
         raise ValueError(f"train: {len(train_pairs)} training pairs (dataset has {len(pairs)}); "

@@ -47,3 +47,15 @@ def test_unreferenced_public_names_are_the_allowlist():
 
 def test_every_private_name_is_referenced():
     assert {n for n in unreferenced_names() if n.startswith("_")} == set()
+
+
+def test_no_private_name_is_imported_across_modules():
+    # a module's private names are its own; another module that needs one
+    # needs it public
+    imported = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                imported += [f"{path.name}: {alias.name}" for alias in node.names
+                             if alias.name.startswith("_") and not alias.name.startswith("__")]
+    assert imported == []

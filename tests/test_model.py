@@ -13,7 +13,6 @@ from pointreg import autodiff as ad
 from pointreg import evaluator
 from pointreg import losses
 from pointreg import model
-from pointreg import tps
 
 from conftest import assert_grads_match
 
@@ -40,10 +39,9 @@ def randomize_weights(weights, rng, scale=0.3):
     for p in weights.params():
         p.data = p.data + rng.normal(0.0, scale, size=p.data.shape).astype(p.data.dtype)
     for layer in [*weights.mlp, *weights.convs, weights.fc1]:
-        st = layer.bn_state
-        dt = st.running_mean.dtype
-        st.running_mean = rng.normal(0.0, 0.2, size=st.running_mean.shape).astype(dt)
-        st.running_var = rng.uniform(0.5, 2.0, size=st.running_var.shape).astype(dt)
+        dt = layer.bn_mean.dtype
+        layer.bn_mean = rng.normal(0.0, 0.2, size=layer.bn_mean.shape).astype(dt)
+        layer.bn_var = rng.uniform(0.5, 2.0, size=layer.bn_var.shape).astype(dt)
 
 
 class TestConfig:
@@ -263,7 +261,7 @@ class TestIdentityAtInitialization:
         src = rng.uniform(-2.0, 3.0, size=(64, 2))
         tgt = src + rng.normal(0.0, 0.1, size=src.shape)
         r = evaluator.register(weights, src, tgt)
-        np.testing.assert_array_equal(r.theta, tps.make_control_grid(2).points)
+        np.testing.assert_array_equal(r.theta, weights.config.control_points)
         np.testing.assert_allclose(r.transformed, model.canonical_order(src), atol=1e-9)
 
     def test_3d_forward_reproduces_source(self):
@@ -311,7 +309,7 @@ class TestSharedSourceBatch:
 
     def test_train_mode_builds_graph_over_all_pairs(self, batch_env):
         weights, src, targets = batch_env
-        deltas, transformed = model.train_forward([(src, t) for t in targets], weights)
+        deltas, transformed, _ = model.train_forward([(src, t) for t in targets], weights)
         total = ad.tensor_sum(transformed[0])
         for t in transformed[1:]:
             total = ad.add(total, ad.tensor_sum(t))
@@ -319,7 +317,7 @@ class TestSharedSourceBatch:
         for layer in weights.mlp:
             assert layer.weight.grad is not None
             assert np.all(np.isfinite(layer.weight.grad))
-        ad.zero_grads(weights.params(), recycle=True)
+        ad.zero_grads(weights.params())
 
     def test_mixed_target_sizes(self, batch_env):
         weights, src, _ = batch_env
@@ -360,9 +358,11 @@ class TestFullNetworkGradients:
         pairs = pairs_of(src, targets)
 
         def build():
-            _, transformed = model.train_forward(pairs, weights)
-            total = losses.gmm_loss(transformed[0], targets[0], 0.5)
-            for t, g in zip(transformed[1:], targets[1:]):
+            # the loss scores each warp against its target in the network
+            # frame, as the trainer does
+            _, transformed, frame_targets = model.train_forward(pairs, weights)
+            total = losses.gmm_loss(transformed[0], frame_targets[0], 0.5)
+            for t, g in zip(transformed[1:], frame_targets[1:]):
                 total = ad.add(total, losses.gmm_loss(t, g, 0.5))
             return total
 
@@ -377,15 +377,27 @@ class TestFullNetworkGradients:
         self.check(lambda src, targets: [(src, targets[0]), (src[::-1] * 0.7 + 0.05, targets[1])])
 
 
-def tiny_config_3d():
+def tiny_config_3d(dtype="float64"):
     return model.PrNetConfig(
         dim=3, grid_shape=(4, 4, 4), mlp_widths=(6, 8), conv_channels=(6, 8),
-        conv_kernels=(2, 2), fc_hidden=7, dtype="float64",
+        conv_kernels=(2, 2), fc_hidden=7, dtype=dtype,
     )
 
 
 def bn_layers(weights):
     return [*weights.mlp, *weights.convs, weights.fc1]
+
+
+def graph_free_env(dim, dtype="float64"):
+    """Randomized tiny weights and four pairs: the first two share one
+    source, the last two the other."""
+    cfg = tiny_config(dtype) if dim == "2d" else tiny_config_3d(dtype)
+    weights = model.init_weights(cfg, seed=17)
+    rng = np.random.default_rng(59)
+    randomize_weights(weights, rng)
+    sources = [rng.uniform(-0.9, 0.9, size=(n, cfg.dim)) for n in (12, 10)]
+    targets = [rng.uniform(-0.9, 0.9, size=(n, cfg.dim)) for n in (12, 9, 12, 15)]
+    return weights, [(sources[i // 2], t) for i, t in enumerate(targets)]
 
 
 class TestGraphFreeForward:
@@ -395,27 +407,24 @@ class TestGraphFreeForward:
 
     @pytest.fixture(params=["2d", "3d"])
     def env(self, request):
-        cfg = tiny_config() if request.param == "2d" else tiny_config_3d()
-        weights = model.init_weights(cfg, seed=17)
-        rng = np.random.default_rng(59)
-        randomize_weights(weights, rng)
-        # two sources: the first two pairs share one, the last two the other
-        sources = [rng.uniform(-0.9, 0.9, size=(n, cfg.dim)) for n in (12, 10)]
-        targets = [rng.uniform(-0.9, 0.9, size=(n, cfg.dim)) for n in (12, 9, 12, 15)]
-        return weights, [(sources[i // 2], t) for i, t in enumerate(targets)]
+        return graph_free_env(request.param)
 
     @staticmethod
     def batch_mode(weights, pairs):
+        # the stages run on pairs in the network frame: each pair mapped by
+        # the normalizer of its source
         stats = []
-        sources = [pairs[0][0], pairs[2][0]]
-        sets = [model.canonical_order(p) for p in [*sources, *(t for _, t in pairs)]]
+        norms = [model.fit_normalizer(pairs[0][0]), model.fit_normalizer(pairs[2][0])]
+        sources = [norms[0].apply(pairs[0][0]), norms[1].apply(pairs[2][0])]
+        targets = [norms[i // 2].apply(t) for i, (_, t) in enumerate(pairs)]
+        sets = [model.canonical_order(p) for p in [*sources, *targets]]
         desc = model._descriptors(sets, weights, stats)
         corr = model._correlations(ad.Tensor(desc), [0, 0, 1, 1], weights.config.grid_count)
         return model._head(corr.data, weights, stats), stats
 
     def test_batch_mode_matches_train_route(self, env):
         weights, pairs = env
-        train_deltas, _ = model.train_forward(pairs, weights)
+        train_deltas, _, _ = model.train_forward(pairs, weights)
         deltas, stats = self.batch_mode(weights, pairs)
         np.testing.assert_allclose(deltas, train_deltas.data, rtol=1e-4, atol=1e-6)
         assert len(stats) == len(bn_layers(weights))
@@ -426,8 +435,8 @@ class TestGraphFreeForward:
         weights, pairs = env
         deltas, stats = self.batch_mode(weights, pairs)
         for layer, (mean, var) in zip(bn_layers(weights), stats):
-            layer.bn_state.running_mean = mean
-            layer.bn_state.running_var = var
+            layer.bn_mean = mean
+            layer.bn_var = var
         eval_deltas, _ = model.forward_shared_source(pairs, weights)
         np.testing.assert_allclose(eval_deltas, deltas, rtol=1e-4, atol=1e-6)
 
@@ -436,6 +445,34 @@ class TestGraphFreeForward:
         deltas, transformed = model.forward_shared_source(pairs, weights)
         for t in [deltas, *transformed]:
             assert type(t) is np.ndarray
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("dim", ["2d", "3d"])
+    def test_statistics_equal_the_training_forward_s(self, dim, dtype, monkeypatch):
+        # precise BN must normalise by exactly what training normalised by:
+        # record every layer's batch statistics inside one train_forward
+        weights, pairs = graph_free_env(dim, dtype)
+        seen = []
+        bn_act_forward, pool_forward = ad.bn_act_forward, ad.dense_bn_act_pool_forward
+
+        def record_bn(*args, **kwargs):
+            out = bn_act_forward(*args, **kwargs)
+            seen.append(out[1:3])
+            return out
+
+        def record_pool(*args, **kwargs):
+            fw = pool_forward(*args, **kwargs)
+            seen.append((fw.mean, fw.var))
+            return fw
+
+        monkeypatch.setattr(ad, "bn_act_forward", record_bn)
+        monkeypatch.setattr(ad, "dense_bn_act_pool_forward", record_pool)
+        model.train_forward(pairs, weights)
+        monkeypatch.undo()
+        stats = model.batch_norm_statistics(pairs, weights)
+        assert len(seen) == len(stats) == len(bn_layers(weights))
+        for layer, ((m, v), (m2, v2)) in enumerate(zip(seen, stats)):
+            assert m.tobytes() == m2.tobytes() and v.tobytes() == v2.tobytes(), layer
 
 
 class TestOneBatchNormLayer:

@@ -197,6 +197,32 @@ class TestSourceRuns:
         assert all(after[k].tobytes() != before[k].tobytes() for k in before if k.endswith(".weight"))
 
 
+class TestNetworkFrame:
+    def test_scaled_copy_trains_to_the_same_weights(self, tmp_path):
+        # training sees each pair in its source's network frame, as
+        # evaluation does; x16 is a power of two, so the scaled pairs map
+        # into that frame with the same bits, and the validation chamfer,
+        # taken in the data's own frame, scales by exactly 16**2
+        shape = datagen.sample_shape("fish", 32)
+        cfg = datagen.SynthConfig(deformation_level=0.3, seed=13, pair_count=10)
+        unit = datagen.generate_dataset(shape, cfg, tmp_path / "unit")
+        scaled = datagen.generate_dataset(shape, cfg, tmp_path / "scaled")
+        for i in range(scaled.pair_count):
+            for path in scaled.pair_paths(i):
+                datagen.save_points_file(path, datagen.load_points_file(path) * 16.0)
+        runs = []
+        for ds in (unit, scaled):
+            weights = fresh_weights()
+            _, history = trainer.train(trainer.TrainConfig(epochs=2, batch_size=4, learning_rate=1e-3),
+                                       ds, weights)
+            runs.append((weights.named_arrays(), history))
+        (unit_arrays, unit_history), (scaled_arrays, scaled_history) = runs
+        for k in unit_arrays:
+            assert unit_arrays[k].tobytes() == scaled_arrays[k].tobytes(), k
+        assert [s.train_loss for s in scaled_history] == [s.train_loss for s in unit_history]
+        assert [s.val_cd for s in scaled_history] == [256.0 * s.val_cd for s in unit_history]
+
+
 class TestLearnability:
     def test_overfit_small_set_halves_the_loss(self, tmp_path):
         # the logged loss is not comparable across epochs while sigma anneals,
