@@ -363,15 +363,12 @@ def linear(x, weight: Tensor, bias: Tensor) -> Tensor:
 # nonlinearities and pooling
 
 
-def leaky_relu(x: Tensor, slope: float = 0.1) -> Tensor:
-    slope = float(slope)
-    if not 0.0 < slope < 1.0:
-        raise ValueError(f"leaky_relu: slope must lie in (0, 1), got {slope}")
+def leaky_relu(x: Tensor) -> Tensor:
     xd = x.data
-    out_data = np.where(xd > 0, xd, slope * xd)
+    out_data = np.where(xd > 0, xd, LEAKY_SLOPE * xd)
 
     def grad_fn(gradient):
-        _accumulate(x, gradient * np.where(xd > 0, 1.0, slope))
+        _accumulate(x, gradient * np.where(xd > 0, 1.0, LEAKY_SLOPE))
 
     return _make_node(out_data, (x,), grad_fn)
 
@@ -408,6 +405,7 @@ def max_pool_rows(x: Tensor, group_size: int) -> Tensor:
 
 
 BN_EPS = 1e-5  # added to every batch-norm variance
+LEAKY_SLOPE = 0.1  # every leaky ReLU of the network maps x < 0 to 0.1 * x
 _NORM_EPS = 1e-12  # the smallest norm an L2 normalisation divides by
 
 
@@ -483,9 +481,10 @@ def batch_norm(x: Tensor, scale_t: Tensor, shift_t: Tensor) -> Tensor:
     return _make_node(out_data, (x, scale_t, shift_t), grad_fn)
 
 
-def bn_act_forward(z, scale, shift, slope: float, mean=None, var=None, out=None) -> tuple:
-    """Batch norm plus leaky ReLU of pre-norm rows ``z`` ``[N, F]``: the one
-    forward of every such layer, in training and in the graph-free model.
+def bn_act_forward(z, scale, shift, mean=None, var=None, out=None) -> tuple:
+    """Batch norm plus leaky ReLU (``LEAKY_SLOPE``) of pre-norm rows ``z``
+    ``[N, F]``: the one forward of every such layer, in training and in the
+    graph-free model.
 
     With ``mean`` None the statistics are ``z``'s own (``batch_stats``),
     otherwise the given ``(mean, var)``, cast to ``z``'s dtype. Either way
@@ -503,20 +502,20 @@ def bn_act_forward(z, scale, shift, slope: float, mean=None, var=None, out=None)
     alpha = scale * inv_std
     out = np.multiply(z, alpha, out=out)
     out += shift
-    low = np.multiply(out, slope, out=_scratch.take(out.shape, out.dtype))
+    low = np.multiply(out, LEAKY_SLOPE, out=_scratch.take(out.shape, out.dtype))
     np.maximum(out, low, out=out)
     _scratch.give(low)
     return out, mean, var, inv_std, alpha
 
 
-def _bn_act_backward(gradient, out, z, inv_std, alpha, slope: float, scale_t, shift_t) -> np.ndarray:
+def _bn_act_backward(gradient, out, z, inv_std, alpha, scale_t, shift_t) -> np.ndarray:
     """Backward of ``bn_act_forward`` under batch statistics: accumulates
     ``d scale`` and ``d shift`` and returns the gradient of the pre-norm
     rows. ``z`` is the centred pre-norm array, which this consumes."""
     # leaky ReLU keeps the sign of its input, so the output's sign recovers
     # which branch was active
     mask = np.greater(out, 0, out=_scratch.take(out.shape, np.bool_))
-    dy = np.multiply(gradient, slope, out=_scratch.take(gradient.shape, gradient.dtype))
+    dy = np.multiply(gradient, LEAKY_SLOPE, out=_scratch.take(gradient.shape, gradient.dtype))
     np.copyto(dy, gradient, where=mask)
     _scratch.give(mask)
     # every reduction the norm's backward needs comes from these sums
@@ -540,10 +539,10 @@ def dense_bn_act(
     bias: Tensor,
     scale_t: Tensor,
     shift_t: Tensor,
-    slope: float = 0.1,
 ) -> Tensor:
-    """Fused linear + batch norm (batch statistics) + leaky ReLU over
-    ``[N, in] -> [N, out]``: the matrix product, then ``bn_act_forward``.
+    """Fused linear + batch norm (batch statistics) + leaky ReLU
+    (``LEAKY_SLOPE``) over ``[N, in] -> [N, out]``: the matrix product,
+    then ``bn_act_forward``.
 
     Matches composing the three ops but touches the large activation arrays
     far fewer times, which is what the training loop's throughput lives on.
@@ -553,21 +552,19 @@ def dense_bn_act(
     xd = _as_array(x)
     if xd.ndim != 2 or xd.shape[1] != weight.data.shape[0]:
         raise ShapeError(f"dense_bn_act: x {xd.shape} does not match weight {weight.data.shape}")
-    if not 0.0 < slope < 1.0:
-        raise ValueError(f"dense_bn_act: slope must lie in (0, 1), got {slope}")
     n = xd.shape[0]
     if n < 2:
         raise ShapeError(f"dense_bn_act: needs at least 2 rows, got {n}")
     z = np.matmul(xd, weight.data, out=_scratch.take((n, weight.data.shape[1]), xd.dtype))
     z += bias.data
-    out_data, _, _, inv_std, alpha = bn_act_forward(z, scale_t.data, shift_t.data, slope,
+    out_data, _, _, inv_std, alpha = bn_act_forward(z, scale_t.data, shift_t.data,
                                                     out=_scratch.take(z.shape, z.dtype))
 
     def grad_fn(gradient):
         nonlocal z
         if z is None:
             raise GraphError("dense_bn_act: graph already consumed by backward()")
-        dy = _bn_act_backward(gradient, out_data, z, inv_std, alpha, slope, scale_t, shift_t)
+        dy = _bn_act_backward(gradient, out_data, z, inv_std, alpha, scale_t, shift_t)
         z = None
         if _needs_grad(bias):
             _accumulate(bias, dy.sum(axis=0))
@@ -620,8 +617,7 @@ class PooledForward:
     slope_mask: np.ndarray
 
 
-def dense_bn_act_pool_forward(xd, w, b, scale, shift, set_sizes, groups: int,
-                              slope: float) -> PooledForward:
+def dense_bn_act_pool_forward(xd, w, b, scale, shift, set_sizes, groups: int) -> PooledForward:
     """Plain-array forward of ``dense_bn_act_pool``; the graph-free batch
     mode of the model runs the same function, so its statistics and pooled
     output are the training forward's.
@@ -683,7 +679,7 @@ def dense_bn_act_pool_forward(xd, w, b, scale, shift, set_sizes, groups: int,
     zsel *= sign[:, None]
     xhat = (zsel.T - mean) * inv_std
     y = xhat * scale + shift
-    slope_mask = np.where(y > 0, 1.0, slope)
+    slope_mask = np.where(y > 0, 1.0, LEAKY_SLOPE)
     out = (y * slope_mask).astype(dt)
     return PooledForward(out, mean, var, spans, x_mean, gram, rows, xhat, alpha, inv_std, slope_mask)
 
@@ -696,11 +692,11 @@ def dense_bn_act_pool(
     shift_t: Tensor,
     set_sizes,
     groups: int,
-    slope: float = 0.1,
 ) -> Tensor:
     """Fused linear + batch norm (batch statistics over every row) + leaky
-    ReLU + per-set, per-group columnwise max over ``[N, in]`` rows, giving
-    ``[num_sets * groups, out]``; the row layout is ``_set_spans``'.
+    ReLU (``LEAKY_SLOPE``) + per-set, per-group columnwise max over
+    ``[N, in]`` rows, giving ``[num_sets * groups, out]``; the row layout
+    is ``_set_spans``'.
 
     Equal to ``dense_bn_act`` followed by ``max_pool_rows`` on each set,
     but the ``[N, out]`` activation is never stored (see
@@ -724,13 +720,11 @@ def dense_bn_act_pool(
     for name, t in (("bias", bias), ("scale", scale_t), ("shift", shift_t)):
         if t.data.shape != (f,):
             raise ShapeError(f"dense_bn_act_pool: {name} {t.data.shape} does not match {f} features")
-    if not 0.0 < slope < 1.0:
-        raise ValueError(f"dense_bn_act_pool: slope must lie in (0, 1), got {slope}")
     n = xd.shape[0]
     if n < 2:
         raise ShapeError(f"dense_bn_act_pool: needs at least 2 rows, got {n}")
     fw = dense_bn_act_pool_forward(xd, weight.data, bias.data, scale_t.data, shift_t.data,
-                                   set_sizes, groups, slope)
+                                   set_sizes, groups)
 
     def grad_fn(gradient):
         dt = xd.dtype
@@ -789,10 +783,9 @@ def conv_bn_act_batch(
     bias: Tensor,
     scale_t: Tensor,
     shift_t: Tensor,
-    slope: float = 0.1,
 ) -> Tensor:
     """Fused valid convolution + batch norm (batch statistics) + leaky ReLU
-    over a batch.
+    (``LEAKY_SLOPE``) over a batch.
 
     ``x`` is ``[B, C_in, *spatial]``; normalization statistics pool every
     output position of every batch element per channel. All batch elements
@@ -817,7 +810,7 @@ def conv_bn_act_batch(
     w2 = kd.reshape(c_out, -1)
     z = cols @ w2.T
     z += bias.data
-    act, _, _, inv_std, alpha = bn_act_forward(z, scale_t.data, shift_t.data, slope)
+    act, _, _, inv_std, alpha = bn_act_forward(z, scale_t.data, shift_t.data)
     out_data = np.ascontiguousarray(
         np.moveaxis(act.reshape((batch,) + out_spatial + (c_out,)), nd + 1, 1)
     )
@@ -827,7 +820,7 @@ def conv_bn_act_batch(
         if z is None:
             raise GraphError("conv_bn_act_batch: graph already consumed by backward()")
         gf = np.ascontiguousarray(np.moveaxis(gradient, 1, nd + 1)).reshape(rows, c_out)
-        dy = _bn_act_backward(gf, act, z, inv_std, alpha, slope, scale_t, shift_t)
+        dy = _bn_act_backward(gf, act, z, inv_std, alpha, scale_t, shift_t)
         z = None
         if _needs_grad(bias):
             _accumulate(bias, dy.sum(axis=0))
@@ -966,6 +959,10 @@ def log_sum_exp(x: Tensor, axis: int) -> Tensor:
 # ---------------------------------------------------------------------------
 # optimizer
 
+_ADAM_BETA1 = 0.9  # first-moment decay
+_ADAM_BETA2 = 0.999  # second-moment decay
+_ADAM_EPS = 1e-8  # added to the root of the corrected second moment
+
 
 @dataclass
 class AdamState:
@@ -973,9 +970,6 @@ class AdamState:
 
     learning_rate: float
     decay: float = 1.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     epoch: int = 0
     step_count: int = 0
     first_moment: list = field(default_factory=list)
@@ -1005,19 +999,19 @@ def adam_step(params: list, state: AdamState) -> None:
     state.step_count += 1
     t = state.step_count
     lr = effective_lr(state)
-    c1 = 1.0 - state.beta1**t
-    c2 = 1.0 - state.beta2**t
+    c1 = 1.0 - _ADAM_BETA1**t
+    c2 = 1.0 - _ADAM_BETA2**t
     # p -= lr * (m/c1) / (sqrt(v/c2) + eps), refactored so the per-element
     # work is a handful of in-place passes.
     denom_scale = c1 / np.sqrt(c2)
-    denom_shift = c1 * state.epsilon
+    denom_shift = c1 * _ADAM_EPS
     for p, m, v in zip(params, state.first_moment, state.second_moment):
         g = p.grad
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
+        m *= _ADAM_BETA1
+        m += (1.0 - _ADAM_BETA1) * g
+        v *= _ADAM_BETA2
         step = g * g
-        step *= 1.0 - state.beta2
+        step *= 1.0 - _ADAM_BETA2
         v += step
         np.sqrt(v, out=step)
         step *= denom_scale

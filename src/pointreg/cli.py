@@ -49,8 +49,8 @@ class _Resolver:
         self.config = _read_config(args.config) if args.config else {}
         self.resolved = {}
 
-    def get(self, key, default, cast, flag=None):
-        flag_value = getattr(self.args, flag or key, None)
+    def get(self, key, default, cast):
+        flag_value = getattr(self.args, key, None)
         if flag_value is not None:
             value = flag_value
         elif key in self.config:

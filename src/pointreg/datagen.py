@@ -152,13 +152,13 @@ def _fish_curve(count: int) -> np.ndarray:
 BUILTIN_SHAPES = ("fish",)
 
 
-def sample_shape(name, target_count: int, rng: np.random.Generator = None) -> np.ndarray:
+def sample_shape(name, target_count: int) -> np.ndarray:
     """A point set from a builtin shape name or a point/mesh file.
 
     Files larger than ``target_count`` are uniformly subsampled without
-    replacement (seeded; pass ``rng`` to control it); smaller files are
-    returned whole. The builtin shape is parametric and emits exactly
-    ``target_count`` points.
+    replacement by a fixed seed, so a file always gives the same subset;
+    smaller files are returned whole. The builtin shape is parametric and
+    emits exactly ``target_count`` points.
     """
     if target_count < 1:
         raise ValueError(f"sample_shape: target_count must be positive, got {target_count}")
@@ -167,9 +167,7 @@ def sample_shape(name, target_count: int, rng: np.random.Generator = None) -> np
     pts = load_points_file(name)
     if pts.shape[0] <= target_count:
         return pts
-    if rng is None:
-        rng = np.random.default_rng(0)
-    keep = np.sort(rng.choice(pts.shape[0], size=target_count, replace=False))
+    keep = np.sort(np.random.default_rng(0).choice(pts.shape[0], size=target_count, replace=False))
     return pts[keep]
 
 

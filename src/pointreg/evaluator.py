@@ -58,10 +58,6 @@ class EvaluationSummary:
     total_time_s: float
     results: list = field(repr=False, default_factory=list)
 
-    @property
-    def per_pair_time_s(self) -> float:
-        return self.model_time_s / self.pair_count
-
 
 def register(weights, source, target) -> RegistrationResult:
     """Register one pair: ``evaluate`` of that one pair.

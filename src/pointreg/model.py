@@ -14,7 +14,7 @@ order-free, which the determinism guarantees elsewhere rely on.
 
 Every forward takes a list of (source, target) pairs in the caller's
 coordinates; this module alone decides how they reach the network
-(``_source_runs``). Consecutive pairs with one source share its descriptor,
+(``source_runs``). Consecutive pairs with one source share its descriptor,
 and each pair is mapped into its source's network frame: the source's
 centroid at the origin and its largest coordinate magnitude at 0.9
 (``fit_normalizer``). Training, recalibration and inference all see pairs
@@ -61,7 +61,8 @@ def _is_int(value) -> bool:
 
 @dataclass(frozen=True)
 class PrNetConfig:
-    """Architecture hyperparameters; defaults follow the 2D reference setup."""
+    """Architecture hyperparameters; defaults follow the 2D reference setup.
+    Every leaky ReLU uses the constant ``autodiff.LEAKY_SLOPE``."""
 
     dim: int = 2
     grid_shape: tuple = (11, 11)
@@ -69,7 +70,6 @@ class PrNetConfig:
     conv_channels: tuple = (128, 256, 512)
     conv_kernels: tuple = (3, 4, 5)
     fc_hidden: int = 64
-    leaky_slope: float = 0.1
     dtype: str = "float32"
 
     def __post_init__(self):
@@ -82,9 +82,6 @@ class PrNetConfig:
                 raise ValueError(f"PrNetConfig: {name} must be positive integers, got {sizes!r}")
         if not _is_int(self.fc_hidden) or self.fc_hidden < 1:
             raise ValueError(f"PrNetConfig: fc_hidden must be a positive integer, got {self.fc_hidden!r}")
-        if not isinstance(self.leaky_slope, numbers.Real) or isinstance(self.leaky_slope, bool) \
-                or not 0.0 < self.leaky_slope < 1.0:
-            raise ValueError(f"PrNetConfig: leaky_slope must be a number in (0, 1), got {self.leaky_slope!r}")
         if self.dtype not in ("float32", "float64"):
             raise ValueError(f"PrNetConfig: dtype must be float32 or float64, got {self.dtype!r}")
         if len(self.grid_shape) != self.dim or any(r < 2 for r in self.grid_shape):
@@ -388,7 +385,7 @@ def _bn_fold(layer: _Layer) -> tuple:
     return layer.bn_mean.astype(dt), alpha
 
 
-def _bn_act(x, w, layer: _Layer, stats, slope: float, out=None) -> np.ndarray:
+def _bn_act(x, w, layer: _Layer, stats, out=None) -> np.ndarray:
     """``leaky_relu(batch_norm(x @ w + bias))`` for rows ``x``, in ``out``
     when given; ``w`` is the layer's weight as ``[in, out]``.
 
@@ -399,8 +396,7 @@ def _bn_act(x, w, layer: _Layer, stats, slope: float, out=None) -> np.ndarray:
     z = np.matmul(x, w, out=out)
     z += layer.bias.data
     running = (layer.bn_mean, layer.bn_var) if stats is None else ()
-    act, mean, var, _, _ = ad.bn_act_forward(z, layer.bn_scale.data, layer.bn_shift.data, slope,
-                                             *running, out=z)
+    act, mean, var, _, _ = ad.bn_act_forward(z, layer.bn_scale.data, layer.bn_shift.data, *running, out=z)
     if stats is not None:
         stats.append((mean, var))
     return act
@@ -427,10 +423,9 @@ def _descriptors(ordered_sets, weights: PrNetWeights, stats) -> np.ndarray:
                 for w in (2 * cfg.dim, *cfg.mlp_widths[:-1])]
         h = _descriptor_rows(ordered_sets, cfg, out=bufs[0])
         for layer, buf in zip(hidden, bufs[1:]):
-            h = _bn_act(h, layer.weight.data, layer, stats, cfg.leaky_slope, out=buf)
+            h = _bn_act(h, layer.weight.data, layer, stats, out=buf)
         fw = ad.dense_bn_act_pool_forward(h, last.weight.data, last.bias.data, last.bn_scale.data,
-                                          last.bn_shift.data, [s.shape[0] for s in ordered_sets], g,
-                                          cfg.leaky_slope)
+                                          last.bn_shift.data, [s.shape[0] for s in ordered_sets], g)
         stats.append((fw.mean, fw.var))
         pooled = fw.out
     else:
@@ -447,7 +442,7 @@ def _descriptors(ordered_sets, weights: PrNetWeights, stats) -> np.ndarray:
             for (wf, bf), buf in zip(folded, bufs[1:]):
                 h = np.matmul(h, wf, out=buf[:g * k])
                 h += bf
-                np.maximum(h, h * cfg.leaky_slope, out=h)
+                np.maximum(h, h * ad.LEAKY_SLOPE, out=h)
             np.max(h.reshape(g, k, -1), axis=1, out=pooled[i * g:(i + 1) * g])
     for buf in bufs:
         ad._scratch.give(buf)
@@ -457,7 +452,7 @@ def _descriptors(ordered_sets, weights: PrNetWeights, stats) -> np.ndarray:
 def _correlations(desc: ad.Tensor, owners, g: int) -> ad.Tensor:
     """Each target's correlation tensor against its own source, stacked as
     ``[B*G, G]``. ``desc`` stacks descriptors of ``G`` rows, first the
-    ``owners[-1] + 1`` sources of ``_source_runs``, then the B targets."""
+    ``owners[-1] + 1`` sources of ``source_runs``, then the B targets."""
     parts, lo = [], owners[-1] + 1
     for owner, run in groupby(owners):
         hi = lo + len(list(run))
@@ -477,10 +472,10 @@ def _head(corr: np.ndarray, weights: PrNetWeights, stats) -> np.ndarray:
     for layer in weights.convs:
         kd = layer.weight.data
         cols, out_spatial = ad.window_rows(h, kd.shape[2:])
-        act = _bn_act(cols, kd.reshape(kd.shape[0], -1).T, layer, stats, cfg.leaky_slope)
+        act = _bn_act(cols, kd.reshape(kd.shape[0], -1).T, layer, stats)
         ad._scratch.give(cols)
         h = np.moveaxis(act.reshape((batch,) + out_spatial + (-1,)), -1, 1)
-    h = _bn_act(h.reshape(batch, -1), weights.fc1.weight.data, weights.fc1, stats, cfg.leaky_slope)
+    h = _bn_act(h.reshape(batch, -1), weights.fc1.weight.data, weights.fc1, stats)
     return h @ weights.out.weight.data + weights.out.bias.data
 
 
@@ -510,7 +505,7 @@ def _checked_points(points, cfg: PrNetConfig, where: str, role: str, limit: floa
     return pts
 
 
-def _source_runs(pairs, cfg: PrNetConfig, where: str) -> tuple:
+def source_runs(pairs, cfg: PrNetConfig, where: str) -> tuple:
     """``(runs, owners, targets)``: a nonempty list of ``(source, target)``
     pairs mapped into the network frame.
 
@@ -563,10 +558,10 @@ def forward_shared_source(pairs, weights: PrNetWeights):
 
     Graph-free, with every batch norm by its running statistics. The pairs
     go through ``EVAL_CHUNK`` at a time; in a chunk, each run of pairs with
-    one source (``_source_runs``) computes its descriptor once.
+    one source (``source_runs``) computes its descriptor once.
     """
     cfg = weights.config
-    runs, owners, targets = _source_runs(pairs, cfg, "forward_shared_source")
+    runs, owners, targets = source_runs(pairs, cfg, "forward_shared_source")
     prepared = [prepare_source(src, weights) for _, src in runs]
     theta0 = cfg.control_points.reshape(1, -1)
     deltas, transformed = [], []
@@ -597,7 +592,7 @@ def train_forward(pairs, weights: PrNetWeights):
     normalized by batch statistics. Only the trainer calls it.
 
     One forward for the whole batch: its sources (one per run of
-    ``_source_runs``) and targets share the MLP's batch statistics, and the
+    ``source_runs``) and targets share the MLP's batch statistics, and the
     head's statistics span all its pairs, so it needs two or more. Returns
     ``(deltas, transformed, targets)``, all in the network frame: tensors of
     the displacements and of each pair's warped source (by the basis in the
@@ -605,7 +600,7 @@ def train_forward(pairs, weights: PrNetWeights):
     point order, which the loss scores the warped source against.
     """
     cfg = weights.config
-    runs, owners, targets = _source_runs(pairs, cfg, "train_forward")
+    runs, owners, targets = source_runs(pairs, cfg, "train_forward")
     prepared = [prepare_source(src, weights) for _, src in runs]
     batch = len(targets)
     g = cfg.grid_count
@@ -615,16 +610,15 @@ def train_forward(pairs, weights: PrNetWeights):
     h = _descriptor_rows(sets, cfg)
     *hidden, last = weights.mlp
     for layer in hidden:
-        h = ad.dense_bn_act(h, layer.weight, layer.bias, layer.bn_scale, layer.bn_shift, cfg.leaky_slope)
+        h = ad.dense_bn_act(h, layer.weight, layer.bias, layer.bn_scale, layer.bn_shift)
     desc = ad.l2_normalize_rows(ad.dense_bn_act_pool(h, last.weight, last.bias, last.bn_scale, last.bn_shift,
-                                                     [s.shape[0] for s in sets], g, cfg.leaky_slope))
+                                                     [s.shape[0] for s in sets], g))
     h = ad.reshape(_correlations(desc, owners, g), (batch, g) + cfg.grid_shape)
     for layer in weights.convs:
-        h = ad.conv_bn_act_batch(h, layer.weight, layer.bias, layer.bn_scale, layer.bn_shift,
-                                 cfg.leaky_slope)
+        h = ad.conv_bn_act_batch(h, layer.weight, layer.bias, layer.bn_scale, layer.bn_shift)
     fc1 = weights.fc1
     h = ad.dense_bn_act(ad.reshape(h, (batch, cfg.flat_features())), fc1.weight, fc1.bias,
-                        fc1.bn_scale, fc1.bn_shift, cfg.leaky_slope)
+                        fc1.bn_scale, fc1.bn_shift)
     deltas = ad.linear(h, weights.out.weight, weights.out.bias)
 
     theta0 = cfg.control_points.astype(deltas.data.dtype).reshape(1, -1)
@@ -642,7 +636,7 @@ def batch_norm_statistics(pairs, weights: PrNetWeights) -> list:
     same network frame and batch, with no graph and no transform, so no
     warp basis."""
     cfg = weights.config
-    runs, owners, targets = _source_runs(pairs, cfg, "batch_norm_statistics")
+    runs, owners, targets = source_runs(pairs, cfg, "batch_norm_statistics")
     if len(targets) < 2:
         raise ValueError("batch_norm_statistics: fc1's batch norm needs two or more pairs, got 1")
     stats = []
@@ -772,17 +766,15 @@ def read_checkpoint(path) -> tuple:
     return arrays, meta
 
 
-def save_model(path, weights: PrNetWeights, extra_meta: dict = None, extra_arrays: dict = None) -> None:
-    meta = {"kind": "pointreg-model", "config": asdict(weights.config)}
-    if extra_meta:
-        meta.update(extra_meta)
+def save_model(path, weights: PrNetWeights, extra_meta: dict, extra_arrays: dict) -> None:
+    """Write ``weights`` and their config plus the optimizer state that
+    ``trainer.save_checkpoint`` passes as extra meta keys and arrays."""
+    meta = {"kind": "pointreg-model", "config": asdict(weights.config), **extra_meta}
     arrays = weights.named_arrays()
-    if extra_arrays:
-        overlap = set(arrays) & set(extra_arrays)
-        if overlap:
-            raise ValueError(f"save_model: extra array names collide: {sorted(overlap)}")
-        arrays = {**arrays, **extra_arrays}
-    write_checkpoint(path, arrays, meta)
+    overlap = set(arrays) & set(extra_arrays)
+    if overlap:
+        raise ValueError(f"save_model: extra array names collide: {sorted(overlap)}")
+    write_checkpoint(path, {**arrays, **extra_arrays}, meta)
 
 
 def _config_from_meta(path, meta: dict) -> PrNetConfig:
@@ -793,6 +785,10 @@ def _config_from_meta(path, meta: dict) -> PrNetConfig:
     missing = [n for n in names if n not in c]
     if missing:
         raise CorruptCheckpointError(f"{path}: config lacks {', '.join(missing)}")
+    # files written while the slope was a config field carry it, as 0.1
+    if c.get("leaky_slope", ad.LEAKY_SLOPE) != ad.LEAKY_SLOPE:
+        raise CorruptCheckpointError(f"{path}: invalid config (leaky_slope {c['leaky_slope']!r}, "
+                                     f"not {ad.LEAKY_SLOPE})")
     try:
         return PrNetConfig(**{n: tuple(c[n]) if isinstance(c[n], list) else c[n] for n in names})
     except (TypeError, ValueError) as exc:

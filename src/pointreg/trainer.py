@@ -86,7 +86,8 @@ def write_history_csv(history, path) -> None:
 # ---------------------------------------------------------------------------
 # checkpointing
 
-_TRAINING_META = ("epoch", "adam_learning_rate", "adam_decay", "adam_step_count")
+_COUNT_META = ("epoch", "adam_step_count")  # JSON integers >= 0
+_RATE_META = ("adam_learning_rate", "adam_decay")  # finite and > 0, as in TrainConfig
 
 
 def save_checkpoint(weights, adam_state: ad.AdamState, epoch: int, path) -> None:
@@ -102,35 +103,30 @@ def save_checkpoint(weights, adam_state: ad.AdamState, epoch: int, path) -> None
         "adam_learning_rate": adam_state.learning_rate,
         "adam_decay": adam_state.decay,
     }
-    prnet.save_model(path, weights, extra_meta=meta, extra_arrays=extras)
+    prnet.save_model(path, weights, meta, extras)
 
 
 def load_checkpoint(path):
-    """Returns ``(weights, adam_state, epoch)``.
+    """Returns ``(weights, adam_state, epoch)`` from a file written by
+    ``save_checkpoint``, the one kind of checkpoint: ``pointreg train``
+    writes it, and ``register``, ``eval`` and ``plot`` read its weights.
 
-    The optimizer moments are the checkpoint's own arrays, each checked
-    against its parameter's shape and dtype, so a resumed run trains them
-    in place; such a file must also carry every ``_TRAINING_META`` key.
-    Plain model files (no optimizer arrays) load with a fresh optimizer at
-    epoch 0, so the same loader serves both resuming and evaluation.
+    The file must carry every ``_COUNT_META`` and ``_RATE_META`` key with a
+    valid value and both Adam moments of every parameter, each matching its
+    parameter's shape and dtype. The moments are the file's own arrays, so
+    a resumed run trains them in place.
     """
     weights, meta, extras = prnet.load_model(path)
-    params = weights.params()
-    resumable = any(k.startswith("adam.") for k in extras)
-    missing = [k for k in _TRAINING_META if k not in meta] if resumable else []
+    missing = [k for k in (*_COUNT_META, *_RATE_META) if k not in meta]
     if missing:
         raise prnet.CorruptCheckpointError(f"{path}: training meta lacks {', '.join(missing)}")
-    try:
-        epoch = int(meta.get("epoch", 0))
-        learning_rate = float(meta.get("adam_learning_rate", 1e-4))
-        decay = float(meta.get("adam_decay", 1.0))
-        step_count = int(meta.get("adam_step_count", 0))
-    except (TypeError, ValueError) as exc:
-        raise prnet.CorruptCheckpointError(f"{path}: invalid training meta ({exc})") from exc
-    if not resumable:
-        return weights, ad.init_adam(params, learning_rate=learning_rate, decay=decay), epoch
-    state = ad.AdamState(learning_rate=learning_rate, decay=decay, step_count=step_count)
-    for i, p in enumerate(params):
+    bad = [k for k in _COUNT_META if type(meta[k]) is not int or meta[k] < 0]
+    bad += [k for k in _RATE_META if type(meta[k]) is not float or not math.isfinite(meta[k]) or meta[k] <= 0]
+    if bad:
+        raise prnet.CorruptCheckpointError(f"{path}: invalid training meta ({bad[0]} is {meta[bad[0]]!r})")
+    state = ad.AdamState(learning_rate=meta["adam_learning_rate"], decay=meta["adam_decay"],
+                         step_count=meta["adam_step_count"])
+    for i, p in enumerate(weights.params()):
         for kind, dest in (("m", state.first_moment), ("v", state.second_moment)):
             key = f"adam.{kind}.{i:03d}"
             if key not in extras:
@@ -144,7 +140,7 @@ def load_checkpoint(path):
                     f"its parameter {p.data.dtype}"
                 )
             dest.append(moment)
-    return weights, state, epoch
+    return weights, state, meta["epoch"]
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +249,7 @@ def train(cfg: TrainConfig, data, weights, adam_state: ad.AdamState = None,
     checkpoint, which therefore all describe the same network.
     """
     pairs, _ = datagen.load_pairs(data)
-    prnet._source_runs(pairs, weights.config, "train")  # every pair checked before the first step
+    prnet.source_runs(pairs, weights.config, "train")  # every pair checked before the first step
     train_pairs, val_pairs = split_pairs(pairs)
     if len(train_pairs) < 2:
         raise ValueError(f"train: {len(train_pairs)} training pairs (dataset has {len(pairs)}); "

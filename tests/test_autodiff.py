@@ -64,17 +64,12 @@ class TestLinear:
 class TestLeakyRelu:
     @pytest.mark.parametrize("x,expected", [(2.0, 2.0), (-2.0, -0.2), (0.0, 0.0)])
     def test_pointwise_values(self, x, expected):
-        out = ad.leaky_relu(f64([x]), slope=0.1)
+        out = ad.leaky_relu(f64([x]))
         np.testing.assert_allclose(out.data, [expected], atol=1e-15)
-
-    @pytest.mark.parametrize("slope", [0.0, 1.0, -0.5, 2.0])
-    def test_slope_out_of_range(self, slope):
-        with pytest.raises(ValueError):
-            ad.leaky_relu(f64([1.0]), slope=slope)
 
     def test_gradients(self, rng):
         x = f64(rng.normal(size=(4, 6)), requires_grad=True)
-        assert_grads_match(lambda: ad.tensor_sum(ad.leaky_relu(x, 0.1)), [x])
+        assert_grads_match(lambda: ad.tensor_sum(ad.leaky_relu(x)), [x])
 
 
 class TestMaxPool:
@@ -216,12 +211,10 @@ class TestFusedDense:
     def _run(self, p, fused):
         leaves = {k: f64(v, requires_grad=True) for k, v in p.items()}
         if fused:
-            out = ad.dense_bn_act(
-                leaves["x"], leaves["w"], leaves["b"], leaves["sc"], leaves["sh"], slope=0.1,
-            )
+            out = ad.dense_bn_act(leaves["x"], leaves["w"], leaves["b"], leaves["sc"], leaves["sh"])
         else:
             z = ad.linear(leaves["x"], leaves["w"], leaves["b"])
-            out = ad.leaky_relu(ad.batch_norm(z, leaves["sc"], leaves["sh"]), 0.1)
+            out = ad.leaky_relu(ad.batch_norm(z, leaves["sc"], leaves["sh"]))
         data = out.data.copy()
         ad.tensor_sum(ad.reshape(out, (1, out.data.size))).backward()
         return data, {k: t.grad for k, t in leaves.items()}
@@ -239,7 +232,7 @@ class TestFusedDense:
         leaves = [f64(v, requires_grad=True) for v in p.values()]
 
         def build():
-            out = ad.dense_bn_act(*leaves, slope=0.1)
+            out = ad.dense_bn_act(*leaves)
             return ad.scale(ad.tensor_sum(ad.reshape(out, (1, out.data.size))), 1.0 / 32)
 
         assert_grads_match(build, leaves, rtol=1e-4, atol=1e-6)
@@ -252,12 +245,6 @@ class TestFusedDense:
         loss.backward()
         with pytest.raises(ad.GraphError, match="consumed"):
             loss.backward()
-
-    def test_slope_bounds_validated(self, rng):
-        p = self._params(rng)
-        leaves = [f64(v) for v in p.values()]
-        with pytest.raises(ValueError, match="slope"):
-            ad.dense_bn_act(*leaves, slope=1.0)
 
 
 def assert_rel_close(got, ref, tol, what):
@@ -303,9 +290,9 @@ class TestFusedDensePool:
         leaves = {k: f64(p[k], requires_grad=True) for k in ("x", "w", "b", "sc", "sh")}
         args = [leaves[k] for k in ("x", "w", "b", "sc", "sh")]
         if fused:
-            parts = [ad.dense_bn_act_pool(*args, self.SIZES, self.GROUPS, slope=0.1)]
+            parts = [ad.dense_bn_act_pool(*args, self.SIZES, self.GROUPS)]
         else:
-            h = ad.dense_bn_act(*args, slope=0.1)
+            h = ad.dense_bn_act(*args)
             parts, lo = [], 0
             for k in self.SIZES:
                 parts.append(ad.max_pool_rows(ad.row_slice(h, lo, lo + self.GROUPS * k), k))
@@ -340,7 +327,7 @@ class TestFusedDensePool:
         coef = rng.normal(size=(len(sizes) * groups * 4, 1))
 
         def build():
-            out = ad.dense_bn_act_pool(*leaves, sizes, groups, slope=0.1)
+            out = ad.dense_bn_act_pool(*leaves, sizes, groups)
             return ad.tensor_sum(ad.matmul(ad.reshape(out, (1, out.data.size)), coef))
 
         assert_grads_match(build, leaves, rtol=1e-4, atol=1e-6)
@@ -363,7 +350,7 @@ class TestFusedDensePool:
         results = {}
         for dtype in (np.float32, np.float64):
             leaves = [ad.Tensor(p[k], requires_grad=True, dtype=dtype) for k in ("x", "w", "b", "sc", "sh")]
-            out = ad.dense_bn_act_pool(*leaves, sizes, groups, slope=0.1)
+            out = ad.dense_bn_act_pool(*leaves, sizes, groups)
             out._backward(upstream.astype(dtype))
             results[dtype] = [out.data] + [t.grad for t in leaves]
         for what, got, ref in zip(("pooled output", "d x", "d w", "d bias", "d scale", "d shift"),
@@ -385,11 +372,11 @@ class TestFusedDensePool:
         bound = n * d_out * np.dtype(np.float64).itemsize
 
         def fused(leaves):
-            out = ad.dense_bn_act_pool(*leaves, sizes, groups, slope=0.1)
+            out = ad.dense_bn_act_pool(*leaves, sizes, groups)
             out._backward(upstream)
 
         def composed(leaves):
-            h = ad.dense_bn_act(*leaves, slope=0.1)
+            h = ad.dense_bn_act(*leaves)
             out = ad.max_pool_rows(h, sizes[0])
             out._backward(upstream)
             h._backward(h.grad)
@@ -414,8 +401,6 @@ class TestFusedDensePool:
             ad.dense_bn_act_pool(*leaves, (2, 2), 3)
         with pytest.raises(ad.ShapeError, match="at least one set"):
             ad.dense_bn_act_pool(*leaves, (5, 0), 2)
-        with pytest.raises(ValueError, match="slope"):
-            ad.dense_bn_act_pool(*leaves, (5,), 2, slope=0.0)
 
 
 class TestFusedConvBatch:
@@ -448,7 +433,7 @@ class TestFusedConvBatch:
         for i, o in enumerate(outs):
             part = ad.matmul(place[:, i, :], ad.transpose2d(ad.reshape(o, (shape[0], positions))))
             rows = part if rows is None else ad.add(rows, part)
-        rows = ad.leaky_relu(ad.batch_norm(rows, leaves["sc"], leaves["sh"]), 0.1)
+        rows = ad.leaky_relu(ad.batch_norm(rows, leaves["sc"], leaves["sh"]))
         ref = np.stack(
             [
                 rows.data[i * positions : (i + 1) * positions].T.reshape(shape)
@@ -462,9 +447,7 @@ class TestFusedConvBatch:
         # fused route
         leaves = make_leaves()
         x = f64(xv, requires_grad=True)
-        out = ad.conv_bn_act_batch(
-            x, leaves["k"], leaves["b"], leaves["sc"], leaves["sh"], slope=0.1,
-        )
+        out = ad.conv_bn_act_batch(x, leaves["k"], leaves["b"], leaves["sc"], leaves["sh"])
         got = out.data.copy()
         ad.tensor_sum(ad.reshape(out, (1, out.data.size))).backward()
         got_grads = {k: t.grad for k, t in leaves.items()}
@@ -484,7 +467,7 @@ class TestFusedConvBatch:
         ]
 
         def build():
-            out = ad.conv_bn_act_batch(*leaves, slope=0.1)
+            out = ad.conv_bn_act_batch(*leaves)
             return ad.scale(ad.tensor_sum(ad.reshape(out, (1, out.data.size))), 0.25)
 
         assert_grads_match(build, leaves, rtol=1e-4, atol=1e-6)
@@ -711,7 +694,7 @@ class TestDeterminism:
 
         def run():
             h = ad.linear(ad.Tensor(x), ad.Tensor(w, requires_grad=True), ad.Tensor(b))
-            h = ad.leaky_relu(h, 0.1)
+            h = ad.leaky_relu(h)
             h = ad.l2_normalize_rows(h)
             return ad.log_sum_exp(h, axis=1).data.tobytes()
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pointreg import model, trainer
+from pointreg import evaluator, model, trainer
 
 from conftest import small_identity_checkpoint
 
@@ -111,7 +111,7 @@ class TestLoaderContract:
         path = small_identity_checkpoint(tmp_path / "m.ckpt")
         weights, _, _ = model.load_model(path)
         extra = {"opt.m": np.arange(6, dtype=np.float64), "opt.n": np.arange(3, dtype=np.float32)}
-        model.save_model(path, weights, extra_arrays=extra)
+        model.save_model(path, weights, {}, extra)
         weights, _, extras = model.load_model(path)
         assert sorted(extras) == ["opt.m", "opt.n"]
         assert_owned_buffers(loaded_arrays(weights, extras=extras))
@@ -145,6 +145,26 @@ class TestLoaderContract:
         with pytest.raises(model.CorruptCheckpointError, match=f"training meta lacks {key}"):
             trainer.load_checkpoint(path)
 
+    def test_file_carrying_the_former_slope_field_registers_alike(self, tmp_path):
+        # files written while the slope was a config field carry
+        # "leaky_slope": 0.1; they load as the same network, bit for bit
+        weights, state, _ = trainer.load_checkpoint(small_identity_checkpoint(tmp_path / "m.ckpt"))
+        rng = np.random.default_rng(5)
+        for p in weights.params():
+            p.data += rng.normal(0.0, 0.2, size=p.data.shape).astype(p.data.dtype)
+        current, former = tmp_path / "current.ckpt", tmp_path / "former.ckpt"
+        trainer.save_checkpoint(weights, state, 3, current)
+        arrays, meta = model.read_checkpoint(current)
+        meta["config"]["leaky_slope"] = 0.1
+        model.write_checkpoint(former, arrays, meta)
+        source = rng.uniform(-1.0, 1.0, size=(30, 2))
+        target = source + rng.normal(0.0, 0.05, size=source.shape)
+        now, before = (evaluator.register(trainer.load_checkpoint(path)[0], source, target)
+                       for path in (current, former))
+        assert not np.allclose(now.transformed, source)
+        assert before.transformed.tobytes() == now.transformed.tobytes()
+        assert before.theta.tobytes() == now.theta.tobytes()
+
     def test_file_can_be_overwritten_while_arrays_live(self, tmp_path):
         path = small_identity_checkpoint(tmp_path / "m.ckpt")
         weights, state, epoch = trainer.load_checkpoint(path)
@@ -167,6 +187,13 @@ def _load(directory, raw):
     path = directory / "case.ckpt"
     path.write_bytes(raw)
     return trainer.load_checkpoint(path)
+
+
+def _snapshot(loaded) -> tuple:
+    """What ``trainer.load_checkpoint`` returned, as comparable values."""
+    weights, state, epoch = loaded
+    arrays = {name: arr.tobytes() for name, arr in loaded_arrays(weights, state).items()}
+    return weights.config, arrays, state.learning_rate, state.decay, state.step_count, epoch, type(epoch)
 
 
 class TestCorruptBytes:
@@ -201,3 +228,28 @@ class TestCorruptBytes:
             _load(directory, bytes(damaged))
         except model.CorruptCheckpointError:
             pass
+
+    def test_no_flip_of_the_config_or_a_meta_key_loads_another_model(self, small_file):
+        # every bit of the config object and of each meta key name, quotes
+        # included; what still loads must be the same network and optimizer
+        directory, raw, start = small_file
+        lo = raw.index(b'"config":{') + len('"config":')
+        spans = [(lo, raw.index(b"}", lo) + 1)]
+        for key in json.loads(raw[12:start])["meta"]:
+            at = raw.index(b'"%s":' % key.encode())
+            spans.append((at, at + len(key) + 2))
+        expected = _snapshot(_load(directory, raw))
+        flips, differing = 0, []
+        for index in sorted({i for a, b in spans for i in range(a, b)}):
+            for bit in range(8):
+                damaged = bytearray(raw)
+                damaged[index] ^= 1 << bit
+                flips += 1
+                try:
+                    loaded = _load(directory, bytes(damaged))
+                except model.CorruptCheckpointError:
+                    continue
+                if _snapshot(loaded) != expected:
+                    differing.append(bytes(damaged[index - 8:index + 8]))
+        assert flips > 1500
+        assert differing == []

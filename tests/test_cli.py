@@ -620,11 +620,22 @@ class TestMalformedCheckpoint:
         self.assert_rejected(capsys, path, points, "optimizer array adam.v.004 has dtype float64")
 
     def test_optimizer_meta_ill_typed(self, capsys, tmp_path, points, valid):
-        def edit(meta):
-            meta["adam_step_count"] = [3]
+        # the counters are JSON integers >= 0 (``true`` is not one), the
+        # rates finite and positive; Infinity once crashed ``int()``
+        cases = [("adam_step_count", [3]), ("epoch", float("inf")), ("adam_step_count", float("inf")),
+                 ("epoch", 1.7), ("epoch", True), ("adam_step_count", -1), ("epoch", "1"),
+                 ("adam_learning_rate", -1.0), ("adam_learning_rate", 0), ("adam_learning_rate", float("nan")),
+                 ("adam_decay", float("inf")), ("adam_decay", 0.0)]
+        for i, (key, value) in enumerate(cases):
+            def edit(meta):
+                meta[key] = value
 
-        path = rewrite_checkpoint(valid, tmp_path / "m.ckpt", edit_meta=edit)
-        self.assert_rejected(capsys, path, points, "invalid training meta")
+            path = rewrite_checkpoint(valid, tmp_path / f"m{i}.ckpt", edit_meta=edit)
+            self.assert_rejected(capsys, path, points, f"invalid training meta ({key} is")
+
+    def test_optimizer_array_missing(self, capsys, tmp_path, points, valid):
+        path = rewrite_checkpoint(valid, tmp_path / "m.ckpt", edit_arrays=lambda a: a.pop("adam.v.003"))
+        self.assert_rejected(capsys, path, points, "missing optimizer array adam.v.003")
 
 
 # values a fuzzed manifest or config line may carry: small integers, floats

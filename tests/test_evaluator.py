@@ -144,9 +144,6 @@ class TestEvaluate:
         assert sum(r.elapsed for r in summary.results) == pytest.approx(
             summary.model_time_s, rel=0.01
         )
-        assert summary.per_pair_time_s * summary.pair_count == pytest.approx(
-            summary.model_time_s, rel=0.01
-        )
         assert summary.model_time_s <= summary.total_time_s
 
     def test_dataset_directory_input(self, tmp_path):

@@ -488,9 +488,9 @@ class TestOneBatchNormLayer:
         return weights
 
     @staticmethod
-    def stage(rows, w, layer, slope):
+    def stage(rows, w, layer):
         stats = []
-        act = model._bn_act(rows, w, layer, stats, slope)
+        act = model._bn_act(rows, w, layer, stats)
         z = rows @ w
         z += layer.bias.data
         [(mean, var)] = stats
@@ -501,11 +501,10 @@ class TestOneBatchNormLayer:
     @pytest.mark.parametrize("which,rows", [("mlp0", 300), ("mlp1", 300), ("fc1", 5)])
     def test_dense_op_equals_stage(self, weights, which, rows):
         layer = weights.fc1 if which == "fc1" else weights.mlp[int(which[-1])]
-        slope = weights.config.leaky_slope
         dt = weights.config.np_dtype()
         x = np.random.default_rng(67).normal(size=(rows, layer.weight.data.shape[0])).astype(dt)
-        out = ad.dense_bn_act(x, layer.weight, layer.bias, layer.bn_scale, layer.bn_shift, slope)
-        assert out.data.tobytes() == self.stage(x, layer.weight.data, layer, slope).tobytes()
+        out = ad.dense_bn_act(x, layer.weight, layer.bias, layer.bn_scale, layer.bn_shift)
+        assert out.data.tobytes() == self.stage(x, layer.weight.data, layer).tobytes()
 
     @pytest.mark.parametrize("index", [0, 1])
     def test_conv_op_equals_stage(self, weights, index):
@@ -514,10 +513,9 @@ class TestOneBatchNormLayer:
         kd = layer.weight.data
         spatial = cfg.spatial_trace()[index]
         x = np.random.default_rng(71).normal(size=(3, kd.shape[1]) + spatial).astype(cfg.np_dtype())
-        out = ad.conv_bn_act_batch(ad.Tensor(x), layer.weight, layer.bias, layer.bn_scale, layer.bn_shift,
-                                   cfg.leaky_slope)
+        out = ad.conv_bn_act_batch(ad.Tensor(x), layer.weight, layer.bias, layer.bn_scale, layer.bn_shift)
         cols, out_spatial = ad.window_rows(x, kd.shape[2:])
-        act = self.stage(cols, kd.reshape(kd.shape[0], -1).T, layer, cfg.leaky_slope)
+        act = self.stage(cols, kd.reshape(kd.shape[0], -1).T, layer)
         act = np.moveaxis(act.reshape((3,) + out_spatial + (-1,)), -1, 1)
         assert out.data.tobytes() == np.ascontiguousarray(act).tobytes()
 
@@ -531,7 +529,7 @@ class TestCheckpointContainer:
 
     def test_round_trip_is_bit_exact(self, tmp_path, weights):
         path = tmp_path / "model.ckpt"
-        model.save_model(path, weights, extra_meta={"note": "x"})
+        model.save_model(path, weights, {"note": "x"}, {})
         loaded, meta, extras = model.load_model(path)
         assert meta["note"] == "x"
         assert extras == {}
@@ -541,21 +539,21 @@ class TestCheckpointContainer:
 
     def test_save_load_save_identical_files(self, tmp_path, weights):
         a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-        model.save_model(a, weights)
+        model.save_model(a, weights, {}, {})
         loaded, _, _ = model.load_model(a)
-        model.save_model(b, loaded)
+        model.save_model(b, loaded, {}, {})
         assert a.read_bytes() == b.read_bytes()
 
     def test_extra_arrays_round_trip(self, tmp_path, weights):
         path = tmp_path / "model.ckpt"
         extra = {"opt.m": np.arange(6, dtype=np.float64)}
-        model.save_model(path, weights, extra_arrays=extra)
+        model.save_model(path, weights, {}, extra)
         _, _, extras = model.load_model(path)
         np.testing.assert_array_equal(extras["opt.m"], extra["opt.m"])
 
     def test_flipped_payload_byte_detected(self, tmp_path, weights):
         path = tmp_path / "model.ckpt"
-        model.save_model(path, weights)
+        model.save_model(path, weights, {}, {})
         raw = bytearray(path.read_bytes())
         raw[-10] ^= 0xFF
         path.write_bytes(bytes(raw))
@@ -564,7 +562,7 @@ class TestCheckpointContainer:
 
     def test_truncated_file_detected(self, tmp_path, weights):
         path = tmp_path / "model.ckpt"
-        model.save_model(path, weights)
+        model.save_model(path, weights, {}, {})
         path.write_bytes(path.read_bytes()[:-40])
         with pytest.raises(model.CorruptCheckpointError):
             model.load_model(path)
@@ -578,12 +576,11 @@ class TestCheckpointContainer:
     def test_colliding_extra_names_rejected(self, tmp_path, weights):
         with pytest.raises(ValueError, match="collide"):
             model.save_model(
-                tmp_path / "x.ckpt", weights,
-                extra_arrays={"mlp0.weight": np.zeros(2)},
+                tmp_path / "x.ckpt", weights, {}, {"mlp0.weight": np.zeros(2)},
             )
 
     def test_config_survives_round_trip(self, tmp_path, weights):
         path = tmp_path / "model.ckpt"
-        model.save_model(path, weights)
+        model.save_model(path, weights, {}, {})
         loaded, _, _ = model.load_model(path)
         assert loaded.config == weights.config

@@ -400,14 +400,6 @@ class TestCheckpointResume:
         with pytest.raises(model.CorruptCheckpointError):
             trainer.load_checkpoint(path)
 
-    def test_plain_model_file_loads_with_fresh_optimizer(self, tmp_path):
-        weights = fresh_weights()
-        model.save_model(tmp_path / "m.ckpt", weights)
-        loaded, state, epoch = trainer.load_checkpoint(tmp_path / "m.ckpt")
-        assert epoch == 0
-        assert state.step_count == 0
-        assert all(np.all(m == 0) for m in state.first_moment)
-
     def test_periodic_checkpoints_written(self, tmp_path, small_dataset):
         weights = fresh_weights()
         cfg = trainer.TrainConfig(
