@@ -41,8 +41,8 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        arr = np.asarray(data)
         if arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(np.float32)
         if arr.ndim > 0 and not arr.flags["C_CONTIGUOUS"]:
@@ -52,14 +52,6 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._parents = ()
         self._backward = None
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def dtype(self):
-        return self.data.dtype
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -266,17 +258,6 @@ def reshape(x: Tensor, shape) -> Tensor:
     return _make_node(out_data, (x,), grad_fn)
 
 
-def transpose2d(x: Tensor) -> Tensor:
-    if x.data.ndim != 2:
-        raise ShapeError(f"transpose2d: expected 2-d input, got {x.data.shape}")
-    out_data = np.ascontiguousarray(x.data.T)
-
-    def grad_fn(gradient):
-        _accumulate(x, gradient.T)
-
-    return _make_node(out_data, (x,), grad_fn)
-
-
 def row_slice(x: Tensor, start: int, stop: int) -> Tensor:
     """Rows ``start:stop`` of a 2-d tensor."""
     if x.data.ndim != 2:
@@ -360,17 +341,7 @@ def linear(x, weight: Tensor, bias: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# nonlinearities and pooling
-
-
-def leaky_relu(x: Tensor) -> Tensor:
-    xd = x.data
-    out_data = np.where(xd > 0, xd, LEAKY_SLOPE * xd)
-
-    def grad_fn(gradient):
-        _accumulate(x, gradient * np.where(xd > 0, 1.0, LEAKY_SLOPE))
-
-    return _make_node(out_data, (x,), grad_fn)
+# pooling
 
 
 def max_pool_rows(x: Tensor, group_size: int) -> Tensor:
@@ -443,42 +414,6 @@ def _unwindow(drows: np.ndarray, x_shape, ksize) -> np.ndarray:
         region = tuple(slice(j, j + o) for j, o in zip(offset, out_spatial))
         dx[(slice(None), slice(None)) + region] += piece
     return dx
-
-
-def batch_norm(x: Tensor, scale_t: Tensor, shift_t: Tensor) -> Tensor:
-    """Normalize feature columns of ``[N, F]`` rows by their batch
-    statistics, then apply scale and shift."""
-    if x.data.ndim != 2:
-        raise ShapeError(f"batch_norm: expected 2-d input, got {x.data.shape}")
-    n, f = x.data.shape
-    if scale_t.data.shape != (f,) or shift_t.data.shape != (f,):
-        raise ShapeError(
-            f"batch_norm: scale {scale_t.data.shape} / shift {shift_t.data.shape} do not match {f} features"
-        )
-    if n < 2:
-        raise ShapeError(f"batch_norm: needs at least 2 rows, got {n}")
-
-    xhat = x.data.copy()
-    _, var = batch_stats(xhat)
-    inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    xhat *= inv_std
-    out_data = xhat * scale_t.data + shift_t.data
-
-    def grad_fn(gradient):
-        if _needs_grad(scale_t):
-            _accumulate(scale_t, np.einsum("nf,nf->f", gradient, xhat))
-        if _needs_grad(shift_t):
-            _accumulate(shift_t, gradient.sum(axis=0))
-        if _needs_grad(x):
-            gs = gradient * scale_t.data
-            g_mean = gs.mean(axis=0)
-            gx_mean = np.einsum("nf,nf->f", gs, xhat) / n
-            gs -= g_mean
-            gs -= xhat * gx_mean
-            gs *= inv_std
-            _accumulate(x, gs, fresh=True)
-
-    return _make_node(out_data, (x, scale_t, shift_t), grad_fn)
 
 
 def bn_act_forward(z, scale, shift, mean=None, var=None, out=None) -> tuple:
@@ -680,7 +615,9 @@ def dense_bn_act_pool_forward(xd, w, b, scale, shift, set_sizes, groups: int) ->
     xhat = (zsel.T - mean) * inv_std
     y = xhat * scale + shift
     slope_mask = np.where(y > 0, 1.0, LEAKY_SLOPE)
-    out = (y * slope_mask).astype(dt)
+    # y is laid out like zsel.T; the rows are made C-ordered here, so that
+    # unit_rows sums each row's squares in one order on every path
+    out = (y * slope_mask).astype(dt, order="C")
     return PooledForward(out, mean, var, spans, x_mean, gram, rows, xhat, alpha, inv_std, slope_mask)
 
 
@@ -860,64 +797,31 @@ def l2_normalize_block_cols(x: Tensor, block_rows: int) -> Tensor:
     return _make_node(out_data, (x,), grad_fn)
 
 
+def unit_rows(x: np.ndarray, out=None) -> tuple:
+    """Plain-array forward of ``l2_normalize_rows``: ``(out, safe)``, the
+    rows of ``[N, F]`` divided by their Euclidean norms, written to ``out``
+    (``x`` itself is allowed) or a new array, and the ``[N, 1]`` norms
+    clamped below at ``_NORM_EPS`` that they were divided by."""
+    norms = np.sqrt(np.sum(x * x, axis=1, keepdims=True))
+    safe = np.maximum(norms, _NORM_EPS)
+    return np.divide(x, safe, out=out), safe
+
+
 def l2_normalize_rows(x: Tensor) -> Tensor:
-    """Scale each row of ``[N, F]`` to unit Euclidean norm.
+    """Scale each row of ``[N, F]`` to unit Euclidean norm (``unit_rows``).
 
     Rows with norm below ``_NORM_EPS`` divide by it instead, and the clamp is
     treated as constant in the backward pass.
     """
     if x.data.ndim != 2:
         raise ShapeError(f"l2_normalize_rows: expected 2-d input, got {x.data.shape}")
-    norms = np.sqrt(np.sum(x.data * x.data, axis=1, keepdims=True))
-    safe = np.maximum(norms, _NORM_EPS)
-    out_data = x.data / safe
+    out_data, safe = unit_rows(x.data)
 
     def grad_fn(gradient):
         dot = np.sum(gradient * x.data, axis=1, keepdims=True)
         _accumulate(x, gradient / safe - x.data * (dot / (safe * safe * safe)))
 
     return _make_node(out_data, (x,), grad_fn)
-
-
-# ---------------------------------------------------------------------------
-# convolution
-
-
-def conv_valid(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
-    """Valid (no padding, stride 1) cross-correlation on a 2-d or 3-d grid.
-
-    ``x`` is ``[C_in, *spatial]``, ``kernel`` is ``[C_out, C_in, *k]``, and the
-    output is ``[C_out, *(spatial - k + 1)]``. Internally the input windows are
-    flattened so the whole convolution is one matrix product.
-    """
-    xd, kd = x.data, kernel.data
-    nd = xd.ndim - 1
-    if nd not in (2, 3):
-        raise ShapeError(f"conv_valid: expected [C, H, W] or [C, D, H, W] input, got {xd.shape}")
-    if kd.ndim != nd + 2 or kd.shape[1] != xd.shape[0]:
-        raise ShapeError(f"conv_valid: kernel {kd.shape} does not match input {xd.shape}")
-    c_out = kd.shape[0]
-    ksize = kd.shape[2:]
-    if any(k > s for s, k in zip(xd.shape[1:], ksize)):
-        raise ShapeError(f"conv_valid: kernel {ksize} larger than input extent {xd.shape[1:]}")
-    if bias.data.shape != (c_out,):
-        raise ShapeError(f"conv_valid: bias {bias.data.shape} does not match {c_out} output channels")
-
-    cols, out_spatial = window_rows(xd[None], ksize)
-    w2 = kd.reshape(c_out, -1)
-    flat = cols @ w2.T + bias.data
-    out_data = np.ascontiguousarray(flat.T).reshape((c_out,) + out_spatial)
-
-    def grad_fn(gradient):
-        gf = gradient.reshape(c_out, -1).T
-        if _needs_grad(kernel):
-            _accumulate(kernel, (gf.T @ cols).reshape(kd.shape))
-        if _needs_grad(bias):
-            _accumulate(bias, gf.sum(axis=0))
-        if _needs_grad(x):
-            _accumulate(x, _unwindow(gf @ w2, (1,) + xd.shape, ksize)[0])
-
-    return _make_node(out_data, (x, kernel, bias), grad_fn)
 
 
 # ---------------------------------------------------------------------------

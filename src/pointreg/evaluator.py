@@ -68,7 +68,7 @@ def register(weights, source, target) -> RegistrationResult:
     return evaluate(weights, [(source, target)]).results[0]
 
 
-def evaluate(weights, data, dataset_id: str = None) -> EvaluationSummary:
+def evaluate(weights, data) -> EvaluationSummary:
     """Register every pair of ``data`` and aggregate Chamfer statistics.
 
     ``data`` is a Dataset, a dataset directory, or a list of (source,
@@ -81,7 +81,7 @@ def evaluate(weights, data, dataset_id: str = None) -> EvaluationSummary:
     metric computation, and each pair's ``elapsed`` is an equal share of it.
     """
     t0 = time.perf_counter()
-    pairs, default_id = load_pairs(data) if isinstance(data, (Dataset, str, Path)) else (list(data), "pairs")
+    pairs, dataset_id = load_pairs(data) if isinstance(data, (Dataset, str, Path)) else (list(data), "pairs")
 
     start = time.perf_counter()
     deltas, transformed = model.forward_shared_source(pairs, weights)
@@ -102,7 +102,7 @@ def evaluate(weights, data, dataset_id: str = None) -> EvaluationSummary:
     pre = np.array([r.cd_pre for r in results])
     post = np.array([r.cd_post for r in results])
     return EvaluationSummary(
-        dataset_id=dataset_id if dataset_id is not None else default_id,
+        dataset_id=dataset_id,
         pair_count=len(results),
         cd_pre_mean=float(pre.mean()),
         cd_pre_std=float(pre.std()),
@@ -114,22 +114,19 @@ def evaluate(weights, data, dataset_id: str = None) -> EvaluationSummary:
     )
 
 
-def write_report_csv(summaries, path) -> None:
-    """One row per evaluated dataset under the fixed schema. The leading
+def write_report_csv(summary: EvaluationSummary, path) -> None:
+    """The evaluated dataset's row under the fixed schema. The leading
     comment line names the format version and the Chamfer convention."""
-    if isinstance(summaries, EvaluationSummary):
-        summaries = [summaries]
+    cols = [summary.dataset_id, str(summary.pair_count)]
+    cols += [repr(float(v)) for v in (
+        summary.cd_pre_mean, summary.cd_pre_std, summary.cd_post_mean, summary.cd_post_std,
+        summary.model_time_s, summary.total_time_s,
+    )]
     with open(path, "w", encoding="utf-8") as f:
         f.write(f"# {REPORT_VERSION}: cd columns are chamfer distance "
                 "normalized by (N+M); std is population std\n")
         f.write(",".join(REPORT_HEADER) + "\n")
-        for s in summaries:
-            cols = [s.dataset_id, str(s.pair_count)]
-            cols += [repr(float(v)) for v in (
-                s.cd_pre_mean, s.cd_pre_std, s.cd_post_mean, s.cd_post_std,
-                s.model_time_s, s.total_time_s,
-            )]
-            f.write(",".join(cols) + "\n")
+        f.write(",".join(cols) + "\n")
 
 
 # ---------------------------------------------------------------------------

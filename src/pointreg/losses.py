@@ -1,15 +1,12 @@
 """Alignment objectives: Chamfer distance and a GMM log-likelihood loss.
 
 Chamfer distance is the evaluation metric; it needs no gradients and works
-on plain arrays. The GMM losses drive training and therefore also accept a
-tensor of transformed points, in which case they participate in the
-autodiff graph. Sigma follows a deterministic annealing schedule indexed
-by the optimizer step.
+on plain arrays. The symmetric GMM loss drives training: it takes a tensor
+of transformed points and records its autodiff graph. Sigma follows a
+deterministic annealing schedule indexed by the optimizer step.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,77 +47,41 @@ def chamfer_normalized(a, b) -> float:
     return chamfer(a, b) / (a.shape[0] + b.shape[0])
 
 
-def gmm_loss(transformed, target, sigma: float):
-    """Negative log-likelihood of the targets' Gaussian mixture at the
-    transformed source points, up to the constant mixture-weight term.
-
-    ``transformed`` may be a tensor (differentiable path) or an array
-    (returns a float). Evaluated with log-sum-exp, so small sigmas do not
+def gmm_loss_symmetric(transformed: ad.Tensor, target, sigma: float) -> ad.Tensor:
+    """Negative log-likelihood, in both directions, of two Gaussian
+    mixtures of bandwidth ``sigma``, up to the constant mixture-weight
+    terms: the transformed points scored under the target-centered mixture,
+    plus the target points scored under the mixture centered at the
+    transformed points. Evaluated with log-sum-exp, so small sigmas do not
     underflow.
-    """
-    sigma = float(sigma)
-    if sigma <= 0:
-        raise ValueError(f"gmm_loss: sigma must be positive, got {sigma}")
-    tgt = np.asarray(target, dtype=None if isinstance(target, np.ndarray) else np.float64)
-    x = transformed if isinstance(transformed, ad.Tensor) else ad.Tensor(transformed, dtype=np.float64)
-    _check_sets(x.data, tgt, "gmm_loss")
-    sq = ad.pairwise_sqdist(x, tgt)
-    lse = ad.log_sum_exp(ad.scale(sq, -0.5 / (sigma * sigma)), axis=1)
-    loss = ad.neg(ad.tensor_sum(lse))
-    if isinstance(transformed, ad.Tensor):
-        return loss
-    return float(loss.data)
-
-
-def gmm_loss_symmetric(transformed, target, sigma: float):
-    """gmm_loss summed in both directions: the transformed points scored
-    under the target-centered mixture, plus the target points scored under
-    the mixture centered at the transformed points.
 
     The one-sided form has a degenerate optimum on curve-like shapes once
     sigma is comparable to the point spacing: contracting every prediction
     onto the densest arc of the target raises the likelihood while leaving
     most of the target uncovered. The reverse term charges for each
-    uncovered target, which removes that optimum, so this is the variant
-    the trainer minimizes. Both directions share one pairwise-distance
-    graph. Same calling convention as gmm_loss.
+    uncovered target, which removes that optimum, so this is the loss the
+    trainer minimizes. Both directions share one pairwise-distance graph,
+    which the scalar tensor returned records.
     """
     sigma = float(sigma)
     if sigma <= 0:
         raise ValueError(f"gmm_loss_symmetric: sigma must be positive, got {sigma}")
     tgt = np.asarray(target, dtype=None if isinstance(target, np.ndarray) else np.float64)
-    x = transformed if isinstance(transformed, ad.Tensor) else ad.Tensor(transformed, dtype=np.float64)
-    _check_sets(x.data, tgt, "gmm_loss_symmetric")
-    scaled = ad.scale(ad.pairwise_sqdist(x, tgt), -0.5 / (sigma * sigma))
+    _check_sets(transformed.data, tgt, "gmm_loss_symmetric")
+    scaled = ad.scale(ad.pairwise_sqdist(transformed, tgt), -0.5 / (sigma * sigma))
     fwd = ad.tensor_sum(ad.log_sum_exp(scaled, axis=1))
     rev = ad.tensor_sum(ad.log_sum_exp(scaled, axis=0))
-    loss = ad.neg(ad.add(fwd, rev))
-    if isinstance(transformed, ad.Tensor):
-        return loss
-    return float(loss.data)
+    return ad.neg(ad.add(fwd, rev))
 
 
-@dataclass(frozen=True)
-class AnnealingSchedule:
-    """Epoch-indexed sigma schedule: start wide, sharpen, stop at the floor."""
-
-    initial_sigma: float = 1.0
-    floor: float = 0.1
-
-    def __post_init__(self):
-        if self.initial_sigma <= 0 or self.floor <= 0:
-            raise ValueError(
-                f"AnnealingSchedule: initial_sigma {self.initial_sigma} and floor {self.floor} must be positive"
-            )
-
-
-def sigma_at(schedule: AnnealingSchedule, n: int) -> float:
-    """Sigma for annealing step ``n`` (1-based): max(initial/sqrt(n), floor).
+def sigma_at(step: int, initial: float, floor: float) -> float:
+    """Sigma for annealing step ``step`` (1-based): max(initial/sqrt(step),
+    floor). Start wide, sharpen, stop at the floor.
 
     The trainer indexes this by the global optimizer step, which reaches the
     floor within the first hundred steps and gives the coarse-to-fine
     progression its brief coarse phase.
     """
-    if n < 1:
-        raise ValueError(f"sigma_at: step must be >= 1, got {n}")
-    return max(schedule.initial_sigma / np.sqrt(float(n)), schedule.floor)
+    if step < 1:
+        raise ValueError(f"sigma_at: step must be >= 1, got {step}")
+    return max(initial / np.sqrt(float(step)), floor)

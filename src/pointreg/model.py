@@ -410,9 +410,10 @@ def _descriptors(ordered_sets, weights: PrNetWeights, stats) -> np.ndarray:
     weights once per call. With batch statistics the sets go through as one
     block, as in training, and the last layer is the forward of
     ``autodiff.dense_bn_act_pool``, the training op's own. Either way the
-    rows are normalised by ``autodiff.l2_normalize_rows``, as in training,
-    so the head's batch statistics are the training forward's bit for bit.
-    The row buffers come from the scratch pool and go back to it.
+    pooled rows are normalised in place by ``autodiff.unit_rows``, the
+    forward of training's ``l2_normalize_rows``, so the head's batch
+    statistics are the training forward's bit for bit. The row buffers come
+    from the scratch pool and go back to it.
     """
     cfg = weights.config
     dt = cfg.np_dtype()
@@ -446,7 +447,7 @@ def _descriptors(ordered_sets, weights: PrNetWeights, stats) -> np.ndarray:
             np.max(h.reshape(g, k, -1), axis=1, out=pooled[i * g:(i + 1) * g])
     for buf in bufs:
         ad._scratch.give(buf)
-    return ad.l2_normalize_rows(ad.Tensor(pooled)).data
+    return ad.unit_rows(pooled, out=pooled)[0]
 
 
 def _correlations(desc: ad.Tensor, owners, g: int) -> ad.Tensor:

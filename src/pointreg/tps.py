@@ -37,12 +37,15 @@ def _radial_block(a: np.ndarray, b: np.ndarray, dim: int) -> np.ndarray:
     return _kernel(np.sqrt(np.sum(diff * diff, axis=2)), dim)
 
 
-def tps_basis(controls, queries, regularization: float = 1e-6) -> np.ndarray:
+_REGULARIZATION = 1e-6  # added to the kernel diagonal of every interpolation system
+
+
+def tps_basis(controls, queries) -> np.ndarray:
     """Weight matrix ``B`` with ``warp(queries) = B @ theta`` for the ``[K,
     dim]`` control points ``controls``.
 
     Row q holds the K weights that mix the target coordinates when the warp
-    is evaluated at query q. The regularization is added to the kernel
+    is evaluated at query q. ``_REGULARIZATION`` is added to the kernel
     diagonal; it smooths interpolation but leaves affine maps (identity,
     translation) exact, since those need no kernel term at all.
     """
@@ -53,10 +56,8 @@ def tps_basis(controls, queries, regularization: float = 1e-6) -> np.ndarray:
         raise ValueError(f"tps_basis: queries {q.shape} do not match control dim {d}")
     if not np.all(np.isfinite(q)):
         raise ValueError("tps_basis: queries must be finite")
-    if regularization < 0:
-        raise ValueError(f"tps_basis: regularization must be non-negative, got {regularization}")
 
-    kk = _radial_block(c, c, d) + regularization * np.eye(k)
+    kk = _radial_block(c, c, d) + _REGULARIZATION * np.eye(k)
     p = np.hstack([np.ones((k, 1)), c])
     system = np.zeros((k + d + 1, k + d + 1))
     system[:k, :k] = kk

