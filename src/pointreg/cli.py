@@ -5,14 +5,19 @@ One executable with five subcommands covering the pipeline: ``synth``
 over a dataset), and ``plot`` (per-pair SVG overlays).
 
 Options resolve in precedence order: command line flag, then ``--config``
-file entry, then built-in default. Config files use the same ``key=value``
-lines as dataset manifests, keyed by the underlying config field names.
-Every run logs its fully resolved configuration to stderr.
+file entry, then default. The defaults of ``synth`` and ``train`` options
+are those of the ``datagen.SynthConfig`` and ``trainer.TrainConfig`` fields
+they set, which ``--help`` reads too; ``_CLI_DEFAULTS`` holds the few keys
+that are no such field. Config files use the same ``key=value`` lines as
+dataset manifests, keyed by those field names and the keys of
+``_CLI_DEFAULTS``. Every run logs its fully resolved configuration to
+stderr.
 """
 
 import argparse
 import logging
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -22,15 +27,10 @@ from . import datagen, evaluator, model, trainer
 
 log = logging.getLogger("pointreg")
 
-# config-file keys mirror SynthConfig and TrainConfig fields; the few extras
-# cover what the subcommands need beyond those dataclasses
-_CONFIG_KEYS = {
-    "shape", "point_count",
-    "deformation_level", "num_deform_controls", "noise_kind", "noise_level",
-    "seed", "pair_count",
-    "epochs", "batch_size", "learning_rate", "lr_decay",
-    "sigma_initial", "sigma_floor", "checkpoint_every", "checkpoint_dir",
-}
+# the keys that are no SynthConfig or TrainConfig field, with their defaults
+_CLI_DEFAULTS = {"shape": "fish", "point_count": 96, "limit": 0}
+_CONFIG_KEYS = {*_CLI_DEFAULTS, *(f.name for cls in (datagen.SynthConfig, trainer.TrainConfig)
+                                  for f in fields(cls))}
 
 
 def _read_config(path) -> dict:
@@ -49,7 +49,7 @@ class _Resolver:
         self.config = _read_config(args.config) if args.config else {}
         self.resolved = {}
 
-    def get(self, key, default, cast):
+    def _resolve(self, key, default, cast):
         flag_value = getattr(self.args, key, None)
         if flag_value is not None:
             value = flag_value
@@ -58,14 +58,28 @@ class _Resolver:
                 value = cast(self.config[key])
             except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise ValueError(f"{self.args.config}: {key}: {exc}") from exc
+        elif default is MISSING:
+            raise ValueError(f"{self.args.subcommand}: --{key} is required (flag or config file)")
         else:
             value = default
         self.resolved[key] = value
         return value
 
-    def log_resolved(self, subcommand):
+    def get(self, key, cast):
+        """A key of ``_CLI_DEFAULTS``; a config entry is cast by ``cast``,
+        the type its flag parses with."""
+        return self._resolve(key, _CLI_DEFAULTS[key], cast)
+
+    def build(self, cls, **casts):
+        """``cls`` with every field resolved. A config entry is cast by
+        ``casts`` where it names the field, else to the default's type; a
+        field without a default must be given."""
+        return cls(**{f.name: self._resolve(f.name, f.default, casts.get(f.name, type(f.default)))
+                      for f in fields(cls)})
+
+    def log_resolved(self):
         items = ", ".join(f"{k}={v}" for k, v in self.resolved.items())
-        log.info("resolved config [%s]: %s", subcommand, items)
+        log.info("resolved config [%s]: %s", self.args.subcommand, items)
 
 
 def _int_at_least(text, low: int, what: str) -> int:
@@ -83,14 +97,16 @@ def _non_negative_int(text):
     return _int_at_least(text, 0, "a non-negative")
 
 
-def _add_globals(parser, suppress=False):
+def _add_globals(parser, suppress=False, config=None):
     # subparsers get SUPPRESS defaults so an absent flag never clobbers a
-    # value already parsed before the subcommand name
+    # value already parsed before the subcommand name; ``config`` is the
+    # dataclass whose seed the subcommand sets
     default = argparse.SUPPRESS if suppress else None
     parser.add_argument("--config", metavar="FILE", default=default,
                         help="key=value config file; flags override its entries")
     parser.add_argument("--seed", type=int, default=default,
-                        help="random seed (default: 0)")
+                        help="random seed of synth and train" if config is None
+                        else f"random seed (default: {config.seed})")
     parser.add_argument("--verbose", action="store_true",
                         default=argparse.SUPPRESS if suppress else False,
                         help="debug-level logging (default: off)")
@@ -104,23 +120,27 @@ def _build_parser():
     _add_globals(parser)
     sub = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
 
+    synth = datagen.SynthConfig
     p = sub.add_parser("synth", help="generate a synthetic pair dataset",
                        description="Generate deformed (and optionally noisy) "
                                    "source/target pairs plus a manifest.")
-    p.add_argument("--shape", help="builtin shape name or a points file (default: fish)")
+    p.add_argument("--shape", help="builtin shape name or a points file "
+                                   f"(default: {_CLI_DEFAULTS['shape']})")
     p.add_argument("--points", type=_positive_int, dest="point_count",
-                   help="points per set (default: 96)")
+                   help=f"points per set (default: {_CLI_DEFAULTS['point_count']})")
     p.add_argument("--level", type=float, dest="deformation_level",
-                   help="deformation level (default: 0.5)")
+                   help=f"deformation level (default: {synth.deformation_level})")
     p.add_argument("--noise", dest="noise_kind", choices=["none", "pd", "do", "di"],
-                   help="noise kind: pd jitter, do outliers, di dropout (default: none)")
+                   help="noise kind: pd jitter, do outliers, di dropout "
+                        f"(default: {synth.noise_kind})")
     p.add_argument("--noise-level", type=float,
-                   help="noise magnitude or ratio (default: 0.0)")
+                   help=f"noise magnitude or ratio (default: {synth.noise_level})")
     p.add_argument("--count", type=_positive_int, dest="pair_count",
-                   help="number of pairs (default: 1)")
+                   help=f"number of pairs (default: {synth.pair_count})")
     p.add_argument("--out", required=True, help="output dataset directory")
-    _add_globals(p, suppress=True)
+    _add_globals(p, suppress=True, config=synth)
 
+    train = trainer.TrainConfig
     p = sub.add_parser("train", help="train a registration model",
                        description="Train on a synthesized dataset and write "
                                    "the final checkpoint.")
@@ -128,19 +148,20 @@ def _build_parser():
     p.add_argument("--out", required=True, help="output checkpoint path")
     p.add_argument("--epochs", type=_positive_int, help="training epochs (required)")
     p.add_argument("--batch-size", type=int, dest="batch_size",
-                   help="pairs per batch, at least 2 (default: 16)")
+                   help=f"pairs per batch, at least 2 (default: {train.batch_size})")
     p.add_argument("--lr", type=float, dest="learning_rate",
-                   help="Adam learning rate (default: 0.0001)")
+                   help=f"Adam learning rate (default: {train.learning_rate})")
     p.add_argument("--lr-decay", type=float, dest="lr_decay",
-                   help="per-epoch learning rate decay (default: 0.995)")
+                   help=f"per-epoch learning rate decay (default: {train.lr_decay})")
     p.add_argument("--sigma-floor", type=float, dest="sigma_floor",
-                   help="annealing floor for the mixture bandwidth (default: 0.1)")
+                   help=f"annealing floor for the mixture bandwidth (default: {train.sigma_floor})")
     p.add_argument("--checkpoint-every", type=int, dest="checkpoint_every",
-                   help="epochs between periodic checkpoints, 0 disables (default: 0)")
+                   help="epochs between periodic checkpoints, 0 disables "
+                        f"(default: {train.checkpoint_every})")
     p.add_argument("--checkpoint-dir", dest="checkpoint_dir",
-                   help="directory for periodic checkpoints (default: none)")
+                   help=f"directory for periodic checkpoints (default: {train.checkpoint_dir})")
     p.add_argument("--history", help="history CSV path (default: <out>.history.csv)")
-    _add_globals(p, suppress=True)
+    _add_globals(p, suppress=True, config=train)
 
     p = sub.add_parser("register", help="register one source/target pair",
                        description="Run a trained model on two point files and "
@@ -166,7 +187,7 @@ def _build_parser():
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--out-dir", required=True, help="output directory for SVGs")
     p.add_argument("--limit", type=_non_negative_int,
-                   help="plot only the first N pairs, 0 for all (default: 0)")
+                   help=f"plot only the first N pairs, 0 for all (default: {_CLI_DEFAULTS['limit']})")
     _add_globals(p, suppress=True)
     return parser
 
@@ -178,17 +199,10 @@ def _load_weights(path):
 
 def _cmd_synth(args):
     r = _Resolver(args)
-    shape_name = r.get("shape", "fish", str)
-    point_count = r.get("point_count", 96, int)
-    cfg = datagen.SynthConfig(
-        deformation_level=r.get("deformation_level", 0.5, float),
-        num_deform_controls=r.get("num_deform_controls", 5, int),
-        noise_kind=r.get("noise_kind", "none", str),
-        noise_level=r.get("noise_level", 0.0, float),
-        seed=r.get("seed", 0, int),
-        pair_count=r.get("pair_count", 1, int),
-    )
-    r.log_resolved("synth")
+    shape_name = r.get("shape", str)
+    point_count = r.get("point_count", _positive_int)
+    cfg = r.build(datagen.SynthConfig)
+    r.log_resolved()
     base = datagen.sample_shape(shape_name, point_count)
     ds = datagen.generate_dataset(base, cfg, args.out, shape_name=Path(shape_name).stem)
     print(f"wrote {ds.pair_count} pairs to {ds.directory}")
@@ -197,24 +211,10 @@ def _cmd_synth(args):
 
 def _cmd_train(args):
     r = _Resolver(args)
-    seed = r.get("seed", 0, int)
-    epochs = r.get("epochs", None, _positive_int)
-    if epochs is None:
-        raise ValueError("train: --epochs is required (flag or config file)")
-    cfg = trainer.TrainConfig(
-        epochs=epochs,
-        batch_size=r.get("batch_size", 16, int),
-        learning_rate=r.get("learning_rate", 1e-4, float),
-        lr_decay=r.get("lr_decay", 0.995, float),
-        sigma_initial=r.get("sigma_initial", 1.0, float),
-        sigma_floor=r.get("sigma_floor", 0.1, float),
-        seed=seed,
-        checkpoint_every=r.get("checkpoint_every", 0, int),
-        checkpoint_dir=r.get("checkpoint_dir", None, str),
-    )
-    r.log_resolved("train")
+    cfg = r.build(trainer.TrainConfig, epochs=_positive_int, checkpoint_dir=str)
+    r.log_resolved()
     ds = datagen.load_dataset(args.data)
-    weights = model.init_weights(model.PrNetConfig.for_dim(ds.dim), seed=seed)
+    weights = model.init_weights(model.PrNetConfig.for_dim(ds.dim), seed=cfg.seed)
     state = ad.init_adam(weights.params(), cfg.learning_rate, cfg.lr_decay)
 
     def progress(stats):
@@ -227,17 +227,16 @@ def _cmd_train(args):
     out = Path(args.out)
     if out.parent != Path(""):
         out.parent.mkdir(parents=True, exist_ok=True)
-    trainer.save_checkpoint(weights, state, epochs, out)
+    trainer.save_checkpoint(weights, state, cfg.epochs, out)
     history_path = args.history or f"{out}.history.csv"
     trainer.write_history_csv(history, history_path)
-    print(f"trained {epochs} epochs on {ds.pair_count} pairs; "
+    print(f"trained {cfg.epochs} epochs on {ds.pair_count} pairs; "
           f"model {out}, history {history_path}")
     return 0
 
 
 def _cmd_register(args):
-    r = _Resolver(args)
-    r.log_resolved("register")
+    _Resolver(args).log_resolved()
     weights = _load_weights(args.model)
     src = datagen.load_points_file(args.src)
     tgt = datagen.load_points_file(args.tgt)
@@ -252,8 +251,7 @@ def _cmd_register(args):
 
 
 def _cmd_eval(args):
-    r = _Resolver(args)
-    r.log_resolved("eval")
+    _Resolver(args).log_resolved()
     weights = _load_weights(args.model)
     summary = evaluator.evaluate(weights, args.data)
     evaluator.write_report_csv(summary, args.report)
@@ -267,8 +265,8 @@ def _cmd_eval(args):
 
 def _cmd_plot(args):
     r = _Resolver(args)
-    limit = r.get("limit", 0, int)
-    r.log_resolved("plot")
+    limit = r.get("limit", _non_negative_int)
+    r.log_resolved()
     weights = _load_weights(args.model)
     ds = datagen.load_dataset(args.data)
     count = ds.pair_count if limit == 0 else min(limit, ds.pair_count)

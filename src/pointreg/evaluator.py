@@ -34,9 +34,9 @@ class RegistrationResult:
     """One registered pair.
 
     ``transformed`` is the warped source in the original coordinate frame,
-    in canonical point order. ``theta`` holds the predicted control-point
-    targets in the network's normalized frame. ``elapsed`` covers the model
-    forward pass only, not metric computation.
+    in canonical point order. ``theta`` holds the float64 control-point
+    targets in the network's normalized frame, the ones that warp applied.
+    ``elapsed`` covers the model forward pass only, not metric computation.
     """
 
     transformed: np.ndarray
@@ -84,9 +84,7 @@ def evaluate(weights, data) -> EvaluationSummary:
     pairs, dataset_id = load_pairs(data) if isinstance(data, (Dataset, str, Path)) else (list(data), "pairs")
 
     start = time.perf_counter()
-    deltas, transformed = model.forward_shared_source(pairs, weights)
-    control = weights.config.control_points
-    thetas = control + deltas.astype(np.float64).reshape((-1,) + control.shape)
+    thetas, transformed = model.forward_shared_source(pairs, weights)
     model_time = time.perf_counter() - start
 
     results = [

@@ -168,10 +168,13 @@ def build_reference_grid(dim: int, shape) -> np.ndarray:
 
 @dataclass
 class _Layer:
-    """One layer's parameters. A batch-norm layer also holds the running
-    statistics that eval mode normalises by; they are not trainable, and
-    ``trainer.recalibrate_batch_norm`` sets them."""
+    """One layer's parameters under its name. A batch-norm layer also holds
+    the running statistics that eval mode normalises by; they are not
+    trainable, and ``trainer.recalibrate_batch_norm`` sets them. The output
+    layer has no batch norm and leaves its four ``bn_`` fields ``None``.
+    Each field after ``name`` holds the array named ``<name>.<field>``."""
 
+    name: str
     weight: ad.Tensor
     bias: ad.Tensor
     bn_scale: ad.Tensor = None
@@ -179,43 +182,36 @@ class _Layer:
     bn_mean: np.ndarray = None
     bn_var: np.ndarray = None
 
+    def arrays(self) -> list:
+        """``(field, value)`` of every array the layer holds, in field order:
+        trainable tensors, then running statistics as plain arrays."""
+        return [(f.name, getattr(self, f.name)) for f in fields(self)[1:] if getattr(self, f.name) is not None]
+
 
 @dataclass
 class PrNetWeights:
+    """The network's layers. ``layers`` holds all of them in forward order,
+    as ``_build_weights`` appends them; ``params``, ``named_arrays`` and the
+    batch-norm layers that ``trainer.recalibrate_batch_norm`` sets all follow
+    it. ``mlp``, ``convs``, ``fc1`` and ``out`` name the same layers by their
+    role in the forward."""
+
     config: PrNetConfig
+    layers: list = field(default_factory=list)
     mlp: list = field(default_factory=list)
     convs: list = field(default_factory=list)
     fc1: _Layer = None
     out: _Layer = None
 
     def params(self) -> list:
-        """Trainable tensors in a fixed, documented order."""
-        ps = []
-        for layer in [*self.mlp, *self.convs, self.fc1]:
-            ps.extend([layer.weight, layer.bias, layer.bn_scale, layer.bn_shift])
-        ps.extend([self.out.weight, self.out.bias])
-        return ps
+        """Trainable tensors in a fixed order, the one the Adam moments of
+        a checkpoint are numbered by: layer order, then field order."""
+        return [v for layer in self.layers for _, v in layer.arrays() if isinstance(v, ad.Tensor)]
 
     def named_arrays(self) -> dict:
         """Every persistent array (parameters and running stats) by name."""
-        out = {}
-
-        def put(prefix, layer, with_bn=True):
-            out[f"{prefix}.weight"] = layer.weight.data
-            out[f"{prefix}.bias"] = layer.bias.data
-            if with_bn:
-                out[f"{prefix}.bn_scale"] = layer.bn_scale.data
-                out[f"{prefix}.bn_shift"] = layer.bn_shift.data
-                out[f"{prefix}.bn_mean"] = layer.bn_mean
-                out[f"{prefix}.bn_var"] = layer.bn_var
-
-        for i, layer in enumerate(self.mlp):
-            put(f"mlp{i}", layer)
-        for i, layer in enumerate(self.convs):
-            put(f"conv{i}", layer)
-        put("fc1", self.fc1)
-        put("out", self.out, with_bn=False)
-        return out
+        return {f"{layer.name}.{name}": v.data if isinstance(v, ad.Tensor) else v
+                for layer in self.layers for name, v in layer.arrays()}
 
 
 def _build_weights(config: PrNetConfig, array) -> PrNetWeights:
@@ -227,21 +223,21 @@ def _build_weights(config: PrNetConfig, array) -> PrNetWeights:
     checkpoint. Arrays are requested in layer order, weight first; that
     order fixes which random stream each initial weight is drawn from.
     """
-
-    def layer(prefix, weight_shape, fan_in, width, with_bn=True):
-        weight = ad.Tensor(array(f"{prefix}.weight", weight_shape, fan_in, 0.0), requires_grad=True)
-        bias = ad.Tensor(array(f"{prefix}.bias", (width,), None, 0.0), requires_grad=True)
-        if not with_bn:
-            return _Layer(weight, bias)
-        return _Layer(
-            weight, bias,
-            ad.Tensor(array(f"{prefix}.bn_scale", (width,), None, 1.0), requires_grad=True),
-            ad.Tensor(array(f"{prefix}.bn_shift", (width,), None, 0.0), requires_grad=True),
-            array(f"{prefix}.bn_mean", (width,), None, 0.0),
-            array(f"{prefix}.bn_var", (width,), None, 1.0),
-        )
-
     weights = PrNetWeights(config=config)
+
+    def layer(name, weight_shape, fan_in, width, with_bn=True):
+        values = [ad.Tensor(array(f"{name}.weight", weight_shape, fan_in, 0.0), requires_grad=True),
+                  ad.Tensor(array(f"{name}.bias", (width,), None, 0.0), requires_grad=True)]
+        if with_bn:
+            values += [
+                ad.Tensor(array(f"{name}.bn_scale", (width,), None, 1.0), requires_grad=True),
+                ad.Tensor(array(f"{name}.bn_shift", (width,), None, 0.0), requires_grad=True),
+                array(f"{name}.bn_mean", (width,), None, 0.0),
+                array(f"{name}.bn_var", (width,), None, 1.0),
+            ]
+        weights.layers.append(_Layer(name, *values))
+        return weights.layers[-1]
+
     in_w = 2 * config.dim
     for i, width in enumerate(config.mlp_widths):
         weights.mlp.append(layer(f"mlp{i}", (in_w, width), in_w, width))
@@ -551,11 +547,12 @@ def forward_shared_source(pairs, weights: PrNetWeights):
     one path by which ``evaluator.evaluate`` and ``trainer.validation_cd``
     run the network.
 
-    Returns plain arrays ``(deltas, transformed)``: the ``[B,
-    theta_count*dim]`` predicted control-point displacements in the network
-    frame and dtype, and per pair the warped, canonically ordered source,
-    ``basis @ (delta + control_points)`` in float64, mapped back from the
-    network frame into the caller's.
+    Returns plain arrays ``(thetas, transformed)``: the float64 ``[B,
+    theta_count, dim]`` control-point targets in the network frame, each
+    ``control_points`` plus the predicted displacement rounded to the
+    network dtype, and per pair the warped, canonically ordered source,
+    ``basis @ theta`` by exactly that theta, mapped back from the network
+    frame into the caller's.
 
     Graph-free, with every batch norm by its running statistics. The pairs
     go through ``EVAL_CHUNK`` at a time; in a chunk, each run of pairs with
@@ -565,7 +562,7 @@ def forward_shared_source(pairs, weights: PrNetWeights):
     runs, owners, targets = source_runs(pairs, cfg, "forward_shared_source")
     prepared = [prepare_source(src, weights) for _, src in runs]
     theta0 = cfg.control_points.reshape(1, -1)
-    deltas, transformed = [], []
+    thetas, transformed = [], []
     for lo in range(0, len(pairs), EVAL_CHUNK):
         chunk_owners = owners[lo:lo + EVAL_CHUNK]
         first = chunk_owners[0]
@@ -574,17 +571,16 @@ def forward_shared_source(pairs, weights: PrNetWeights):
         with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught below
             desc = _descriptors(sets, weights, None)
             corr = _correlations(ad.Tensor(desc), [o - first for o in chunk_owners], cfg.grid_count)
-            chunk = _head(corr.data, weights, None)
-        bad = np.flatnonzero(~np.isfinite(chunk).all(axis=1))
+            deltas = _head(corr.data, weights, None)
+        bad = np.flatnonzero(~np.isfinite(deltas).all(axis=1))
         if bad.size:  # coordinates in the dtype's range can still overflow the network
             raise ValueError(f"forward_shared_source: pair {lo + bad[0]} overflows the {cfg.dtype} network")
         # theta is exact at identity, so with the full-precision basis the
         # transform round-trips to solver precision, not the network dtype's
-        thetas = chunk + theta0.astype(chunk.dtype)
-        transformed += [runs[o][0].invert(prepared[o][1] @ theta.reshape(cfg.theta_count, cfg.dim))
-                        for o, theta in zip(chunk_owners, thetas)]
-        deltas.append(chunk)
-    return np.concatenate(deltas), transformed
+        chunk = (deltas + theta0.astype(deltas.dtype)).astype(np.float64).reshape(-1, cfg.theta_count, cfg.dim)
+        transformed += [runs[o][0].invert(prepared[o][1] @ theta) for o, theta in zip(chunk_owners, chunk)]
+        thetas.append(chunk)
+    return np.concatenate(thetas), transformed
 
 
 def train_forward(pairs, weights: PrNetWeights):

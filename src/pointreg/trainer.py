@@ -199,7 +199,7 @@ def recalibrate_batch_norm(batches, weights) -> None:
     All are written at the end, so a forward that raises leaves every one
     untouched.
     """
-    layers = [*weights.mlp, *weights.convs, weights.fc1]
+    layers = [layer for layer in weights.layers if layer.bn_mean is not None]
     sums = [np.zeros((2,) + layer.bias.data.shape) for layer in layers]
     count = 0
     for batch in batches:

@@ -7,9 +7,11 @@ list: it must be referenced. A reference is any name or attribute with the
 same spelling, so the check can miss a dead name but never flags a live one.
 Likewise every defaulted parameter of a public function must be passed by
 some call in the package or the benchmark, or be listed with its reason.
+And the package imports nothing but the standard library, numpy and itself.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pointreg
@@ -46,6 +48,22 @@ def test_unreferenced_public_names_are_the_allowlist():
 
 def test_every_private_name_is_referenced():
     assert {n for n in unreferenced_names() if n.startswith("_")} == set()
+
+
+def test_package_imports_only_the_standard_library_and_numpy():
+    # the package is numpy-only: any other import is a new dependency
+    allowed = sys.stdlib_module_names | {"numpy", "pointreg"}
+    outside = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [f"{path.name}: {name}" for name in names if name.split(".")[0] not in allowed]
+    assert outside == []
 
 
 def test_no_private_name_is_imported_across_modules():

@@ -5,6 +5,7 @@ stdout/stderr contract are asserted the way a shell user would see them.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 import shutil
@@ -47,6 +48,25 @@ class TestParsing:
         for flag in flags + ["--config", "--seed", "--verbose"]:
             assert flag in text, flag
         assert "default:" in text
+
+    @pytest.mark.parametrize("sub, cls, flags", [
+        ("synth", datagen.SynthConfig, {"--level": "deformation_level", "--noise": "noise_kind",
+                                        "--noise-level": "noise_level", "--count": "pair_count",
+                                        "--seed": "seed"}),
+        ("train", trainer.TrainConfig, {"--batch-size": "batch_size", "--lr": "learning_rate",
+                                        "--lr-decay": "lr_decay", "--sigma-floor": "sigma_floor",
+                                        "--checkpoint-every": "checkpoint_every",
+                                        "--checkpoint-dir": "checkpoint_dir", "--seed": "seed"}),
+    ])
+    def test_help_prints_each_field_default(self, capsys, sub, cls, flags):
+        with pytest.raises(SystemExit):
+            cli.main([sub, "--help"])
+        options = " ".join(capsys.readouterr().out.split()).split("options:", 1)[1]
+        defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+        for flag, name in flags.items():
+            entry = options[options.index(f" {flag} "):]
+            shown = entry[entry.index("(default: ") + len("(default: "):entry.index(")")]
+            assert shown == str(defaults[name]), flag
 
     def test_unknown_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as e:
@@ -99,6 +119,19 @@ class TestSynth:
         assert "deformation_level=0.5" in err
         ds = datagen.load_dataset(out)
         assert ds.pair_count == 10
+
+    @pytest.mark.parametrize("sub, cls", [("synth", datagen.SynthConfig), ("train", trainer.TrainConfig)])
+    def test_no_flag_or_config_resolves_each_field_to_its_default(self, capsys, tmp_path, sub, cls):
+        # train stops at the missing dataset, after logging what it resolved
+        argv = ["--out", str(tmp_path / "out")]
+        if sub == "train":
+            argv += ["--epochs", "1", "--data", str(tmp_path / "no_data")]
+        _, _, err = run(capsys, sub, *argv)
+        line = next(ln for ln in err.splitlines() if f"resolved config [{sub}]: " in ln)
+        resolved = dict(item.split("=", 1) for item in line.split("]: ", 1)[1].split(", "))
+        for f in dataclasses.fields(cls):
+            want = "1" if f.name == "epochs" else str(f.default)
+            assert resolved[f.name] == want, f.name
 
     def test_same_seed_byte_identical(self, capsys, tmp_path):
         argv = ["synth", "--count", "3", "--points", "40", "--seed", "11"]
@@ -240,6 +273,22 @@ class TestPipeline:
         assert sorted(p.name for p in out.iterdir()) == \
             ["pair_000000.svg", "pair_000001.svg"]
 
+
+    def test_plot_limit_from_config_under_flag_precedence(self, capsys, pipeline, tmp_path):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("limit=1\n")
+        for argv, count in (([], 1), (["--limit", "2"], 2)):
+            out = tmp_path / f"plots_{count}"
+            code, stdout, err = run(capsys, "plot", "--config", str(cfg), "--model", str(pipeline / "model.ckpt"),
+                                    "--data", str(pipeline / "data"), "--out-dir", str(out), *argv)
+            assert code == 0, err
+            assert f"wrote {count} overlays" in stdout
+            assert sorted(p.name for p in out.iterdir()) == [f"pair_{i:06d}.svg" for i in range(count)]
+        # a config value gets the check --limit gets from argparse
+        cfg.write_text("limit=-1\n")
+        code, _, err = run(capsys, "plot", "--config", str(cfg), "--model", str(pipeline / "model.ckpt"),
+                           "--data", str(pipeline / "data"), "--out-dir", str(tmp_path / "plots_bad"))
+        assert code == 1 and "limit: expected a non-negative integer, got -1" in err, err
 
     def test_plot_limit_reads_only_the_pairs_it_plots(self, capsys, pipeline, tmp_path):
         # a malformed pair after the limit is never read, and the overlays
@@ -649,7 +698,7 @@ _FUZZ_VALUE = st.one_of(
     st.text(alphabet="abz=#-. _\t\u00e9\u4e2d", max_size=6),
 )
 _FUZZ_MANIFEST_KEYS = ["format", "pair_count", "dim", "point_count", "shape", "seed", "bogus"]
-_FUZZ_CONFIG_KEYS = sorted(cli._CONFIG_KEYS - {"checkpoint_dir"}) + ["limit", "bogus"]
+_FUZZ_CONFIG_KEYS = sorted(cli._CONFIG_KEYS - {"checkpoint_dir"}) + ["bogus"]
 
 
 def _fuzz_lines(keys):

@@ -48,6 +48,21 @@ class TestRegister:
         assert r.cd_pre > 0 and r.cd_post > 0
         assert r.elapsed > 0
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_theta_rewarps_to_transformed_bit_for_bit(self, fish_pairs, dim):
+        # theta is the float64 theta the warp multiplied, not one rebuilt
+        # from the predicted displacements
+        weights = randomized_weights(dim)
+        rng = np.random.default_rng(7)
+        pairs = fish_pairs[:3] if dim == 2 else [(rng.uniform(-1, 2, size=(30, 3)),
+                                                 rng.uniform(-1, 2, size=(25, 3))) for _ in range(3)]
+        for (src, _), r in zip(pairs, evaluator.evaluate(weights, pairs).results):
+            norm = model.fit_normalizer(src)
+            _, basis = model.prepare_source(norm.apply(src), weights)
+            assert r.theta.dtype == np.float64
+            assert not np.array_equal(r.theta, weights.config.control_points)
+            assert np.array_equal(norm.invert(basis @ r.theta), r.transformed)
+
     def test_identity_weights_leave_source_in_place(self, fish_pairs):
         src, tgt = fish_pairs[0]
         r = evaluator.register(identity_weights(), src, tgt)

@@ -67,6 +67,20 @@ class TestConfig:
         weights = model.init_weights(model.PrNetConfig(), seed=0)
         assert sum(p.data.size for p in weights.params()) == 4_087_138
 
+    def test_parameter_order_and_array_names_are_pinned(self):
+        # a checkpoint's adam.m.NNN and adam.v.NNN index params() in this
+        # order, so a reorder would load moments onto the wrong parameters
+        weights = model.init_weights(tiny_config(), seed=0)
+        arrays = weights.named_arrays()
+        bn_layers = ["mlp0", "mlp1", "conv0", "conv1", "conv2", "fc1"]
+        assert list(arrays) == [f"{layer}.{field}" for layer in bn_layers
+                                for field in ("weight", "bias", "bn_scale", "bn_shift", "bn_mean", "bn_var")] \
+            + ["out.weight", "out.bias"]
+        name_of = {id(a): name for name, a in arrays.items()}
+        assert [name_of[id(p.data)] for p in weights.params()] == \
+            [f"{layer}.{field}" for layer in bn_layers for field in ("weight", "bias", "bn_scale", "bn_shift")] \
+            + ["out.weight", "out.bias"]
+
     def test_kernel_chain_must_fit_grid(self):
         with pytest.raises(ValueError, match="does not fit"):
             model.PrNetConfig(grid_shape=(5, 5))
@@ -286,10 +300,12 @@ class TestIdentityAtInitialization:
 class TestSharedSourceBatch:
     def test_batched_eval_matches_single_pair(self, batch_env):
         weights, src, targets = batch_env
-        deltas, transformed = model.forward_shared_source([(src, t) for t in targets], weights)
-        assert deltas.shape == (5, 18)
+        thetas, transformed = model.forward_shared_source([(src, t) for t in targets], weights)
+        assert thetas.shape == (5, 9, 2) and thetas.dtype == np.float64
+        deltas = thetas - weights.config.control_points
         for i, tgt in enumerate(targets):
-            d_one, t_one = model.forward_shared_source([(src, tgt)], weights)
+            theta_one, t_one = model.forward_shared_source([(src, tgt)], weights)
+            d_one = theta_one - weights.config.control_points
             np.testing.assert_allclose(deltas[i], d_one[0], rtol=1e-4, atol=1e-6)
             np.testing.assert_allclose(transformed[i], t_one[0], rtol=1e-4, atol=1e-6)
 
@@ -301,9 +317,11 @@ class TestSharedSourceBatch:
         other = src[::-1] * 0.8
         pairs = [(src, targets[0]), (other, targets[1]), (other, targets[2]), (src, targets[3]),
                  (other, targets[4]), (src, targets[4])]
-        deltas, transformed = model.forward_shared_source(pairs, weights)
+        thetas, transformed = model.forward_shared_source(pairs, weights)
+        deltas = thetas - weights.config.control_points
         for i, pair in enumerate(pairs):
-            d_one, t_one = model.forward_shared_source([pair], weights)
+            theta_one, t_one = model.forward_shared_source([pair], weights)
+            d_one = theta_one - weights.config.control_points
             np.testing.assert_allclose(deltas[i], d_one[0], rtol=1e-4, atol=1e-6)
             np.testing.assert_allclose(transformed[i], t_one[0], rtol=1e-4, atol=1e-6)
         assert not np.allclose(deltas[4], deltas[5], rtol=1e-4, atol=1e-6)
@@ -324,8 +342,8 @@ class TestSharedSourceBatch:
         weights, src, _ = batch_env
         rng = np.random.default_rng(43)
         targets = [rng.uniform(-0.9, 0.9, size=(n, 2)) for n in (30, 46, 30)]
-        deltas, transformed = model.forward_shared_source([(src, t) for t in targets], weights)
-        assert deltas.shape == (3, 18)
+        thetas, transformed = model.forward_shared_source([(src, t) for t in targets], weights)
+        assert thetas.shape == (3, 9, 2)
         assert [t.shape[0] for t in transformed] == [48, 48, 48]
 
     def test_no_targets_rejected(self, batch_env):
@@ -438,13 +456,14 @@ class TestGraphFreeForward:
         for layer, (mean, var) in zip(bn_layers(weights), stats):
             layer.bn_mean = mean
             layer.bn_var = var
-        eval_deltas, _ = model.forward_shared_source(pairs, weights)
+        thetas, _ = model.forward_shared_source(pairs, weights)
+        eval_deltas = (thetas - weights.config.control_points).reshape(deltas.shape)
         np.testing.assert_allclose(eval_deltas, deltas, rtol=1e-4, atol=1e-6)
 
     def test_eval_outputs_carry_no_graph(self, env):
         weights, pairs = env
-        deltas, transformed = model.forward_shared_source(pairs, weights)
-        for t in [deltas, *transformed]:
+        thetas, transformed = model.forward_shared_source(pairs, weights)
+        for t in [thetas, *transformed]:
             assert type(t) is np.ndarray
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
