@@ -100,13 +100,15 @@ def _non_negative_int(text):
 def _add_globals(parser, suppress=False, config=None):
     # subparsers get SUPPRESS defaults so an absent flag never clobbers a
     # value already parsed before the subcommand name; ``config`` is the
-    # dataclass whose seed the subcommand sets
+    # dataclass whose seed the subcommand sets, and a subcommand without
+    # one takes no --seed
     default = argparse.SUPPRESS if suppress else None
     parser.add_argument("--config", metavar="FILE", default=default,
                         help="key=value config file; flags override its entries")
-    parser.add_argument("--seed", type=int, default=default,
-                        help="random seed of synth and train" if config is None
-                        else f"random seed (default: {config.seed})")
+    if config is not None or not suppress:
+        parser.add_argument("--seed", type=int, default=default,
+                            help="random seed of synth and train" if config is None
+                            else f"random seed (default: {config.seed})")
     parser.add_argument("--verbose", action="store_true",
                         default=argparse.SUPPRESS if suppress else False,
                         help="debug-level logging (default: off)")
@@ -130,8 +132,8 @@ def _build_parser():
                    help=f"points per set (default: {_CLI_DEFAULTS['point_count']})")
     p.add_argument("--level", type=float, dest="deformation_level",
                    help=f"deformation level (default: {synth.deformation_level})")
-    p.add_argument("--noise", dest="noise_kind", choices=["none", "pd", "do", "di"],
-                   help="noise kind: pd jitter, do outliers, di dropout "
+    p.add_argument("--noise", dest="noise_kind",
+                   help="noise kind: none, pd jitter, do outliers, di dropout "
                         f"(default: {synth.noise_kind})")
     p.add_argument("--noise-level", type=float,
                    help=f"noise magnitude or ratio (default: {synth.noise_level})")
@@ -192,11 +194,6 @@ def _build_parser():
     return parser
 
 
-def _load_weights(path):
-    weights, _, _ = trainer.load_checkpoint(path)
-    return weights
-
-
 def _cmd_synth(args):
     r = _Resolver(args)
     shape_name = r.get("shape", str)
@@ -237,7 +234,7 @@ def _cmd_train(args):
 
 def _cmd_register(args):
     _Resolver(args).log_resolved()
-    weights = _load_weights(args.model)
+    weights, _, _ = model.load_model(args.model)
     src = datagen.load_points_file(args.src)
     tgt = datagen.load_points_file(args.tgt)
     result = evaluator.register(weights, src, tgt)
@@ -252,7 +249,7 @@ def _cmd_register(args):
 
 def _cmd_eval(args):
     _Resolver(args).log_resolved()
-    weights = _load_weights(args.model)
+    weights, _, _ = model.load_model(args.model)
     summary = evaluator.evaluate(weights, args.data)
     evaluator.write_report_csv(summary, args.report)
     print(
@@ -267,7 +264,7 @@ def _cmd_plot(args):
     r = _Resolver(args)
     limit = r.get("limit", _non_negative_int)
     r.log_resolved()
-    weights = _load_weights(args.model)
+    weights, _, _ = model.load_model(args.model)
     ds = datagen.load_dataset(args.data)
     count = ds.pair_count if limit == 0 else min(limit, ds.pair_count)
     pairs = [ds.load_pair(i) for i in range(count)]

@@ -32,11 +32,12 @@ at a time and never stored.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import numbers
-import os
+import tokenize
+import zipfile
+import zlib
 from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 from itertools import groupby, product
@@ -48,7 +49,7 @@ from . import tps
 
 
 class CorruptCheckpointError(RuntimeError):
-    """Raised when a checkpoint fails structural or checksum validation."""
+    """Raised when a checkpoint file is damaged, foreign or not a model."""
 
 
 def _is_int(value) -> bool:
@@ -644,134 +645,85 @@ def batch_norm_statistics(pairs, weights: PrNetWeights) -> list:
 
 
 # ---------------------------------------------------------------------------
-# checkpoint container
+# checkpoint file
+#
+# A checkpoint is an uncompressed numpy ``.npz``: a zip of one ``.npy``
+# member per named array, plus the member ``meta``, the sorted-key JSON meta
+# as uint8 bytes. Each zip member carries a CRC-32 that ``zipfile`` checks
+# once the member is read to its end, so every member is read to its end.
 
-_MAGIC = b"PTREGCK1"
-_HEADER_SIZE = len(_MAGIC) + 4  # magic, then the <u4 manifest length
-_ARRAY_DTYPES = ("<f4", "<f8")
-
-
-def write_checkpoint(path, arrays: dict, meta: dict) -> None:
-    """Write named arrays plus JSON metadata; bit-exact on round-trip.
-
-    Layout: magic, ``<u4`` manifest length, sorted-key JSON manifest (array
-    names, shapes, dtypes, payload checksum, user metadata), then the raw
-    little-endian arrays in name order.
-
-    The payload is never assembled in memory: the checksum is updated array
-    by array and each array is then written from its own buffer, so the data
-    is not copied at all (an array that is not C-contiguous is copied once
-    into C order first).
-    """
-    entries = []
-    blocks = []
-    digest = hashlib.sha256()
-    for name in sorted(arrays):
-        arr = np.ascontiguousarray(arrays[name])
-        if arr.dtype.kind != "f" or arr.dtype.itemsize not in (4, 8):
-            raise ValueError(f"write_checkpoint: array {name} has dtype {arr.dtype}, not float32 or float64")
-        le = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
-        entries.append({"name": name, "shape": list(arr.shape), "dtype": le.dtype.str})
-        digest.update(le)
-        blocks.append(le)
-    manifest = {
-        "version": 1,
-        "arrays": entries,
-        "meta": meta,
-        "payload_sha256": digest.hexdigest(),
-    }
-    blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(len(blob).to_bytes(4, "little"))
-        f.write(blob)
-        for le in blocks:
-            f.write(le)
+_META = "meta"
+# what numpy and zipfile raise on a damaged or foreign file once it is open.
+# A member's .npy header is parsed before its CRC-32 is checked, so a damaged
+# header raises what numpy's parser does: SyntaxError, TokenError, or
+# TypeError for a shape that holds a bool. RuntimeError is zipfile's on a
+# member flagged as encrypted, OSError a seek to a damaged offset.
+_READ_ERRORS = (zipfile.BadZipFile, ValueError, TypeError, SyntaxError, tokenize.TokenError,
+                RuntimeError, OSError, EOFError, NotImplementedError, zlib.error)
+# the fields of a layer's arrays, which ``load_model`` reads as ``<layer>.<field>``
+_LAYER_FIELDS = {f.name for f in fields(_Layer)[1:]}
 
 
-def _parse_manifest(path, blob: bytes) -> tuple:
-    """``(entries, meta, checksum)`` from the manifest bytes, with every
-    entry checked: a string name used once, a ``<f4`` or ``<f8`` dtype and a
-    shape of non-negative integers."""
+def _member(path, archive: zipfile.ZipFile, filename: str) -> np.ndarray:
+    """The array in member ``filename`` of the open ``archive``, as a new
+    buffer of its own. The member is read to its end whatever its ``.npy``
+    header says, so zipfile checks its CRC-32: a damaged header length
+    would otherwise shift the array and leave the check unmade."""
     try:
-        manifest = json.loads(blob.decode("utf-8"))
-    except (ValueError, RecursionError) as exc:
-        raise CorruptCheckpointError(f"{path}: unreadable manifest ({exc})") from exc
-    if not isinstance(manifest, dict):
-        raise CorruptCheckpointError(f"{path}: manifest is not a JSON object")
-    listed = manifest.get("arrays")
-    if not isinstance(listed, list):
-        raise CorruptCheckpointError(f"{path}: manifest has no list of arrays")
-    meta = manifest.get("meta")
-    if not isinstance(meta, dict):
-        raise CorruptCheckpointError(f"{path}: manifest meta is not a JSON object")
-    entries = []
-    names = set()
-    for i, entry in enumerate(listed):
-        if not isinstance(entry, dict) or not {"name", "shape", "dtype"} <= entry.keys():
-            raise CorruptCheckpointError(f"{path}: array entry {i} lacks a name, shape or dtype")
-        name, shape, dtype = entry["name"], entry["shape"], entry["dtype"]
-        if not isinstance(name, str) or name in names:
-            raise CorruptCheckpointError(f"{path}: array entry {i} has a bad or repeated name")
-        if dtype not in _ARRAY_DTYPES:
-            raise CorruptCheckpointError(f"{path}: array {name} has unsupported dtype {dtype!r}")
-        if not isinstance(shape, list) or not all(_is_int(d) and d >= 0 for d in shape):
-            raise CorruptCheckpointError(f"{path}: array {name} has invalid shape {shape!r}")
-        names.add(name)
-        entries.append((name, tuple(shape), np.dtype(dtype)))
-    return entries, meta, manifest.get("payload_sha256")
+        with archive.open(filename) as f:
+            arr = np.lib.format.read_array(f, allow_pickle=False)
+            rest = f.read()
+    except _READ_ERRORS as exc:
+        raise CorruptCheckpointError(f"{path}: unreadable member {filename} ({exc})") from exc
+    if rest:
+        raise CorruptCheckpointError(f"{path}: member {filename} holds {len(rest)} bytes past its array")
+    return arr
 
 
-def read_checkpoint(path) -> tuple:
-    """Read a checkpoint written by ``write_checkpoint``; verifies the checksum.
+def read_checkpoint(path, keep=None) -> tuple:
+    """``(arrays, meta)`` of a checkpoint: its meta and each array member
+    whose name ``keep`` accepts, or every one when ``keep`` is None.
 
-    The manifest is checked against the file size before any payload byte
-    is read. Each array then gets its own new buffer (aligned, C-contiguous,
-    writable), which ``readinto`` fills straight from the file and the
-    checksum reads in place: the data is copied once, from the file into
-    the array that is returned, and no two arrays share memory. The whole
-    payload's sha256 is verified before any array is returned. The file is
-    read, never memory-mapped, so it may be overwritten once this returns.
+    Only the accepted members are read. Each array is a new buffer of its
+    own, and the file is closed on return, so it may then be overwritten.
+    A file that is no zip, a repeated member name, a damaged or non-``.npy``
+    member or a meta that is not a JSON object raises
+    ``CorruptCheckpointError``.
     """
     with open(path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size
-        header = f.read(_HEADER_SIZE)
-        if header[: len(_MAGIC)] != _MAGIC:
-            raise CorruptCheckpointError(f"{path}: bad magic, not a checkpoint file")
-        if len(header) != _HEADER_SIZE:
-            raise CorruptCheckpointError(f"{path}: file ends inside the header")
-        mlen = int.from_bytes(header[len(_MAGIC):], "little")
-        payload_size = size - _HEADER_SIZE - mlen
-        if payload_size < 0:
-            raise CorruptCheckpointError(f"{path}: manifest length {mlen} runs past the end of the file")
-        entries, meta, checksum = _parse_manifest(path, f.read(mlen))
-        listed = sum(math.prod(shape) * dtype.itemsize for _, shape, dtype in entries)
-        if listed != payload_size:
-            raise CorruptCheckpointError(
-                f"{path}: manifest lists {listed} payload bytes, the file holds {payload_size}"
-            )
-        digest = hashlib.sha256()
-        arrays = {}
-        for name, shape, dtype in entries:
-            arr = np.empty(shape, dtype)
-            if f.readinto(arr) != arr.nbytes:
-                raise CorruptCheckpointError(f"{path}: truncated payload at array {name}")
-            digest.update(arr)
-            arrays[name] = arr
-    if digest.hexdigest() != checksum:
-        raise CorruptCheckpointError(f"{path}: payload checksum mismatch")
+        try:
+            archive = zipfile.ZipFile(f)
+        except _READ_ERRORS as exc:
+            raise CorruptCheckpointError(f"{path}: not an .npz checkpoint") from exc
+        members = {filename.removesuffix(".npy"): filename for filename in archive.namelist()}
+        if len(members) != len(archive.namelist()):
+            raise CorruptCheckpointError(f"{path}: a member name is repeated")
+        if _META not in members:
+            raise CorruptCheckpointError(f"{path}: no {_META} member")
+        try:
+            meta = json.loads(_member(path, archive, members[_META]).tobytes().decode("utf-8"))
+        except (ValueError, RecursionError) as exc:
+            raise CorruptCheckpointError(f"{path}: unreadable meta ({exc})") from exc
+        if not isinstance(meta, dict):
+            raise CorruptCheckpointError(f"{path}: meta is not a JSON object")
+        arrays = {name: _member(path, archive, filename) for name, filename in members.items()
+                  if name != _META and (keep is None or keep(name))}
     return arrays, meta
 
 
 def save_model(path, weights: PrNetWeights, extra_meta: dict, extra_arrays: dict) -> None:
-    """Write ``weights`` and their config plus the optimizer state that
-    ``trainer.save_checkpoint`` passes as extra meta keys and arrays."""
+    """Write ``weights``, their config and the optimizer state that
+    ``trainer.save_checkpoint`` passes as extra meta keys and arrays, to
+    exactly ``path``: ``np.savez`` is handed the open file, since given a
+    name it would append ``.npz``."""
     meta = {"kind": "pointreg-model", "config": asdict(weights.config), **extra_meta}
     arrays = weights.named_arrays()
-    overlap = set(arrays) & set(extra_arrays)
+    overlap = (set(arrays) | {_META}) & set(extra_arrays)
     if overlap:
         raise ValueError(f"save_model: extra array names collide: {sorted(overlap)}")
-    write_checkpoint(path, {**arrays, **extra_arrays}, meta)
+    blob = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    with open(path, "wb") as f:
+        np.savez(f, **{_META: np.frombuffer(blob, dtype=np.uint8)}, **arrays, **extra_arrays)
 
 
 def _config_from_meta(path, meta: dict) -> PrNetConfig:
@@ -782,23 +734,29 @@ def _config_from_meta(path, meta: dict) -> PrNetConfig:
     missing = [n for n in names if n not in c]
     if missing:
         raise CorruptCheckpointError(f"{path}: config lacks {', '.join(missing)}")
-    # files written while the slope was a config field carry it, as 0.1
-    if c.get("leaky_slope", ad.LEAKY_SLOPE) != ad.LEAKY_SLOPE:
-        raise CorruptCheckpointError(f"{path}: invalid config (leaky_slope {c['leaky_slope']!r}, "
-                                     f"not {ad.LEAKY_SLOPE})")
+    unknown = sorted(set(c) - set(names))
+    if unknown:
+        raise CorruptCheckpointError(f"{path}: invalid config (no field {', '.join(unknown)})")
     try:
         return PrNetConfig(**{n: tuple(c[n]) if isinstance(c[n], list) else c[n] for n in names})
     except (TypeError, ValueError) as exc:
         raise CorruptCheckpointError(f"{path}: invalid config ({exc})") from exc
 
 
-def load_model(path) -> tuple:
-    """Load weights plus (meta, extra arrays not belonging to the model).
+def load_model(path, extra_prefix=None) -> tuple:
+    """``(weights, meta, extras)`` from a checkpoint.
 
-    The weights are built around the arrays ``read_checkpoint`` returns,
-    each checked for name, shape and dtype, with no further copy.
+    Reads the meta and the members named ``<layer>.<field>`` only; with
+    ``extra_prefix``, also every member whose name starts with it. The
+    weights are built around the arrays ``read_checkpoint`` returns, each
+    checked for name, shape and dtype, with no further copy; ``extras``
+    holds the arrays read that the model does not use.
     """
-    arrays, meta = read_checkpoint(path)
+    def keep(name):
+        return name.partition(".")[2] in _LAYER_FIELDS or (
+            extra_prefix is not None and name.startswith(extra_prefix))
+
+    arrays, meta = read_checkpoint(path, keep)
     if meta.get("kind") != "pointreg-model":
         raise CorruptCheckpointError(f"{path}: not a model checkpoint")
     cfg = _config_from_meta(path, meta)

@@ -88,6 +88,7 @@ def write_history_csv(history, path) -> None:
 
 _COUNT_META = ("epoch", "adam_step_count")  # JSON integers >= 0
 _RATE_META = ("adam_learning_rate", "adam_decay")  # finite and > 0, as in TrainConfig
+_MOMENT_PREFIX = "adam."  # the moments of parameter i are adam.m.<i> and adam.v.<i>
 
 
 def save_checkpoint(weights, adam_state: ad.AdamState, epoch: int, path) -> None:
@@ -95,8 +96,8 @@ def save_checkpoint(weights, adam_state: ad.AdamState, epoch: int, path) -> None
     reproduces the uninterrupted run."""
     extras = {}
     for i, (m, v) in enumerate(zip(adam_state.first_moment, adam_state.second_moment)):
-        extras[f"adam.m.{i:03d}"] = m
-        extras[f"adam.v.{i:03d}"] = v
+        extras[f"{_MOMENT_PREFIX}m.{i:03d}"] = m
+        extras[f"{_MOMENT_PREFIX}v.{i:03d}"] = v
     meta = {
         "epoch": int(epoch),
         "adam_step_count": int(adam_state.step_count),
@@ -108,15 +109,15 @@ def save_checkpoint(weights, adam_state: ad.AdamState, epoch: int, path) -> None
 
 def load_checkpoint(path):
     """Returns ``(weights, adam_state, epoch)`` from a file written by
-    ``save_checkpoint``, the one kind of checkpoint: ``pointreg train``
-    writes it, and ``register``, ``eval`` and ``plot`` read its weights.
+    ``save_checkpoint``: the resume state of ``train(start_epoch=)``.
+    Unlike ``model.load_model`` alone, it also reads the Adam moments.
 
     The file must carry every ``_COUNT_META`` and ``_RATE_META`` key with a
     valid value and both Adam moments of every parameter, each matching its
     parameter's shape and dtype. The moments are the file's own arrays, so
     a resumed run trains them in place.
     """
-    weights, meta, extras = prnet.load_model(path)
+    weights, meta, extras = prnet.load_model(path, extra_prefix=_MOMENT_PREFIX)
     missing = [k for k in (*_COUNT_META, *_RATE_META) if k not in meta]
     if missing:
         raise prnet.CorruptCheckpointError(f"{path}: training meta lacks {', '.join(missing)}")
@@ -128,7 +129,7 @@ def load_checkpoint(path):
                          step_count=meta["adam_step_count"])
     for i, p in enumerate(weights.params()):
         for kind, dest in (("m", state.first_moment), ("v", state.second_moment)):
-            key = f"adam.{kind}.{i:03d}"
+            key = f"{_MOMENT_PREFIX}{kind}.{i:03d}"
             if key not in extras:
                 raise prnet.CorruptCheckpointError(f"{path}: missing optimizer array {key}")
             moment = extras[key]

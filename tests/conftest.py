@@ -1,5 +1,9 @@
 """Shared helpers for the test suite."""
 
+import json
+import zipfile
+from pathlib import Path
+
 import numpy as np
 
 from pointreg import autodiff as ad
@@ -52,3 +56,28 @@ def small_identity_checkpoint(path):
     state = ad.init_adam(weights.params(), 1e-4, 0.995)
     trainer.save_checkpoint(weights, state, 0, path)
     return path
+
+
+def write_checkpoint_file(path, arrays, meta):
+    """A checkpoint laid out as ``model.save_model`` writes one, from any
+    named arrays: ``meta`` is dumped as sorted-key JSON, or taken as the raw
+    bytes of the meta member when it is ``bytes``; returns ``path``."""
+    blob = meta if isinstance(meta, bytes) else json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
+    with open(path, "wb") as f:
+        np.savez(f, meta=np.frombuffer(blob, dtype=np.uint8), **arrays)
+    return path
+
+
+def array_data_spans(path) -> dict:
+    """``name -> (start, end)``: where each member's array data lies in the
+    checkpoint file ``path``, past its zip and ``.npy`` (version 1.0) headers."""
+    raw = Path(path).read_bytes()
+    spans = {}
+    with zipfile.ZipFile(path) as z:
+        for info in z.infolist():
+            at = info.header_offset
+            at += 30 + int.from_bytes(raw[at + 26:at + 28], "little") + int.from_bytes(raw[at + 28:at + 30], "little")
+            end = at + info.compress_size
+            at += 10 + int.from_bytes(raw[at + 8:at + 10], "little")
+            spans[info.filename.removesuffix(".npy")] = (at, end)
+    return spans

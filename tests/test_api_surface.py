@@ -22,6 +22,8 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 ALLOWED_UNREFERENCED = {
     "max_pool_rows": "bench/tracing.py's Tracer.install wraps autodiff.max_pool_rows by name; "
                      "ROADMAP item 2 replaces that hook",
+    "load_checkpoint": "the resume API of trainer.train(start_epoch=); bench/workloads.py checks "
+                       "the train-2d checkpoint with it",
 }
 
 

@@ -1,18 +1,19 @@
-"""The checkpoint container: its byte layout, what the loaders hand back,
-and how it fails on damaged bytes."""
+"""The checkpoint file, an uncompressed numpy ``.npz``: its layout, what
+the loaders read and hand back, and how it fails on damaged bytes."""
 
-import hashlib
+import io
 import json
-import struct
+import zipfile
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pointreg import evaluator, model, trainer
+from pointreg import model, trainer
 
-from conftest import small_identity_checkpoint
+from conftest import array_data_spans, small_identity_checkpoint, write_checkpoint_file
 
 
 def assert_owned_buffers(arrays: dict):
@@ -51,54 +52,48 @@ MIXED = {
 
 class TestLayout:
     def test_write_matches_hand_assembled_bytes(self, tmp_path):
-        arrays = {
-            "z.double": np.array([0.5, 7.0], dtype=np.float64),
-            "a.fortran": np.asfortranarray(np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32)),
-            "m.plain": np.array([1.5, -2.0, 3.25], dtype=np.float32),
-        }
-        meta = {"kind": "test", "note": [1, "x"]}
-        path = tmp_path / "c.ckpt"
-        model.write_checkpoint(path, arrays, meta)
-
-        # arrays in name order, each little-endian in C order
-        payload = struct.pack("<4f", 1.0, 2.0, 3.0, 4.0) \
-            + struct.pack("<3f", 1.5, -2.0, 3.25) + struct.pack("<2d", 0.5, 7.0)
-        manifest = {
-            "arrays": [
-                {"dtype": "<f4", "name": "a.fortran", "shape": [2, 2]},
-                {"dtype": "<f4", "name": "m.plain", "shape": [3]},
-                {"dtype": "<f8", "name": "z.double", "shape": [2]},
-            ],
-            "meta": meta,
-            "payload_sha256": hashlib.sha256(payload).hexdigest(),
-            "version": 1,
-        }
-        blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
-        expected = b"PTREGCK1" + struct.pack("<I", len(blob)) + blob + payload
-        assert path.read_bytes() == expected
-
+        # one stored (uncompressed) .npy member per array, meta first as
+        # sorted-key JSON bytes, then the model's arrays in layer order,
+        # then the optimizer moments
+        path = small_identity_checkpoint(tmp_path / "c.ckpt")
+        weights, state, _ = trainer.load_checkpoint(path)
+        meta = {"kind": "pointreg-model", "config": asdict(weights.config), "epoch": 0,
+                "adam_step_count": 0, "adam_learning_rate": 1e-4, "adam_decay": 0.995}
+        blob = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        members = {"meta": np.frombuffer(blob, dtype=np.uint8), **loaded_arrays(weights, state)}
+        with zipfile.ZipFile(path) as z:
+            infos = z.infolist()
+            assert [i.filename for i in infos] == [f"{name}.npy" for name in members]
+            assert {i.compress_type for i in infos} == {zipfile.ZIP_STORED}
+            for info, (name, arr) in zip(infos, members.items()):
+                expected = io.BytesIO()
+                np.lib.format.write_array(expected, arr)
+                assert z.read(info) == expected.getvalue(), name
 
     @pytest.mark.parametrize("dtype", [">f4", ">f8"])
     def test_big_endian_arrays_round_trip(self, tmp_path, dtype):
-        little = np.linspace(-2.0, 3.0, 6).reshape(2, 3).astype("<" + dtype[1:])
-        big = little.astype(dtype)
-        model.write_checkpoint(tmp_path / "big.ckpt", {"x": big}, {})
-        model.write_checkpoint(tmp_path / "little.ckpt", {"x": little}, {})
-        assert (tmp_path / "big.ckpt").read_bytes() == (tmp_path / "little.ckpt").read_bytes()
+        # an array is stored in its own byte order and read back as it was
+        big = np.linspace(-2.0, 3.0, 6).reshape(2, 3).astype(dtype)
+        weights, _, _ = model.load_model(small_identity_checkpoint(tmp_path / "m.ckpt"))
+        model.save_model(tmp_path / "big.ckpt", weights, {}, {"x": big})
         arrays, _ = model.read_checkpoint(tmp_path / "big.ckpt")
-        assert arrays["x"].dtype == little.dtype
+        assert arrays["x"].dtype == big.dtype
+        assert arrays["x"].tobytes() == big.tobytes()
         np.testing.assert_array_equal(arrays["x"], big)
 
     @pytest.mark.parametrize("dtype", [np.float16, np.int32, np.int64])
     def test_other_dtypes_rejected(self, tmp_path, dtype):
-        with pytest.raises(ValueError, match="not float32 or float64"):
-            model.write_checkpoint(tmp_path / "c.ckpt", {"x": np.arange(3, dtype=dtype)}, {})
+        # a model array is read only in the config's dtype
+        arrays, meta = model.read_checkpoint(small_identity_checkpoint(tmp_path / "m.ckpt"))
+        arrays["fc1.bias"] = arrays["fc1.bias"].astype(dtype)
+        write_checkpoint_file(tmp_path / "c.ckpt", arrays, meta)
+        with pytest.raises(model.CorruptCheckpointError, match=f"array fc1.bias has dtype {np.dtype(dtype)}"):
+            model.load_model(tmp_path / "c.ckpt")
 
 
 class TestLoaderContract:
     def test_read_checkpoint_mixed_dtypes(self, tmp_path):
-        path = tmp_path / "c.ckpt"
-        model.write_checkpoint(path, MIXED, {"k": 1})
+        path = write_checkpoint_file(tmp_path / "c.ckpt", MIXED, {"k": 1})
         arrays, meta = model.read_checkpoint(path)
         assert meta == {"k": 1}
         assert sorted(arrays) == sorted(MIXED)
@@ -112,7 +107,7 @@ class TestLoaderContract:
         weights, _, _ = model.load_model(path)
         extra = {"opt.m": np.arange(6, dtype=np.float64), "opt.n": np.arange(3, dtype=np.float32)}
         model.save_model(path, weights, {}, extra)
-        weights, _, extras = model.load_model(path)
+        weights, _, extras = model.load_model(path, extra_prefix="opt.")
         assert sorted(extras) == ["opt.m", "opt.n"]
         assert_owned_buffers(loaded_arrays(weights, extras=extras))
 
@@ -141,29 +136,9 @@ class TestLoaderContract:
         path = small_identity_checkpoint(tmp_path / "m.ckpt")
         arrays, meta = model.read_checkpoint(path)
         del meta[key]
-        model.write_checkpoint(path, arrays, meta)
+        write_checkpoint_file(path, arrays, meta)
         with pytest.raises(model.CorruptCheckpointError, match=f"training meta lacks {key}"):
             trainer.load_checkpoint(path)
-
-    def test_file_carrying_the_former_slope_field_registers_alike(self, tmp_path):
-        # files written while the slope was a config field carry
-        # "leaky_slope": 0.1; they load as the same network, bit for bit
-        weights, state, _ = trainer.load_checkpoint(small_identity_checkpoint(tmp_path / "m.ckpt"))
-        rng = np.random.default_rng(5)
-        for p in weights.params():
-            p.data += rng.normal(0.0, 0.2, size=p.data.shape).astype(p.data.dtype)
-        current, former = tmp_path / "current.ckpt", tmp_path / "former.ckpt"
-        trainer.save_checkpoint(weights, state, 3, current)
-        arrays, meta = model.read_checkpoint(current)
-        meta["config"]["leaky_slope"] = 0.1
-        model.write_checkpoint(former, arrays, meta)
-        source = rng.uniform(-1.0, 1.0, size=(30, 2))
-        target = source + rng.normal(0.0, 0.05, size=source.shape)
-        now, before = (evaluator.register(trainer.load_checkpoint(path)[0], source, target)
-                       for path in (current, former))
-        assert not np.allclose(now.transformed, source)
-        assert before.transformed.tobytes() == now.transformed.tobytes()
-        assert before.theta.tobytes() == now.theta.tobytes()
 
     def test_file_can_be_overwritten_while_arrays_live(self, tmp_path):
         path = small_identity_checkpoint(tmp_path / "m.ckpt")
@@ -174,44 +149,98 @@ class TestLoaderContract:
         for name, arr in loaded_arrays(weights, state).items():
             assert arr.tobytes() == before[name].tobytes(), name
 
+    def test_load_checkpoint_returns_what_was_saved(self, tmp_path):
+        weights, state, _ = trainer.load_checkpoint(small_identity_checkpoint(tmp_path / "m.ckpt"))
+        rng = np.random.default_rng(8)
+        for arr in loaded_arrays(weights, state).values():
+            arr[...] = rng.normal(size=arr.shape)
+        state.step_count = 12
+        trainer.save_checkpoint(weights, state, 5, tmp_path / "c.ckpt")
+        loaded, lstate, epoch = trainer.load_checkpoint(tmp_path / "c.ckpt")
+        assert (epoch, type(epoch), lstate.step_count) == (5, int, 12)
+        assert (lstate.learning_rate, lstate.decay) == (state.learning_rate, state.decay)
+        got = loaded_arrays(loaded, lstate)
+        for name, arr in loaded_arrays(weights, state).items():
+            assert got[name].dtype == arr.dtype and got[name].tobytes() == arr.tobytes(), name
+
+    @pytest.mark.parametrize("name", ["m.ckpt", "model"])
+    def test_save_checkpoint_writes_exactly_its_path(self, tmp_path, name):
+        small_identity_checkpoint(tmp_path / name)
+        assert [p.name for p in tmp_path.iterdir()] == [name]
+
+    def test_load_model_reads_no_optimizer_member(self, tmp_path, monkeypatch):
+        path = small_identity_checkpoint(tmp_path / "m.ckpt")
+        read = []
+        open_member = zipfile.ZipFile.open
+
+        def spy(archive, name, *args, **kwargs):
+            read.append(name.removesuffix(".npy"))
+            return open_member(archive, name, *args, **kwargs)
+
+        monkeypatch.setattr(zipfile.ZipFile, "open", spy)
+        weights, _, extras = model.load_model(path)
+        assert extras == {}
+        assert read == ["meta", *weights.named_arrays()]
+        read.clear()
+        weights, state, _ = trainer.load_checkpoint(path)
+        assert read == ["meta", *loaded_arrays(weights, state)]
+
 
 @pytest.fixture(scope="module")
 def small_file(tmp_path_factory):
-    """``(directory, bytes, payload offset)`` of a small training checkpoint."""
+    """``(directory, bytes, payload, outside)`` of a small training
+    checkpoint: the offsets of every byte of array data, and of every other
+    byte (zip and ``.npy`` headers, the central directory, the meta)."""
     directory = tmp_path_factory.mktemp("corrupt")
-    raw = small_identity_checkpoint(directory / "small.ckpt").read_bytes()
-    return directory, raw, 12 + int.from_bytes(raw[8:12], "little")
+    path = small_identity_checkpoint(directory / "small.ckpt")
+    raw = path.read_bytes()
+    payload = {i for a, b in array_data_spans(path).values() for i in range(a, b)}
+    return directory, raw, sorted(payload), sorted(set(range(len(raw))) - payload)
 
 
-def _load(directory, raw):
+def _load(directory, raw, load=trainer.load_checkpoint):
     path = directory / "case.ckpt"
     path.write_bytes(raw)
-    return trainer.load_checkpoint(path)
+    return load(path)
 
 
 def _snapshot(loaded) -> tuple:
     """What ``trainer.load_checkpoint`` returned, as comparable values."""
     weights, state, epoch = loaded
-    arrays = {name: arr.tobytes() for name, arr in loaded_arrays(weights, state).items()}
+    arrays = {name: (arr.dtype.str, arr.shape, arr.tobytes()) for name, arr in loaded_arrays(weights, state).items()}
     return weights.config, arrays, state.learning_rate, state.decay, state.step_count, epoch, type(epoch)
+
+
+def _model_snapshot(loaded) -> tuple:
+    """What ``model.load_model`` returned, as comparable values."""
+    weights, meta, extras = loaded
+    arrays = {name: (arr.dtype.str, arr.shape, arr.tobytes()) for name, arr in weights.named_arrays().items()}
+    return weights.config, arrays, meta, extras
+
+
+def _flipped(raw, index, bit) -> bytes:
+    damaged = bytearray(raw)
+    damaged[index] ^= 1 << bit
+    return bytes(damaged)
 
 
 class TestCorruptBytes:
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_flipped_payload_byte_fails_the_checksum(self, small_file, data):
-        directory, raw, start = small_file
-        index = data.draw(st.integers(start, len(raw) - 1), label="index")
+        # array data is read to the member's end, so its CRC-32 is checked
+        directory, raw, payload, _ = small_file
+        index = data.draw(st.sampled_from(payload), label="index")
         mask = data.draw(st.integers(1, 255), label="mask")
         damaged = bytearray(raw)
         damaged[index] ^= mask
-        with pytest.raises(model.CorruptCheckpointError, match="checksum"):
+        with pytest.raises(model.CorruptCheckpointError, match="Bad CRC-32"):
             _load(directory, bytes(damaged))
 
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_truncated_file_is_rejected(self, small_file, data):
-        directory, raw, _ = small_file
+        directory, raw, _, _ = small_file
         length = data.draw(st.integers(0, len(raw) - 1), label="length")
         with pytest.raises(model.CorruptCheckpointError):
             _load(directory, raw[:length])
@@ -219,37 +248,80 @@ class TestCorruptBytes:
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
     def test_flipped_header_or_manifest_byte_loads_or_is_rejected(self, small_file, data):
-        directory, raw, start = small_file
-        index = data.draw(st.integers(0, start - 1), label="index")
+        # zip headers, the central directory, .npy headers and the meta
+        # member: a damaged byte there is rejected or changes nothing loaded
+        directory, raw, _, outside = small_file
+        index = data.draw(st.sampled_from(outside), label="index")
         mask = data.draw(st.integers(1, 255), label="mask")
         damaged = bytearray(raw)
         damaged[index] ^= mask
         try:
-            _load(directory, bytes(damaged))
+            loaded = _load(directory, bytes(damaged))
         except model.CorruptCheckpointError:
-            pass
+            return
+        assert _snapshot(loaded) == _snapshot(_load(directory, raw))
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_no_single_bit_flip_loads_another_state(self, small_file, data):
+        # through either loader, a file with one bit flipped anywhere is
+        # rejected or loads bitwise what the intact file loads
+        directory, raw, _, _ = small_file
+        bit = data.draw(st.integers(0, 8 * len(raw) - 1), label="bit")
+        damaged = _flipped(raw, bit // 8, bit % 8)
+        for load, snapshot in ((trainer.load_checkpoint, _snapshot), (model.load_model, _model_snapshot)):
+            try:
+                loaded = _load(directory, damaged, load)
+            except model.CorruptCheckpointError:
+                continue
+            assert snapshot(loaded) == snapshot(_load(directory, raw, load)), load.__name__
+
+    def test_no_flip_of_a_header_loads_another_model(self, small_file):
+        # every bit of the .npy header of the largest member, far larger
+        # than zipfile's 4 KB read-ahead, and of the meta's central-directory
+        # entry: a .npy header is parsed before its member's CRC-32 is
+        # checked, a shorter header length shifts the array, and zip flags
+        # can ask for a compression or encryption the reader lacks
+        directory, raw, _, _ = small_file
+        spans = array_data_spans(directory / "small.ckpt")
+        largest = max(spans, key=lambda name: spans[name][1] - spans[name][0])
+        directory_start = max(end for _, end in spans.values())
+        regions = [(raw.rindex(b"\x93NUMPY", 0, spans[largest][0]), spans[largest][0]),
+                   (directory_start, raw.index(b"PK\x01\x02", directory_start + 4))]
+        expected = _model_snapshot(_load(directory, raw, model.load_model))
+        flips, differing = 0, []
+        for index in (i for a, b in regions for i in range(a, b)):
+            for bit in range(8):
+                flips += 1
+                try:
+                    loaded = _load(directory, _flipped(raw, index, bit), model.load_model)
+                except model.CorruptCheckpointError:
+                    continue
+                if _model_snapshot(loaded) != expected:
+                    differing.append((index, bit))
+        assert flips > 1400
+        assert differing == []
 
     def test_no_flip_of_the_config_or_a_meta_key_loads_another_model(self, small_file):
         # every bit of the config object and of each meta key name, quotes
         # included; what still loads must be the same network and optimizer
-        directory, raw, start = small_file
+        directory, raw, _, _ = small_file
         lo = raw.index(b'"config":{') + len('"config":')
         spans = [(lo, raw.index(b"}", lo) + 1)]
-        for key in json.loads(raw[12:start])["meta"]:
+        _, meta = model.read_checkpoint(directory / "small.ckpt")
+        for key in meta:
             at = raw.index(b'"%s":' % key.encode())
             spans.append((at, at + len(key) + 2))
         expected = _snapshot(_load(directory, raw))
         flips, differing = 0, []
         for index in sorted({i for a, b in spans for i in range(a, b)}):
             for bit in range(8):
-                damaged = bytearray(raw)
-                damaged[index] ^= 1 << bit
                 flips += 1
                 try:
-                    loaded = _load(directory, bytes(damaged))
+                    loaded = _load(directory, _flipped(raw, index, bit))
                 except model.CorruptCheckpointError:
                     continue
                 if _snapshot(loaded) != expected:
-                    differing.append(bytes(damaged[index - 8:index + 8]))
+                    differing.append(raw[index - 8:index + 8])
         assert flips > 1500
         assert differing == []
