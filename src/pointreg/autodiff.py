@@ -443,16 +443,23 @@ def bn_act_forward(z, scale, shift, mean=None, var=None, out=None) -> tuple:
     return out, mean, var, inv_std, alpha
 
 
-def _bn_act_backward(gradient, out, z, inv_std, alpha, scale_t, shift_t) -> np.ndarray:
+def _slope(out: np.ndarray) -> np.ndarray:
+    """The leaky ReLU's derivative, 1 or ``LEAKY_SLOPE``, at each entry of
+    its output ``out``: the output keeps its input's sign. (A masked
+    multiply or copy runs several times slower than these three passes.)"""
+    d = np.greater(out, 0).astype(out.dtype)
+    d *= 1.0 - LEAKY_SLOPE
+    d += LEAKY_SLOPE
+    return d
+
+
+def _bn_act_backward(gradient, out, z, inv_std, alpha, bias_t, scale_t, shift_t) -> np.ndarray:
     """Backward of ``bn_act_forward`` under batch statistics: accumulates
-    ``d scale`` and ``d shift`` and returns the gradient of the pre-norm
-    rows. ``z`` is the centred pre-norm array, which this consumes."""
-    # leaky ReLU keeps the sign of its input, so the output's sign recovers
-    # which branch was active
-    mask = np.greater(out, 0, out=_scratch.take(out.shape, np.bool_))
-    dy = np.multiply(gradient, LEAKY_SLOPE, out=_scratch.take(gradient.shape, gradient.dtype))
-    np.copyto(dy, gradient, where=mask)
-    _scratch.give(mask)
+    ``d scale``, ``d shift`` and a ``d bias`` of exactly 0 (batch norm
+    removes the bias of the pre-norm rows), and returns the gradient of the
+    pre-norm rows. ``z`` is the centred pre-norm array, which this
+    consumes."""
+    dy = gradient * _slope(out)
     # every reduction the norm's backward needs comes from these sums
     n = dy.shape[0]
     col_sum = dy.sum(axis=0)
@@ -461,6 +468,8 @@ def _bn_act_backward(gradient, out, z, inv_std, alpha, scale_t, shift_t) -> np.n
         _accumulate(scale_t, col_dot * inv_std)
     if _needs_grad(shift_t):
         _accumulate(shift_t, col_sum)
+    if _needs_grad(bias_t):
+        _accumulate(bias_t, np.zeros_like(bias_t.data), fresh=True)
     dy *= alpha
     dy -= alpha * (col_sum / n)
     dy -= np.multiply(z, alpha * inv_std * inv_std * (col_dot / n), out=z)
@@ -499,10 +508,8 @@ def dense_bn_act(
         nonlocal z
         if z is None:
             raise GraphError("dense_bn_act: graph already consumed by backward()")
-        dy = _bn_act_backward(gradient, out_data, z, inv_std, alpha, scale_t, shift_t)
+        dy = _bn_act_backward(gradient, out_data, z, inv_std, alpha, bias, scale_t, shift_t)
         z = None
-        if _needs_grad(bias):
-            _accumulate(bias, dy.sum(axis=0))
         if _needs_grad(weight):
             _accumulate(weight, xd.T @ dy, fresh=True)
         if _needs_grad(x):
@@ -512,206 +519,271 @@ def dense_bn_act(
     return _make_node(out_data, (x, weight, bias, scale_t, shift_t), grad_fn)
 
 
-def _set_spans(set_sizes, groups: int, n: int) -> list:
-    """``(lo, hi, k)`` row span and point count of each set of a pooled
-    block: set ``s`` of ``k`` points owns ``groups * k`` consecutive rows,
-    group-major, so row ``g * k + j`` is point ``j`` of group ``g``."""
-    sizes = [int(k) for k in set_sizes]
-    if groups < 1 or not sizes or min(sizes) < 1:
-        raise ShapeError(f"dense_bn_act_pool: need at least one set, every set and group count >= 1, "
-                         f"got sets {sizes} and {groups} groups")
-    if groups * sum(sizes) != n:
-        raise ShapeError(f"dense_bn_act_pool: {n} rows do not hold sets of {sizes} points in {groups} groups")
-    spans = []
-    lo = 0
-    for k in sizes:
-        spans.append((lo, lo + groups * k, k))
-        lo += groups * k
-    return spans
+MLP_BLOCK = 16  # grid points of one set per block of ``pooled_mlp_forward``
 
 
-@dataclass
-class PooledForward:
-    """What ``dense_bn_act_pool_forward`` computes. ``out`` is the pooled
-    activation ``[num_sets * groups, out]`` in the input dtype; ``mean`` and
-    ``var`` are the float64 batch statistics of ``z = x @ weight + bias``
-    over every row. The rest is what the backward reads: the column mean
-    and centred Gram of ``x``, and per pooled entry its selected row (local
-    to its set, laid out ``[out, num_sets * groups]``) and normalised value."""
-
-    out: np.ndarray
-    mean: np.ndarray
-    var: np.ndarray
-    spans: list
-    x_mean: np.ndarray
-    gram: np.ndarray
-    rows: np.ndarray
-    xhat: np.ndarray
-    alpha: np.ndarray
-    inv_std: np.ndarray
-    slope_mask: np.ndarray
+def _moments(blocks) -> tuple:
+    """Float64 column mean and centred Gram ``Σ (a - mean)ᵀ (a - mean)``
+    (not divided by the row count) of the rows of ``blocks``, an iterable of
+    arrays. Each block is centred at its own mean and merged by Chan's
+    update, so no block needs the overall mean in advance."""
+    n, mean, gram = 0, 0.0, 0.0
+    for a in blocks:
+        r = a.shape[0]
+        block_mean = (np.ones(r, a.dtype) @ a).astype(np.float64) / r
+        c = a - block_mean.astype(a.dtype)
+        delta = block_mean - mean
+        gram = gram + c.T @ c + np.outer(delta, delta) * (n * r / (n + r))
+        mean = mean + delta * (r / (n + r))
+        n += r
+    return mean, gram
 
 
-def dense_bn_act_pool_forward(xd, w, b, scale, shift, set_sizes, groups: int) -> PooledForward:
-    """Plain-array forward of ``dense_bn_act_pool``; the graph-free batch
-    mode of the model runs the same function, so its statistics and pooled
-    output are the training forward's.
+class BlockedMlp:
+    """What ``pooled_mlp_forward`` computes and its backward reads. A
+    block is ``(set, first row, first grid point, end grid point)``: the
+    rows of up to ``MLP_BLOCK`` grid points of one set of ``k`` points, row
+    ``g * k + j`` of a set pairing grid point ``g`` with point ``j``. The
+    partition depends on each set's own size only."""
 
-    The batch statistics come from the input: ``mean = x̄ @ w + b`` and
-    ``var = diag(wᵀ C w)``, where ``C`` is the centred Gram of ``x``, each
-    set's part taken in the input dtype and summed in float64. Leaky ReLU
-    after the affine norm is monotone in ``z`` with the direction of the
-    column's scale, so the pooled output is the activation of the group max
-    of ``z * sign(scale)``. ``z`` is made one set at a time, transposed so
-    the group max runs along contiguous memory, and dropped. Ties go to the
-    first row; a column of zero scale has a constant activation, on which
-    every row ties, so its first row is selected.
+    def __init__(self, sets, grid, layers):
+        dt = layers[0].weight.data.dtype
+        self.layers = layers
+        self.grid = np.asarray(grid).astype(dt)
+        self.points = [np.asarray(s).astype(dt) for s in sets]
+        if not self.points or min(len(p) for p in self.points) < 1:
+            raise ShapeError(f"pooled_mlp: need at least one set and no empty one, got {len(self.points)} sets")
+        g = len(self.grid)
+        self.blocks = []
+        lo = 0
+        for s, pts in enumerate(self.points):
+            self.blocks += [(s, lo + g0 * len(pts), g0, min(g0 + MLP_BLOCK, g)) for g0 in range(0, g, MLP_BLOCK)]
+            lo += g * len(pts)
+        self.n = lo
+        self.folded, self.alpha, self.inv_std, self.stats, self.moments = [], [], [], [], []
+        self.hidden = [None] * len(layers)  # stored activations, then their gradients
+
+    def fold(self, mean, var) -> None:
+        """Fold the next layer's batch norm by ``(mean, var)`` into its
+        weights: ``y = x @ (W α) + (b - mean) α + shift`` with ``α = scale /
+        sqrt(var + BN_EPS)``, computed in float64, kept in the input dtype."""
+        layer = self.layers[len(self.folded)]
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
+        alpha = layer.bn_scale.data * inv_std
+        w = layer.weight.data.astype(np.float64) * alpha
+        b = (layer.bias.data - mean) * alpha + layer.bn_shift.data
+        self.folded.append((w.astype(self.grid.dtype), b.astype(self.grid.dtype)))
+        self.alpha.append(alpha)
+        self.inv_std.append(inv_std)
+        self.stats.append((mean, var))
+
+    def rows(self, block) -> slice:
+        s, lo, g0, g1 = block
+        return slice(lo, lo + (g1 - g0) * len(self.points[s]))
+
+    def layer_input(self, block, l: int) -> np.ndarray:
+        """The rows of layer ``l``'s input in ``block``: the ``[grid point,
+        set point]`` rows for ``l == 0``, else layer ``l - 1``'s activation,
+        stored or recomputed."""
+        if l == 0:
+            s, _, g0, g1 = block
+            halves = np.broadcast_arrays(self.grid[g0:g1, None], self.points[s][None])
+            return np.concatenate(halves, axis=2).reshape(-1, 2 * self.grid.shape[1])
+        if self.hidden[l - 1] is not None:
+            return self.hidden[l - 1][self.rows(block)]
+        return self.layer_output(block, l - 1)
+
+    def layer_output(self, block, l: int, out=None) -> np.ndarray:
+        """Layer ``l``'s activation rows in ``block``, written to ``out`` when
+        given; for the last layer its pre-activation ``[width, grid points,
+        set points]``, so that the pool runs along contiguous memory. Layer 0
+        is the outer sum ``grid @ W_g + points @ W_p + b`` of the halves of
+        its weight."""
+        s, _, g0, g1 = block
+        w, b = self.folded[l]
+        top = l == len(self.layers) - 1
+        if l == 0:
+            dim = self.grid.shape[1]
+            gpart = self.grid[g0:g1] @ w[:dim] + b
+            ppart = self.points[s] @ w[dim:]
+            if top:
+                return gpart.T[:, :, None] + ppart.T[:, None, :]
+            z = (gpart[:, None, :] + ppart).reshape(-1, len(b))
+        elif top:
+            z = w.T @ self.layer_input(block, l).T
+            z += b[:, None]
+            return z.reshape(len(b), g1 - g0, -1)
+        else:
+            z = np.matmul(self.layer_input(block, l), w, out=out)
+            z += b
+        np.maximum(z, z * LEAKY_SLOPE, out=z)
+        return z
+
+    def finish_layer(self, l: int, p, col_sum) -> tuple:
+        """Accumulate layer ``l``'s parameter gradients from ``P = xᵀ dy``
+        and the column sums of ``dy``, both float64 over every row; return
+        ``(-M, row)`` of its input's gradient, in the input dtype."""
+        layer = self.layers[l]
+        x_mean, gram = self.moments[l]
+        w = layer.weight.data.astype(np.float64)
+        pc = p - np.outer(x_mean, col_sum)
+        d_scale = self.inv_std[l] * np.einsum("if,if->f", w, pc)
+        wv = w * (self.alpha[l] * self.inv_std[l] * d_scale / self.n)
+        dt = self.grid.dtype
+        for t, g in ((layer.weight, pc * self.alpha[l] - gram @ wv), (layer.bias, np.zeros(len(col_sum))),
+                     (layer.bn_scale, d_scale), (layer.bn_shift, col_sum)):
+            if _needs_grad(t):
+                _accumulate(t, g.astype(dt), fresh=True)
+        m = wv @ w.T
+        return (-m).astype(dt), (m @ x_mean - w @ (self.alpha[l] * col_sum / self.n)).astype(dt)
+
+    def backward(self, gradient) -> None:
+        """Accumulate every layer's parameter gradients from the gradient of
+        ``out``: one pass over the blocks per layer, top down (see
+        ``pooled_mlp``)."""
+        dt = self.grid.dtype
+        top = len(self.layers) - 1
+        g = len(self.grid)
+        dy = gradient * _slope(self.y)
+
+        def selected(block):
+            # the last layer's dy scattered onto the block's rows, [grid points, k, width]
+            s, _, g0, g1 = block
+            st = np.zeros((g1 - g0, len(self.points[s]), dy.shape[1]), dt)
+            np.put_along_axis(st, self.pick[s * g + g0:s * g + g1, None, :], dy[s * g + g0:s * g + g1, None, :],
+                              axis=1)
+            return st.reshape(-1, dy.shape[1])
+
+        # the last layer reaches one row per grid point and column: gather them
+        p = np.zeros(self.folded[top][0].shape)
+        for block in self.blocks:
+            s, _, g0, g1 = block
+            picked = self.pick[s * g + g0:s * g + g1] + len(self.points[s]) * np.arange(g1 - g0)[:, None]
+            p += np.einsum("gfi,gf->if", self.layer_input(block, top)[picked], dy[s * g + g0:s * g + g1])
+        neg_m, row = self.finish_layer(top, p, dy.sum(axis=0, dtype=np.float64))
+        for l in range(top - 1, -1, -1):
+            w_next = self.folded[l + 1][0]
+            width = w_next.shape[0]
+            p = np.zeros((self.folded[l][0].shape[0], width))
+            col_sum = np.zeros(width)
+            for block in self.blocks:
+                rows = self.rows(block)
+                a = self.hidden[l][rows] if l else self.layer_output(block, 0)
+                d_next = selected(block) if l + 1 == top else self.hidden[l + 1][rows]
+                # the gradient of layer l + 1's input, then of layer l's pre-activation
+                da = a @ neg_m
+                da += d_next @ w_next.T
+                da += row
+                da *= _slope(a)
+                col_sum += np.ones(len(da), dt) @ da
+                p += self.layer_input(block, l).T @ da
+                if l:
+                    a[...] = da
+            neg_m, row = self.finish_layer(l, p, col_sum)
+        self.release()
+
+    def release(self) -> None:
+        """Hand ``hidden``, ``pick`` and ``y`` back to the scratch pool they came from: ``backward`` ends
+        with this, and a forward run without one must call it. Each is given back once."""
+        for a in (*self.hidden, self.pick, self.y):
+            _scratch.give(a)
+        self.hidden, self.pick, self.y = [None] * len(self.layers), None, None
+
+
+def pooled_mlp_forward(sets, grid, layers, batch: bool) -> BlockedMlp:
+    """The descriptor MLP of every set over the ``[G, dim]`` reference grid,
+    max-pooled per set and grid point: the one forward of training,
+    recalibration and inference. ``sets`` are canonically ordered ``[k,
+    dim]`` arrays; ``layers`` hold ``weight``, ``bias``, ``bn_scale`` and
+    ``bn_shift`` tensors, and the running ``bn_mean`` and ``bn_var`` that
+    they normalise by unless ``batch``. The returned ``BlockedMlp``'s
+    ``out`` is the pooled activation ``[num_sets * G, width]`` in the
+    weights' dtype, its ``stats`` each layer's float64 ``(mean, var)``.
+
+    With running statistics each block goes through every layer in one
+    pass. With batch statistics each layer's are known before its pass,
+    from its input's column mean ``x̄`` and centred Gram ``C``
+    (``moments``): ``mean = x̄ W + b``, ``var = diag(Wᵀ C W) / N`` over all
+    ``N`` rows. Layer 0's are exact from the grid's and the points' own,
+    since every set meets every grid point, so the halves of its input
+    ``[grid point, set point]`` are uncorrelated. Each later layer's come
+    from the pass that makes its input, which stores that activation, but
+    for layer 0's, which is recomputed where it is read. Either way a layer
+    applies its folded batch norm (``BlockedMlp.fold``) and the leaky ReLU,
+    which is increasing: the last layer pools the folded pre-activation of
+    each block, ties to the first point, and activates the maximum.
     """
-    n, d_in = xd.shape
-    f = w.shape[1]
-    dt = xd.dtype
-    spans = _set_spans(set_sizes, groups, n)
-    cap = max(hi - lo for lo, hi, _ in spans)
-
-    # statistics from the input: column sums by a vector product per set,
-    # then the Gram of each set centred at the mean (rounded to the input
-    # dtype, which moves C by the square of that rounding)
-    ones = np.ones(cap, dt)
-    x_mean = sum((ones[:hi - lo] @ xd[lo:hi]).astype(np.float64) for lo, hi, _ in spans) / n
-    centre = x_mean.astype(dt)
-    xc = _scratch.take((cap, d_in), dt)
-    gram = np.zeros((d_in, d_in))
-    for lo, hi, _ in spans:
-        c = np.subtract(xd[lo:hi], centre, out=xc[:hi - lo])
-        gram += c.T @ c
-    _scratch.give(xc)
-    gram /= n
-    w64 = w.astype(np.float64)
-    mean = x_mean @ w64 + b
-    var = np.einsum("if,ij,jf->f", w64, gram, w64)
-    inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    alpha = scale * inv_std
-
-    # pool before the activation
-    sign = np.where(scale < 0, -1, 1).astype(dt)
-    ws = np.ascontiguousarray((w * sign).T)
-    bs = (b * sign)[:, None]
-    zero_scale = scale == 0
-    zbuf = _scratch.take((f * cap,), dt)
-    rows = np.empty((f, len(spans) * groups), np.intp)
-    zsel = np.empty((f, len(spans) * groups), dt)
-    base = np.arange(groups)
-    for s, (lo, hi, k) in enumerate(spans):
-        z = np.matmul(ws, xd[lo:hi].T, out=zbuf[:f * (hi - lo)].reshape(f, hi - lo))
-        z += bs
-        z3 = z.reshape(f, groups, k)
-        pick = np.argmax(z3, axis=2)
-        pick[zero_scale] = 0
-        cols = slice(s * groups, (s + 1) * groups)
-        zsel[:, cols] = np.take_along_axis(z3, pick[..., None], axis=2)[..., 0]
-        rows[:, cols] = pick + base * k
-    _scratch.give(zbuf)
-    zsel *= sign[:, None]
-    xhat = (zsel.T - mean) * inv_std
-    y = xhat * scale + shift
-    slope_mask = np.where(y > 0, 1.0, LEAKY_SLOPE)
-    # y is laid out like zsel.T; the rows are made C-ordered here, so that
-    # unit_rows sums each row's squares in one order on every path
-    out = (y * slope_mask).astype(dt, order="C")
-    return PooledForward(out, mean, var, spans, x_mean, gram, rows, xhat, alpha, inv_std, slope_mask)
+    mlp = BlockedMlp(sets, grid, layers)
+    if batch:
+        g64, p64 = mlp.grid.astype(np.float64), np.concatenate(mlp.points).astype(np.float64)
+        gc, pc = g64 - g64.mean(axis=0), p64 - p64.mean(axis=0)
+        dim = g64.shape[1]
+        x_mean = np.concatenate([g64.mean(axis=0), p64.mean(axis=0)])
+        gram = np.zeros((2 * dim, 2 * dim))
+        gram[:dim, :dim] = len(p64) * (gc.T @ gc)
+        gram[dim:, dim:] = len(g64) * (pc.T @ pc)
+    for l, layer in enumerate(layers):
+        if not batch:
+            mlp.fold(layer.bn_mean.astype(np.float64), layer.bn_var.astype(np.float64))
+            continue
+        w = layer.weight.data.astype(np.float64)
+        mlp.moments.append((x_mean, gram))
+        mlp.fold(x_mean @ w + layer.bias.data, np.einsum("if,ij,jf->f", w, gram, w) / mlp.n)
+        if l == len(layers) - 1:
+            break
+        if l:
+            mlp.hidden[l] = _scratch.take((mlp.n, w.shape[1]), mlp.grid.dtype)
+        x_mean, gram = _moments(mlp.layer_output(block, l, mlp.hidden[l][mlp.rows(block)] if l else None)
+                                for block in mlp.blocks)
+    g = len(mlp.grid)
+    mlp.pick = _scratch.take((len(mlp.points) * g, layers[-1].weight.data.shape[1]), np.intp)
+    mlp.y = _scratch.take(mlp.pick.shape, mlp.grid.dtype)
+    for block in mlp.blocks:
+        s, _, g0, g1 = block
+        z = mlp.layer_output(block, len(layers) - 1)
+        pick = np.argmax(z, axis=2)
+        mlp.pick[s * g + g0:s * g + g1] = pick.T
+        mlp.y[s * g + g0:s * g + g1] = np.take_along_axis(z, pick[..., None], axis=2)[..., 0].T
+    mlp.out = np.multiply(mlp.y, LEAKY_SLOPE, out=_scratch.take(mlp.y.shape, mlp.y.dtype))
+    np.maximum(mlp.out, mlp.y, out=mlp.out)
+    return mlp
 
 
-def dense_bn_act_pool(
-    x,
-    weight: Tensor,
-    bias: Tensor,
-    scale_t: Tensor,
-    shift_t: Tensor,
-    set_sizes,
-    groups: int,
-) -> Tensor:
-    """Fused linear + batch norm (batch statistics over every row) + leaky
-    ReLU (``LEAKY_SLOPE``) + per-set, per-group columnwise max over
-    ``[N, in]`` rows, giving ``[num_sets * groups, out]``; the row layout
-    is ``_set_spans``'.
+def pooled_mlp(sets, grid, layers) -> Tensor:
+    """``pooled_mlp_forward`` under batch statistics as an autodiff op over
+    every layer's weight, bias, scale and shift; the sets and the grid are
+    constants.
 
-    Equal to ``dense_bn_act`` followed by ``max_pool_rows`` on each set,
-    but the ``[N, out]`` activation is never stored (see
-    ``dense_bn_act_pool_forward``). The pooled gradient reaches one row per
-    group and column, so the backward is sparse: with the means over all
-    ``n`` rows ``u = -alpha * mean(dy)`` and ``v = alpha * inv_std *
-    mean(dy * xhat)``, and the gathered part ``S`` (``alpha * dy`` at the
-    selected rows, zero elsewhere),
+    The backward is one pass over the blocks per layer, top down. For a
+    layer with input rows ``x``, folded scale ``α`` and ``dy`` the gradient
+    of its normalised output, each pass sums ``s = Σ dy`` and ``P = xᵀ dy``
+    block by block (the last layer's ``dy`` reaches one row per grid point
+    and column, so ``P`` gathers those rows). Then in float64, with ``x̄``
+    and ``C`` the forward's moments, ``Pc = P - x̄ sᵀ`` and ``v = α inv_std
+    d_scale / N``:
 
-    * ``dW = xᵀS + n x̄ uᵀ - n C W diag(v)``,
-    * ``dx = S Wᵀ - x M + x̄ M + W u`` with ``M = W diag(v) Wᵀ``,
-    * ``d bias = 0``: batch norm removes the bias exactly.
+    * ``d shift = s`` and ``d scale = inv_std * colsum(W ⊙ Pc)``,
+    * ``dW = Pc diag(α) - C W diag(v)``,
+    * ``d bias = 0``: batch norm removes the bias exactly,
+    * ``dx = dy (αW)ᵀ - x M + row`` with ``M = W diag(v) Wᵀ`` and ``row =
+      x̄ M - W (α s / N)``.
 
-    ``S`` is scattered one set at a time into a zeroed ``[out, rows]``
-    buffer, which feeds both matrix products.
+    ``dx`` times the slope of the input's own activation is the ``dy`` of
+    the layer below, made in the pass below and stored over that layer's
+    activation, which it no longer needs. Layer 0's input is constant, so
+    it needs no ``dx``.
     """
-    xd = _as_array(x)
-    if xd.ndim != 2 or xd.shape[1] != weight.data.shape[0]:
-        raise ShapeError(f"dense_bn_act_pool: x {xd.shape} does not match weight {weight.data.shape}")
-    f = weight.data.shape[1]
-    for name, t in (("bias", bias), ("scale", scale_t), ("shift", shift_t)):
-        if t.data.shape != (f,):
-            raise ShapeError(f"dense_bn_act_pool: {name} {t.data.shape} does not match {f} features")
-    n = xd.shape[0]
-    if n < 2:
-        raise ShapeError(f"dense_bn_act_pool: needs at least 2 rows, got {n}")
-    fw = dense_bn_act_pool_forward(xd, weight.data, bias.data, scale_t.data, shift_t.data,
-                                   set_sizes, groups)
+    mlp = pooled_mlp_forward(sets, grid, layers, batch=True)
 
     def grad_fn(gradient):
-        dt = xd.dtype
-        w = weight.data
-        dy = gradient * fw.slope_mask
-        d_shift = dy.sum(axis=0)
-        d_scale = np.einsum("pf,pf->f", dy, fw.xhat)
-        if _needs_grad(scale_t):
-            _accumulate(scale_t, d_scale)
-        if _needs_grad(shift_t):
-            _accumulate(shift_t, d_shift)
-        if _needs_grad(bias):
-            _accumulate(bias, np.zeros(f, bias.data.dtype), fresh=True)
-        need_w, need_x = _needs_grad(weight), _needs_grad(x)
-        if not (need_w or need_x):
-            return
-        u = -fw.alpha * (d_shift / n)
-        v = fw.alpha * fw.inv_std * (d_scale / n)
-        gathered = (dy * fw.alpha).T.astype(dt)  # [out, num_sets * groups]
-        w64 = w.astype(np.float64)
-        wv = w64 * v
-        if need_x:
-            neg_m = (-(wv @ w64.T)).astype(dt)
-            row = (fw.x_mean @ wv @ w64.T + w64 @ u).astype(dt)
-            dx = _scratch.take(xd.shape, dt)
-        cap = max(hi - lo for lo, hi, _ in fw.spans)
-        sbuf = _scratch.take((f * cap,), dt)
-        sbuf[...] = 0
-        tmp = _scratch.take((cap, xd.shape[1]), dt) if need_x else None
-        dw_t = np.zeros((f, xd.shape[1]))
-        for s, (lo, hi, k) in enumerate(fw.spans):
-            cols = slice(s * groups, (s + 1) * groups)
-            st = sbuf[:f * (hi - lo)].reshape(f, hi - lo)
-            np.put_along_axis(st, fw.rows[:, cols], gathered[:, cols], axis=1)
-            if need_w:
-                dw_t += st @ xd[lo:hi]
-            if need_x:
-                part = np.matmul(xd[lo:hi], neg_m, out=dx[lo:hi])
-                part += np.matmul(st.T, w.T, out=tmp[:hi - lo])
-                part += row
-            np.put_along_axis(st, fw.rows[:, cols], 0, axis=1)
-        _scratch.give(sbuf)
-        _scratch.give(tmp)
-        if need_w:
-            dw = dw_t.T + n * np.outer(fw.x_mean, u) - n * (fw.gram @ wv)
-            _accumulate(weight, dw.astype(w.dtype), fresh=True)
-        if need_x:
-            _accumulate(x, dx, fresh=True)
+        nonlocal mlp
+        if mlp is None:
+            raise GraphError("pooled_mlp: graph already consumed by backward()")
+        mlp.backward(gradient)
+        mlp = None
 
-    return _make_node(fw.out, (x, weight, bias, scale_t, shift_t), grad_fn)
+    params = tuple(t for layer in layers for t in (layer.weight, layer.bias, layer.bn_scale, layer.bn_shift))
+    return _make_node(mlp.out, params, grad_fn)
 
 
 def conv_bn_act_batch(
@@ -757,10 +829,8 @@ def conv_bn_act_batch(
         if z is None:
             raise GraphError("conv_bn_act_batch: graph already consumed by backward()")
         gf = np.ascontiguousarray(np.moveaxis(gradient, 1, nd + 1)).reshape(rows, c_out)
-        dy = _bn_act_backward(gf, act, z, inv_std, alpha, scale_t, shift_t)
+        dy = _bn_act_backward(gf, act, z, inv_std, alpha, bias, scale_t, shift_t)
         z = None
-        if _needs_grad(bias):
-            _accumulate(bias, dy.sum(axis=0))
         if _needs_grad(kernel):
             _accumulate(kernel, (dy.T @ cols).reshape(kd.shape), fresh=True)
         _scratch.give(cols)

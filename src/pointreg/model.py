@@ -21,13 +21,17 @@ centroid at the origin and its largest coordinate magnitude at 0.9
 in that frame, so a dataset and a scaled copy of it train alike. Each
 target is correlated against its own source.
 
-Training throughput note: one training forward takes the whole batch. The
-MLP rows of all its sets go through each layer as one stacked matrix
-product under one set of batch statistics. The last and widest layer is
-fused with the max-pool (``autodiff.dense_bn_act_pool``): its statistics
-come from the Gram matrix of its input (64x64 at the default sizes), and its
-activation (197k rows of 128 for a default 2D batch of 16) is made one set
-at a time and never stored.
+Training throughput note: one training forward takes the whole batch, and
+its MLP is one op, ``autodiff.pooled_mlp``, under one set of batch
+statistics over every set. Its rows (197k of them for a default 2D batch of
+16: 17 sets of 96 points on 121 grid points) go through each layer in
+blocks of ``autodiff.MLP_BLOCK`` grid points of one set, which fit in cache.
+Each layer's statistics are known before its pass: the first layer's from
+the grid's and the points' own moments, each later one's from the column
+mean and Gram of the activation below it. Only the hidden activations
+between the first and the last layer are stored; the first is recomputed,
+and the last, the widest, is pooled block by block. Recalibration and
+inference run the same forward (``_descriptors``).
 """
 
 from __future__ import annotations
@@ -326,24 +330,6 @@ def canonical_order(points: np.ndarray) -> np.ndarray:
     return pts[np.lexsort(pts.T[::-1])]
 
 
-def _descriptor_rows(point_sets, cfg: PrNetConfig, out=None) -> np.ndarray:
-    """Stacked MLP input rows [grid_point, set_point] for each set in order,
-    grid-point-major within a set; written into ``out`` when given."""
-    grid = cfg.reference_grid
-    g, dim = grid.shape
-    dtype = cfg.np_dtype()
-    if out is None:
-        out = np.empty((g * sum(p.shape[0] for p in point_sets), 2 * dim), dtype)
-    offset = 0
-    for pts in point_sets:
-        k = pts.shape[0]
-        block = out[offset:offset + g * k].reshape(g, k, 2 * dim)
-        block[:, :, :dim] = grid.astype(dtype)[:, None, :]
-        block[:, :, dim:] = np.asarray(pts, dtype=dtype)
-        offset += g * k
-    return out
-
-
 def compute_correlation(f_s: ad.Tensor, f_g_all: ad.Tensor, grid_count: int) -> ad.Tensor:
     """Correlation tensors of one source against a stack of targets.
 
@@ -367,30 +353,20 @@ def compute_correlation(f_s: ad.Tensor, f_g_all: ad.Tensor, grid_count: int) -> 
 # without recording one. Each takes ``stats``: ``None`` normalises every
 # batch-norm layer by its running statistics (eval); a list normalises by
 # the call's own batch statistics and appends each layer's ``(mean, var)``
-# to it, in layer order (recalibration). Either way a layer's norm and
-# activation are ``autodiff.bn_act_forward``, the training ops' own; the
-# one exception is the eval MLP, whose running statistics fold into its
-# weights once per call.
+# to it, in layer order (recalibration). Either way each stage runs the
+# training ops' own forward: ``autodiff.pooled_mlp_forward`` for the MLP,
+# ``autodiff.bn_act_forward`` for the norm and activation of the head.
 
 
-def _bn_fold(layer: _Layer) -> tuple:
-    """``(mean, alpha)`` with which batch norm by the layer's running
-    statistics maps pre-norm values ``z`` to ``(z - mean) * alpha +
-    bn_shift``."""
-    dt = layer.weight.data.dtype
-    alpha = layer.bn_scale.data * (1.0 / np.sqrt(layer.bn_var.astype(dt) + ad.BN_EPS))
-    return layer.bn_mean.astype(dt), alpha
-
-
-def _bn_act(x, w, layer: _Layer, stats, out=None) -> np.ndarray:
-    """``leaky_relu(batch_norm(x @ w + bias))`` for rows ``x``, in ``out``
-    when given; ``w`` is the layer's weight as ``[in, out]``.
+def _bn_act(x, w, layer: _Layer, stats) -> np.ndarray:
+    """``leaky_relu(batch_norm(x @ w + bias))`` for rows ``x``; ``w`` is the
+    layer's weight as ``[in, out]``.
 
     The statistics apply to the product rows, not folded into ``w``: in the
     head, which calls this with running statistics, the weights outnumber
     the rows (conv2 alone has 3.3M entries against 4 rows per pair).
     """
-    z = np.matmul(x, w, out=out)
+    z = x @ w
     z += layer.bias.data
     running = (layer.bn_mean, layer.bn_var) if stats is None else ()
     act, mean, var, _, _ = ad.bn_act_forward(z, layer.bn_scale.data, layer.bn_shift.data, *running, out=z)
@@ -402,49 +378,18 @@ def _bn_act(x, w, layer: _Layer, stats, out=None) -> np.ndarray:
 def _descriptors(ordered_sets, weights: PrNetWeights, stats) -> np.ndarray:
     """Unit-norm descriptors of pre-sorted sets, stacked as ``[(num_sets * G), d]``.
 
-    With running statistics the sets go through one at a time, so the
-    intermediates stay cache-sized, and the statistics fold into the
-    weights once per call. With batch statistics the sets go through as one
-    block, as in training, and the last layer is the forward of
-    ``autodiff.dense_bn_act_pool``, the training op's own. Either way the
-    pooled rows are normalised in place by ``autodiff.unit_rows``, the
-    forward of training's ``l2_normalize_rows``, so the head's batch
-    statistics are the training forward's bit for bit. The row buffers come
-    from the scratch pool and go back to it.
+    The MLP and its pool are ``autodiff.pooled_mlp_forward``, the training
+    op's own forward, by running statistics or, with ``stats``, by batch
+    statistics, whose ``(mean, var)`` per layer it appends. The pooled rows
+    are normalised in place by ``autodiff.unit_rows``, the forward of
+    training's ``l2_normalize_rows``, so the head's batch statistics are
+    the training forward's bit for bit.
     """
-    cfg = weights.config
-    dt = cfg.np_dtype()
-    g = cfg.grid_count
+    mlp = ad.pooled_mlp_forward(ordered_sets, weights.config.reference_grid, weights.mlp, stats is not None)
+    mlp.release()
     if stats is not None:
-        *hidden, last = weights.mlp
-        bufs = [ad._scratch.take((g * sum(s.shape[0] for s in ordered_sets), w), dt)
-                for w in (2 * cfg.dim, *cfg.mlp_widths[:-1])]
-        h = _descriptor_rows(ordered_sets, cfg, out=bufs[0])
-        for layer, buf in zip(hidden, bufs[1:]):
-            h = _bn_act(h, layer.weight.data, layer, stats, out=buf)
-        fw = ad.dense_bn_act_pool_forward(h, last.weight.data, last.bias.data, last.bn_scale.data,
-                                          last.bn_shift.data, [s.shape[0] for s in ordered_sets], g)
-        stats.append((fw.mean, fw.var))
-        pooled = fw.out
-    else:
-        folded = []
-        for layer in weights.mlp:
-            mean, alpha = _bn_fold(layer)
-            folded.append((layer.weight.data * alpha, (layer.bias.data - mean) * alpha + layer.bn_shift.data))
-        cap = g * max(s.shape[0] for s in ordered_sets)
-        bufs = [ad._scratch.take((cap, w), dt) for w in (2 * cfg.dim, *cfg.mlp_widths)]
-        pooled = np.empty((len(ordered_sets) * g, cfg.mlp_widths[-1]), dt)
-        for i, s in enumerate(ordered_sets):
-            k = s.shape[0]
-            h = _descriptor_rows([s], cfg, out=bufs[0][:g * k])
-            for (wf, bf), buf in zip(folded, bufs[1:]):
-                h = np.matmul(h, wf, out=buf[:g * k])
-                h += bf
-                np.maximum(h, h * ad.LEAKY_SLOPE, out=h)
-            np.max(h.reshape(g, k, -1), axis=1, out=pooled[i * g:(i + 1) * g])
-    for buf in bufs:
-        ad._scratch.give(buf)
-    return ad.unit_rows(pooled, out=pooled)[0]
+        stats += mlp.stats
+    return ad.unit_rows(mlp.out, out=mlp.out)[0]
 
 
 def _correlations(desc: ad.Tensor, owners, g: int) -> ad.Tensor:
@@ -603,14 +548,7 @@ def train_forward(pairs, weights: PrNetWeights):
     batch = len(targets)
     g = cfg.grid_count
     sets = [src for src, _ in prepared] + [canonical_order(t) for t in targets]
-    # one MLP pass over every set, under one set of batch statistics; the
-    # last layer pools each set per grid point and never stores its rows
-    h = _descriptor_rows(sets, cfg)
-    *hidden, last = weights.mlp
-    for layer in hidden:
-        h = ad.dense_bn_act(h, layer.weight, layer.bias, layer.bn_scale, layer.bn_shift)
-    desc = ad.l2_normalize_rows(ad.dense_bn_act_pool(h, last.weight, last.bias, last.bn_scale, last.bn_shift,
-                                                     [s.shape[0] for s in sets], g))
+    desc = ad.l2_normalize_rows(ad.pooled_mlp(sets, cfg.reference_grid, weights.mlp))
     h = ad.reshape(_correlations(desc, owners, g), (batch, g) + cfg.grid_shape)
     for layer in weights.convs:
         h = ad.conv_bn_act_batch(h, layer.weight, layer.bias, layer.bn_scale, layer.bn_shift)
@@ -632,7 +570,8 @@ def batch_norm_statistics(pairs, weights: PrNetWeights) -> list:
     """``(mean, var)`` of every batch-norm layer, in layer order (MLP,
     convs, fc1), as ``train_forward`` of the same pairs computes them: the
     same network frame and batch, with no graph and no transform, so no
-    warp basis."""
+    warp basis. The MLP's are float64, from the forward that
+    ``autodiff.pooled_mlp`` runs, the head's in the network dtype."""
     cfg = weights.config
     runs, owners, targets = source_runs(pairs, cfg, "batch_norm_statistics")
     if len(targets) < 2:

@@ -4,7 +4,7 @@ Each is a plain autodiff op built from ``pointreg.autodiff``'s graph
 helpers: a leaky ReLU, a batch norm by batch statistics, a per-element
 valid convolution, a 2-d transpose, and the one-directional GMM loss.
 The package runs only the fused forms (``dense_bn_act``,
-``conv_bn_act_batch``, ``dense_bn_act_pool``) and the symmetric loss, so
+``conv_bn_act_batch``, ``pooled_mlp``) and the symmetric loss, so
 these routes live here, with the arithmetic the tests compare against.
 """
 

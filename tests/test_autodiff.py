@@ -5,6 +5,8 @@ implementations, finite differences, and mpmath extended precision.
 """
 
 import tracemalloc
+from itertools import product
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -254,155 +256,190 @@ def assert_rel_close(got, ref, tol, what):
     assert err <= tol, f"{what}: relative error {err:.3g} above {tol:g}"
 
 
+def mlp_layers(rng, widths, dim, dtype=np.float64, scales=None):
+    """Descriptor-MLP layers as ``pooled_mlp`` reads them, on dyadic grids:
+    fan-in-sized weights in eighths, biases in eighths, and random scales
+    and shifts; ``scales`` replaces the last layer's first scales."""
+    layers, d_in = [], 2 * dim
+    for i, width in enumerate(widths):
+        limit = np.sqrt(6.0 / d_in)
+        sc = rng.normal(size=width) + 1.5
+        if scales is not None and i == len(widths) - 1:
+            sc[:len(scales)] = scales
+        values = [np.round(rng.uniform(-limit, limit, size=(d_in, width)) * 8) / 8,
+                  rng.integers(-8, 9, size=width) / 8.0, sc, rng.normal(size=width)]
+        layers.append(SimpleNamespace(**{k: ad.Tensor(np.asarray(v, dtype=dtype), requires_grad=True) for k, v in
+                                         zip(("weight", "bias", "bn_scale", "bn_shift"), values)}))
+        d_in = width
+    return layers
+
+
+def layer_grads(layers):
+    return [t.grad for layer in layers for t in (layer.weight, layer.bias, layer.bn_scale, layer.bn_shift)]
+
+
 class TestFusedDensePool:
-    """dense_bn_act_pool against dense_bn_act followed by max_pool_rows on
-    each set."""
+    """pooled_mlp, the blocked descriptor MLP with its max-pool, against the
+    composed route: the ``[grid point, set point]`` rows tiled here, a
+    dense_bn_act per layer, and max_pool_rows on each set."""
 
     SIZES = (5, 3, 5, 7)
-    GROUPS = 4
 
-    def _params(self, rng, d_in=6, d_out=7):
-        """Dyadic x, w and b, so every z = x @ w + b is exact on both routes
-        and the ties planted here are exact ties; column 1 has a negative
-        scale and column 2 a zero one."""
-        n = self.GROUPS * sum(self.SIZES)
-        x = rng.integers(-8, 9, size=(n, d_in)) / 4.0
-        w = rng.integers(-8, 9, size=(d_in, d_out)) / 8.0
-        b = rng.integers(-8, 9, size=d_out) / 8.0
-        lo = 0
-        for k in self.SIZES:
-            for g in range(self.GROUPS):
-                rows = x[lo + g * k:lo + (g + 1) * k]
-                z = rows @ w + b
-                top, bottom = np.argmax(z[:, 0]), np.argmin(z[:, 1])
-                spare = [j for j in range(k) if j not in (top, bottom)]
-                # copies of the rows the pool selects, in other places
-                if spare:
-                    rows[spare[-1]] = rows[top]
-                if len(spare) > 1:
-                    rows[spare[0]] = rows[bottom]
-            lo += self.GROUPS * k
-        sc = rng.normal(size=d_out) + 1.5
-        sc[1], sc[2] = -1.3, 0.0
-        return {"x": x, "w": w, "b": b, "sc": sc, "sh": rng.normal(size=d_out),
-                "coef": rng.normal(size=(len(self.SIZES) * self.GROUPS * d_out, 1))}
+    @staticmethod
+    def grid(*shape):
+        return np.array(list(product(*[np.linspace(-1.0, 1.0, s) for s in shape])))
 
-    def _run(self, p, fused):
-        leaves = {k: f64(p[k], requires_grad=True) for k in ("x", "w", "b", "sc", "sh")}
-        args = [leaves[k] for k in ("x", "w", "b", "sc", "sh")]
-        if fused:
-            parts = [ad.dense_bn_act_pool(*args, self.SIZES, self.GROUPS)]
-        else:
-            h = ad.dense_bn_act(*args)
-            parts, lo = [], 0
-            for k in self.SIZES:
-                parts.append(ad.max_pool_rows(ad.row_slice(h, lo, lo + self.GROUPS * k), k))
-                lo += self.GROUPS * k
-        out = np.concatenate([part.data for part in parts])
-        loss, at = None, 0
-        for part in parts:
-            size = part.data.size
-            term = ad.matmul(ad.reshape(part, (1, size)), p["coef"][at:at + size])
-            loss = term if loss is None else ad.add(loss, term)
-            at += size
-        loss.backward()
-        return out, {k: t.grad for k, t in leaves.items()}
+    @staticmethod
+    def composed(sets, grid, layers):
+        g, dim = grid.shape
+        rows = np.concatenate([np.concatenate([np.repeat(grid, len(pts), axis=0), np.tile(pts, (g, 1))], axis=1)
+                               for pts in sets])
+        h = ad.Tensor(rows.astype(layers[0].weight.data.dtype))
+        for layer in layers:
+            h = ad.dense_bn_act(h, layer.weight, layer.bias, layer.bn_scale, layer.bn_shift)
+        parts, lo = [], 0
+        for pts in sets:
+            parts.append(ad.max_pool_rows(ad.row_slice(h, lo, lo + g * len(pts)), len(pts)))
+            lo += g * len(pts)
+        return ad.concat_rows(parts)
+
+    @staticmethod
+    def backward(out, upstream):
+        """Pull ``upstream`` back through ``out``: the loss is their inner product."""
+        ad.tensor_sum(ad.matmul(ad.reshape(out, (1, out.data.size)), upstream.reshape(-1, 1))).backward()
 
     def test_matches_composed_route(self, rng):
-        p = self._params(rng)
-        ref, ref_grads = self._run(p, fused=False)
-        got, got_grads = self._run(p, fused=True)
-        assert_rel_close(got, ref, 1e-10, "pooled output")
-        for k in ("x", "w", "sc", "sh"):
-            assert_rel_close(got_grads[k], ref_grads[k], 1e-10, f"d {k}")
-        # batch norm removes the bias: its gradient is rounding noise
-        np.testing.assert_allclose(got_grads["b"], ref_grads["b"], rtol=0, atol=1e-12)
+        # dyadic points on a dyadic 5x5 grid (two blocks per set), each set
+        # holding copies of its points, so that pooled rows tie; the last
+        # layer has a negative scale and a zero one
+        grid = self.grid(5, 5)
+        sets = []
+        for k in self.SIZES:
+            pts = rng.integers(-8, 9, size=(k, 2)) / 4.0
+            pts[-1] = pts[0]
+            sets.append(pts)
+        got = {}
+        for route in ("fused", "composed"):
+            layers = mlp_layers(np.random.default_rng(7), (4, 6, 7), 2, scales=(-1.3, 0.0))
+            if route == "fused":
+                out = ad.pooled_mlp(sets, grid, layers)
+            else:
+                out = self.composed(sets, grid, layers)
+            data = out.data.copy()
+            self.backward(out, np.random.default_rng(8).normal(size=out.data.size))
+            got[route] = (data, layer_grads(layers))
+        assert_rel_close(got["fused"][0], got["composed"][0], 1e-10, "pooled output")
+        for i, (a, b) in enumerate(zip(got["fused"][1], got["composed"][1])):
+            if i % 4 == 1:  # batch norm removes the bias: both routes give exactly 0
+                assert not a.any() and not b.any()
+            else:
+                assert_rel_close(a, b, 1e-10, f"layer {i // 4} parameter {i % 4}")
 
     def test_gradients_match_finite_differences(self, rng):
-        sizes, groups = (3, 2, 4), 2
-        n = groups * sum(sizes)
-        sc = rng.normal(size=4) + 1.5
-        sc[0] = -0.8
-        leaves = [f64(v, requires_grad=True) for v in (
-            rng.normal(size=(n, 3)), rng.normal(size=(3, 4)), rng.normal(size=4), sc, rng.normal(size=4))]
-        coef = rng.normal(size=(len(sizes) * groups * 4, 1))
+        # 1 and 2 layers, 2D and 3D; the grids span more than one block
+        for widths, shape in (((3,), (5, 4)), ((3, 4), (5, 4)), ((3,), (3, 3, 2)), ((3, 4), (3, 3, 2))):
+            dim = len(shape)
+            grid = self.grid(*shape)
+            sets = [rng.uniform(-0.9, 0.9, size=(k, dim)) for k in (3, 2, 4)]
+            layers = mlp_layers(rng, widths, dim, scales=(-0.8,))
+            coef = rng.normal(size=(len(sets) * len(grid) * widths[-1], 1))
 
-        def build():
-            out = ad.dense_bn_act_pool(*leaves, sizes, groups)
-            return ad.tensor_sum(ad.matmul(ad.reshape(out, (1, out.data.size)), coef))
+            def build():
+                out = ad.pooled_mlp(sets, grid, layers)
+                return ad.tensor_sum(ad.matmul(ad.reshape(out, (1, out.data.size)), coef))
 
-        assert_grads_match(build, leaves, rtol=1e-4, atol=1e-6)
+            assert_grads_match(build, [t for layer in layers for t in vars(layer).values()], rtol=1e-4, atol=1e-6)
 
     def test_float32_at_default_2d_sizes(self, rng):
-        # 17 sets of 96 points on the 121-point grid, 64 -> 128 columns;
-        # float32 against the same op in float64. x, w and b sit on coarse
-        # dyadic grids, so z is exact in float32 and both dtypes select the
-        # same rows; the float32 error is all in statistics and gradients.
-        sizes, groups, d_in, d_out = (96,) * 17, 121, 64, 128
-        x = rng.normal(size=(groups * sum(sizes), d_in))
-        x = np.round(np.where(x > 0, x, 0.1 * x) * 8) / 8
-        limit = np.sqrt(6.0 / d_in)
-        sc = 1.0 + 0.1 * rng.normal(size=d_out)
-        sc[[3, 50, 100]] *= -1
-        p = {"x": x, "w": np.round(rng.uniform(-limit, limit, size=(d_in, d_out)) * 64) / 64,
-             "b": np.round(6.4 * rng.normal(size=d_out)) / 64, "sc": sc, "sh": 0.1 * rng.normal(size=d_out)}
-        p = {k: v.astype(np.float32) for k, v in p.items()}
-        upstream = rng.normal(size=(len(sizes) * groups, d_out))
+        # 17 sets of 96 points on the 121-point grid, widths 16 to 128;
+        # float32 against the same op in float64 on the same values. Where
+        # two points tie within float32 rounding the dtypes may pool
+        # different ones, of equal value but with other inputs; the
+        # gradient is compared with no upstream gradient at those entries
+        grid = self.grid(11, 11)
+        sets = [rng.uniform(-0.9, 0.9, size=(96, 2)).astype(np.float32) for _ in range(17)]
+        params = mlp_layers(rng, (16, 32, 64, 128), 2, np.float32, scales=(-1.0, 0.5, -0.3))
+
+        def layers(dtype):
+            return [SimpleNamespace(**{k: ad.Tensor(t.data.astype(dtype), requires_grad=True)
+                                       for k, t in vars(layer).items()}) for layer in params]
+
+        picks = [ad.pooled_mlp_forward(sets, grid, layers(dtype), True).pick for dtype in (np.float32, np.float64)]
+        flipped = picks[0] != picks[1]
+        assert flipped.sum() <= 4, flipped.sum()
+        upstream = np.where(flipped, 0.0, rng.normal(size=flipped.shape))
         results = {}
         for dtype in (np.float32, np.float64):
-            leaves = [ad.Tensor(np.asarray(p[k], dtype=dtype), requires_grad=True)
-                      for k in ("x", "w", "b", "sc", "sh")]
-            out = ad.dense_bn_act_pool(*leaves, sizes, groups)
-            out._backward(upstream.astype(dtype))
-            results[dtype] = [out.data] + [t.grad for t in leaves]
-        for what, got, ref in zip(("pooled output", "d x", "d w", "d bias", "d scale", "d shift"),
-                                  results[np.float32], results[np.float64]):
+            layer_list = layers(dtype)
+            out = ad.pooled_mlp(sets, grid, layer_list)
+            self.backward(out, upstream.astype(dtype))
+            results[dtype] = [out.data] + layer_grads(layer_list)
+        for i, (got, ref) in enumerate(zip(results[np.float32], results[np.float64])):
+            what = "pooled output" if i == 0 else f"layer {(i - 1) // 4} parameter {(i - 1) % 4}"
             assert got.dtype == np.float32, what
-            if what == "d bias":
-                assert not got.any() and not ref.any()
+            if i and (i - 1) % 4 == 1:
+                assert not got.any() and not ref.any(), what
             else:
                 assert_rel_close(got.astype(np.float64), ref, 1e-4, what)
 
     def test_activation_is_never_stored(self, rng):
-        # fused forward plus backward on N rows allocates less than one
-        # [N, out] activation; the composed route allocates more
-        sizes, groups, d_in, d_out = (64,) * 16, 16, 64, 128
-        n = groups * sum(sizes)
-        args = [rng.normal(size=(n, d_in)), rng.normal(size=(d_in, d_out)), rng.normal(size=d_out),
-                rng.normal(size=d_out) + 1.5, rng.normal(size=d_out)]
-        upstream = rng.normal(size=(len(sizes) * groups, d_out))
-        bound = n * d_out * np.dtype(np.float64).itemsize
-
-        def fused(leaves):
-            out = ad.dense_bn_act_pool(*leaves, sizes, groups)
-            out._backward(upstream)
-
-        def composed(leaves):
-            h = ad.dense_bn_act(*leaves)
-            out = ad.max_pool_rows(h, sizes[0])
-            out._backward(upstream)
-            h._backward(h.grad)
-
+        # forward plus backward on N rows allocates less than one [N, last
+        # width] array; the composed route allocates more
+        grid = self.grid(4, 4)
+        sets = [rng.uniform(-0.9, 0.9, size=(64, 2)) for _ in range(16)]
+        upstream = rng.normal(size=16 * 16 * 128)
+        bound = 16 * 16 * 64 * 128 * np.dtype(np.float64).itemsize
         peaks = {}
-        for route in (fused, composed):
-            leaves = [f64(a, requires_grad=True) for a in args]
+        for route in ("fused", "composed"):
+            layers = mlp_layers(np.random.default_rng(3), (16, 64, 128), 2)
             ad._scratch.clear()
             tracemalloc.start()
             try:
-                route(leaves)
-                peaks[route.__name__] = tracemalloc.get_traced_memory()[1]
+                out = ad.pooled_mlp(sets, grid, layers) if route == "fused" else self.composed(sets, grid, layers)
+                self.backward(out, upstream)
+                peaks[route] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
                 ad._scratch.clear()
-            assert leaves[0].grad.shape == (n, d_in)
+            assert layers[0].weight.grad.shape == (4, 16)
         assert peaks["fused"] < bound < peaks["composed"], (peaks, bound)
 
+    def test_second_pass_reuses_the_stored_arrays(self, rng):
+        # the stored activations come from the scratch pool and go back to
+        # it, so a second pass, training or forward only, maps no fresh
+        # [N, width] memory: fresh mappings cost page faults whose time
+        # varies from run to run
+        grid = self.grid(4, 4)
+        sets = [rng.uniform(-0.9, 0.9, size=(64, 2)) for _ in range(16)]
+        layers = mlp_layers(rng, (16, 64, 128), 2)
+        upstream = rng.normal(size=16 * 16 * 128)
+        hidden = 16 * 16 * 64 * 64 * np.dtype(np.float64).itemsize
+        peaks = []
+        ad._scratch.clear()
+        try:
+            for _ in range(2):
+                tracemalloc.start()
+                self.backward(ad.pooled_mlp(sets, grid, layers), upstream)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+            first = ad.pooled_mlp_forward(sets, grid, layers, True)
+            kept = first.hidden[1]
+            first.release()
+            first.release()  # a second release gives nothing back twice
+            assert ad.pooled_mlp_forward(sets, grid, layers, True).hidden[1] is kept
+            assert ad.pooled_mlp_forward(sets, grid, layers, True).hidden[1] is not kept
+        finally:
+            tracemalloc.stop()
+            ad._scratch.clear()
+        assert peaks[1] < peaks[0] - hidden, peaks
+
     def test_set_layout_validated(self, rng):
-        leaves = [f64(rng.normal(size=s)) for s in ((10, 3), (3, 4), (4,), (4,), (4,))]
-        with pytest.raises(ad.ShapeError, match="do not hold"):
-            ad.dense_bn_act_pool(*leaves, (2, 2), 3)
+        layers = mlp_layers(rng, (3,), 2)
+        grid = self.grid(2, 2)
         with pytest.raises(ad.ShapeError, match="at least one set"):
-            ad.dense_bn_act_pool(*leaves, (5, 0), 2)
+            ad.pooled_mlp([], grid, layers)
+        with pytest.raises(ad.ShapeError, match="no empty one"):
+            ad.pooled_mlp([np.zeros((3, 2)), np.zeros((0, 2))], grid, layers)
 
 
 class TestFusedConvBatch:

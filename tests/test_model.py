@@ -218,6 +218,22 @@ class TestDescriptor:
         with pytest.raises(ValueError, match="pair 1 overflows the float32 network"):
             model.forward_shared_source([(pts, pts), (pts, np.array([[3e38, 0.0]]))], weights)
 
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_a_set_does_not_depend_on_its_neighbours(self, dim, dtype):
+        # eval mode: a set's descriptor rows are the same bits whether it
+        # goes alone or among sets of other sizes
+        cfg = model.PrNetConfig(dim=dim, grid_shape=(5,) * dim, mlp_widths=(8, 16, 32),
+                                conv_channels=(8,), conv_kernels=(3,), dtype=dtype)
+        weights = model.init_weights(cfg, seed=23)
+        randomize_weights(weights, np.random.default_rng(29))
+        rng = np.random.default_rng(31)
+        sets = [model.canonical_order(rng.uniform(-0.9, 0.9, size=(n, dim))) for n in (17, 40, 5, 96)]
+        together = model._descriptors(sets, weights, None)
+        g = cfg.grid_count
+        for i, pts in enumerate(sets):
+            assert model._descriptors([pts], weights, None).tobytes() == together[i * g:(i + 1) * g].tobytes(), i
+
     def test_3d_descriptor_shape(self):
         cfg = model.PrNetConfig.for_dim(3)
         weights = model.init_weights(cfg, seed=6)
@@ -473,20 +489,20 @@ class TestGraphFreeForward:
         # record every layer's batch statistics inside one train_forward
         weights, pairs = graph_free_env(dim, dtype)
         seen = []
-        bn_act_forward, pool_forward = ad.bn_act_forward, ad.dense_bn_act_pool_forward
+        bn_act_forward, mlp_forward = ad.bn_act_forward, ad.pooled_mlp_forward
 
         def record_bn(*args, **kwargs):
             out = bn_act_forward(*args, **kwargs)
             seen.append(out[1:3])
             return out
 
-        def record_pool(*args, **kwargs):
-            fw = pool_forward(*args, **kwargs)
-            seen.append((fw.mean, fw.var))
-            return fw
+        def record_mlp(*args, **kwargs):
+            mlp = mlp_forward(*args, **kwargs)
+            seen.extend(mlp.stats)
+            return mlp
 
         monkeypatch.setattr(ad, "bn_act_forward", record_bn)
-        monkeypatch.setattr(ad, "dense_bn_act_pool_forward", record_pool)
+        monkeypatch.setattr(ad, "pooled_mlp_forward", record_mlp)
         model.train_forward(pairs, weights)
         monkeypatch.undo()
         stats = model.batch_norm_statistics(pairs, weights)

@@ -78,6 +78,17 @@ class TestTrainBasics:
         )
         assert not np.array_equal(weights.mlp[0].weight.data, before)
 
+    def test_batch_normed_biases_stay_fixed(self, small_dataset):
+        # batch norm removes a layer's bias, so its gradient is exactly 0
+        # and Adam leaves it in place; the output layer's bias trains
+        weights = fresh_weights()
+        before = {k: v.copy() for k, v in weights.named_arrays().items() if k.endswith(".bias")}
+        trainer.train(trainer.TrainConfig(epochs=1, batch_size=8, learning_rate=1e-3), small_dataset, weights)
+        after = weights.named_arrays()
+        assert len(before) == 8
+        for name, value in before.items():
+            assert (after[name].tobytes() == value.tobytes()) == (name != "out.bias"), name
+
     def test_history_schedule_closed_forms(self, small_dataset):
         cfg = trainer.TrainConfig(epochs=3, batch_size=8, learning_rate=2e-4, lr_decay=0.9)
         weights = fresh_weights()
@@ -331,7 +342,7 @@ class TestBatchNormRecalibration:
 
         monkeypatch.setattr(ad, "dense_bn_act", refuse)
         monkeypatch.setattr(ad, "conv_bn_act_batch", refuse)
-        monkeypatch.setattr(ad, "dense_bn_act_pool", refuse)
+        monkeypatch.setattr(ad, "pooled_mlp", refuse)
         weights = fresh_weights()
         pairs = [small_dataset.load_pair(i) for i in range(small_dataset.pair_count)]
         before = bn_arrays(weights)
