@@ -61,8 +61,8 @@ class Tensor:
         """Accumulate gradients of this scalar into every tensor that needs them.
 
         A graph supports one backward pass. Gradients of intermediate nodes
-        are recycled as scratch once their own backward has consumed them;
-        only tensors the caller built (leaves) keep ``.grad`` afterwards.
+        are dropped once their own backward has consumed them; only tensors
+        the caller built (leaves) keep ``.grad`` afterwards.
         """
         if self.data.size != 1:
             raise GraphError(
@@ -73,9 +73,7 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
-                g = node.grad
                 node.grad = None
-                _scratch.give(g)
 
 
 def _topological_order(root: Tensor) -> list[Tensor]:
@@ -102,12 +100,15 @@ def _topological_order(root: Tensor) -> list[Tensor]:
 class _BufferPool:
     """Free-list of large scratch arrays keyed by shape and dtype.
 
-    glibc sends every allocation beyond a few MB straight to mmap, and a fresh
-    anonymous mapping costs a page fault plus a kernel zero-fill per touched
-    page. One training batch churns through the same big temporary shapes
-    over and over, so handing them back for reuse removes most of that cost.
-    Arrays under ``MIN_BYTES`` are left to malloc; the pool holds at most
-    ``MAX_BYTES``.
+    Its one customer is ``pooled_mlp_forward``, whose stored activations,
+    ``pick`` and ``y`` ``BlockedMlp.release`` gives back. glibc sends every
+    allocation beyond a few MB straight to mmap, and a fresh anonymous
+    mapping costs a page fault plus a kernel zero-fill per touched page:
+    allocated fresh, those arrays (50 MB and more per pass at the default
+    batch) made every batch-statistics pass fault in new memory, and the
+    training step's time spread from run to run. Every other op allocates
+    plainly. Arrays under ``MIN_BYTES`` are left to malloc; the pool holds
+    at most ``MAX_BYTES``.
     """
 
     MIN_BYTES = 1 << 20
@@ -157,9 +158,7 @@ def _accumulate(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
         if fresh and g.dtype == t.data.dtype:
             t.grad = g if g.shape == t.data.shape else g.reshape(t.data.shape)
             return
-        buf = _scratch.take(t.data.shape, t.data.dtype)
-        np.copyto(buf, g.reshape(t.data.shape))
-        t.grad = buf
+        t.grad = g.astype(t.data.dtype, order="C").reshape(t.data.shape)
         return
     t.grad += g.astype(t.data.dtype, copy=False).reshape(t.data.shape)
 
@@ -178,15 +177,15 @@ def _make_node(data: np.ndarray, parents: tuple, backward) -> Tensor:
 
 
 def zero_grads(params) -> None:
-    """Clear gradients, handing the buffers back to the scratch pool: no
-    reference to a gradient may be kept past this call."""
+    """Clear gradients."""
     for p in params:
-        _scratch.give(p.grad)
         p.grad = None
 
 
 def recycle_graph(root: Tensor) -> None:
-    """Return every intermediate array below ``root`` to the scratch pool.
+    """Drop every intermediate array below ``root``, with the closures that
+    hold its saved arrays, so their memory is free before the optimizer
+    step.
 
     Call after ``backward()`` when nothing will read the graph's tensors
     again (``root``'s own value stays valid). Leaves are untouched.
@@ -194,11 +193,9 @@ def recycle_graph(root: Tensor) -> None:
     for node in _topological_order(root):
         if node is root or node._backward is None:
             continue
-        d = node.data
-        node.data = np.empty(0, d.dtype)
+        node.data = np.empty(0, node.data.dtype)
         node._parents = ()
         node._backward = None
-        _scratch.give(d)
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +263,7 @@ def row_slice(x: Tensor, start: int, stop: int) -> Tensor:
 
     def grad_fn(gradient):
         if x.grad is None:
-            x.grad = _scratch.take(x.data.shape, x.data.dtype)
-            x.grad[...] = 0
+            x.grad = np.zeros_like(x.data)
         x.grad[start:stop] += gradient.astype(x.data.dtype, copy=False)
 
     return _make_node(out_data, (x,), grad_fn)
@@ -363,8 +359,7 @@ def max_pool_rows(x: Tensor, group_size: int) -> Tensor:
     out_data = np.take_along_axis(blocks, idx[:, None, :], axis=1)[:, 0, :]
 
     def grad_fn(gradient):
-        g = _scratch.take((n, d), x.data.dtype)
-        g[...] = 0
+        g = np.zeros_like(x.data)
         np.put_along_axis(g.reshape(blocks.shape), idx[:, None, :], gradient[:, None, :], axis=1)
         _accumulate(x, g, fresh=True)
 
@@ -389,17 +384,15 @@ def batch_stats(z: np.ndarray) -> tuple:
 
 
 def window_rows(xd: np.ndarray, ksize) -> tuple:
-    """Valid-convolution windows of ``[B, C, *spatial]`` as the rows of a
-    scratch array ``[B * P, C * prod(k)]``, batch-major, one row per output
-    position; returns ``(rows, out_spatial)``."""
+    """Valid-convolution windows of ``[B, C, *spatial]`` as rows ``[B * P,
+    C * prod(k)]``, batch-major, one row per output position: the window
+    view reshaped, which copies it where windows overlap. Returns ``(rows,
+    out_spatial)``."""
     nd = xd.ndim - 2
     out_spatial = tuple(s - k + 1 for s, k in zip(xd.shape[2:], ksize))
     windows = np.lib.stride_tricks.sliding_window_view(xd, ksize, axis=tuple(range(2, nd + 2)))
     windows = np.moveaxis(windows, 1, nd + 1)  # (B, *out, C, *k)
-    rows = _scratch.take((xd.shape[0] * int(np.prod(out_spatial)), xd.shape[1] * int(np.prod(ksize))),
-                         xd.dtype)
-    np.copyto(rows.reshape(windows.shape), windows)
-    return rows, out_spatial
+    return windows.reshape(-1, xd.shape[1] * int(np.prod(ksize))), out_spatial
 
 
 def _unwindow(drows: np.ndarray, x_shape, ksize) -> np.ndarray:
@@ -437,9 +430,7 @@ def bn_act_forward(z, scale, shift, mean=None, var=None, out=None) -> tuple:
     alpha = scale * inv_std
     out = np.multiply(z, alpha, out=out)
     out += shift
-    low = np.multiply(out, LEAKY_SLOPE, out=_scratch.take(out.shape, out.dtype))
-    np.maximum(out, low, out=out)
-    _scratch.give(low)
+    np.maximum(out, out * LEAKY_SLOPE, out=out)
     return out, mean, var, inv_std, alpha
 
 
@@ -473,7 +464,6 @@ def _bn_act_backward(gradient, out, z, inv_std, alpha, bias_t, scale_t, shift_t)
     dy *= alpha
     dy -= alpha * (col_sum / n)
     dy -= np.multiply(z, alpha * inv_std * inv_std * (col_dot / n), out=z)
-    _scratch.give(z)
     return dy
 
 
@@ -488,10 +478,9 @@ def dense_bn_act(
     (``LEAKY_SLOPE``) over ``[N, in] -> [N, out]``: the matrix product,
     then ``bn_act_forward``.
 
-    Matches composing the three ops but touches the large activation arrays
-    far fewer times, which is what the training loop's throughput lives on.
-    The activation mask is recovered from the output's sign in the backward
-    pass, so only the pre-norm product is kept.
+    Serves fc1's batch rows. The activation mask is recovered from the
+    output's sign in the backward pass, so only the pre-norm product is
+    kept.
     """
     xd = _as_array(x)
     if xd.ndim != 2 or xd.shape[1] != weight.data.shape[0]:
@@ -499,10 +488,9 @@ def dense_bn_act(
     n = xd.shape[0]
     if n < 2:
         raise ShapeError(f"dense_bn_act: needs at least 2 rows, got {n}")
-    z = np.matmul(xd, weight.data, out=_scratch.take((n, weight.data.shape[1]), xd.dtype))
+    z = xd @ weight.data
     z += bias.data
-    out_data, _, _, inv_std, alpha = bn_act_forward(z, scale_t.data, shift_t.data,
-                                                    out=_scratch.take(z.shape, z.dtype))
+    out_data, _, _, inv_std, alpha = bn_act_forward(z, scale_t.data, shift_t.data)
 
     def grad_fn(gradient):
         nonlocal z
@@ -513,8 +501,7 @@ def dense_bn_act(
         if _needs_grad(weight):
             _accumulate(weight, xd.T @ dy, fresh=True)
         if _needs_grad(x):
-            _accumulate(x, np.matmul(dy, weight.data.T, out=_scratch.take(xd.shape, dy.dtype)), fresh=True)
-        _scratch.give(dy)
+            _accumulate(x, dy @ weight.data.T, fresh=True)
 
     return _make_node(out_data, (x, weight, bias, scale_t, shift_t), grad_fn)
 
@@ -744,8 +731,7 @@ def pooled_mlp_forward(sets, grid, layers, batch: bool) -> BlockedMlp:
         pick = np.argmax(z, axis=2)
         mlp.pick[s * g + g0:s * g + g1] = pick.T
         mlp.y[s * g + g0:s * g + g1] = np.take_along_axis(z, pick[..., None], axis=2)[..., 0].T
-    mlp.out = np.multiply(mlp.y, LEAKY_SLOPE, out=_scratch.take(mlp.y.shape, mlp.y.dtype))
-    np.maximum(mlp.out, mlp.y, out=mlp.out)
+    mlp.out = np.maximum(mlp.y * LEAKY_SLOPE, mlp.y)
     return mlp
 
 
@@ -825,7 +811,7 @@ def conv_bn_act_batch(
     )
 
     def grad_fn(gradient):
-        nonlocal z, cols
+        nonlocal z
         if z is None:
             raise GraphError("conv_bn_act_batch: graph already consumed by backward()")
         gf = np.ascontiguousarray(np.moveaxis(gradient, 1, nd + 1)).reshape(rows, c_out)
@@ -833,11 +819,8 @@ def conv_bn_act_batch(
         z = None
         if _needs_grad(kernel):
             _accumulate(kernel, (dy.T @ cols).reshape(kd.shape), fresh=True)
-        _scratch.give(cols)
-        cols = None
         if _needs_grad(x):
             _accumulate(x, _unwindow(dy @ w2, xd.shape, ksize), fresh=True)
-        _scratch.give(dy)
 
     return _make_node(out_data, (x, kernel, bias, scale_t, shift_t), grad_fn)
 

@@ -298,6 +298,8 @@ def main(argv=None) -> int:
     if args.subcommand is None:
         parser.print_usage(sys.stderr)
         return 2
+    if args.seed is not None and args.subcommand not in ("synth", "train"):
+        parser.error(f"argument --seed: {args.subcommand} reads no seed")
     try:
         return _COMMANDS[args.subcommand](args)
     except (ValueError, OSError, datagen.DatasetError, datagen.PointFileError,

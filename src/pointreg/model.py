@@ -416,7 +416,6 @@ def _head(corr: np.ndarray, weights: PrNetWeights, stats) -> np.ndarray:
         kd = layer.weight.data
         cols, out_spatial = ad.window_rows(h, kd.shape[2:])
         act = _bn_act(cols, kd.reshape(kd.shape[0], -1).T, layer, stats)
-        ad._scratch.give(cols)
         h = np.moveaxis(act.reshape((batch,) + out_spatial + (-1,)), -1, 1)
     h = _bn_act(h.reshape(batch, -1), weights.fc1.weight.data, weights.fc1, stats)
     return h @ weights.out.weight.data + weights.out.bias.data

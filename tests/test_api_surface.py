@@ -82,10 +82,7 @@ def test_no_private_name_is_imported_across_modules():
 
 # (module file, ``alias._name``) reads of another module's private name that
 # stay, with the reason
-ALLOWED_PRIVATE_READS = {
-    ("model.py", "ad._scratch"): "bench/tracing.py hooks the scratch pool by this name; "
-                                 "ROADMAP item 3 removes it together with the pool",
-}
+ALLOWED_PRIVATE_READS = {}
 
 
 def test_no_private_attribute_is_read_across_modules():

@@ -55,15 +55,21 @@ class TestParsing:
         assert "default:" in text
 
     @pytest.mark.parametrize("argv", [
-        ["register", "--model", "m", "--src", "s", "--tgt", "t"],
-        ["eval", "--model", "m", "--data", "d", "--report", "r"],
-        ["plot", "--model", "m", "--data", "d", "--out-dir", "o"],
+        ["register", "--model", "m", "--src", "s", "--tgt", "t", "--seed", "3"],
+        ["eval", "--model", "m", "--data", "d", "--report", "r", "--seed", "3"],
+        ["plot", "--model", "m", "--data", "d", "--out-dir", "o", "--seed", "3"],
+        # the top-level flag is parsed before the subcommand is known
+        ["--seed", "3", "register", "--model", "m", "--src", "s", "--tgt", "t"],
+        ["--seed", "3", "eval", "--model", "m", "--data", "d", "--report", "r"],
+        ["--seed", "3", "plot", "--model", "m", "--data", "d", "--out-dir", "o"],
     ])
     def test_seed_flag_after_a_seedless_subcommand_exits_2(self, capsys, argv):
         with pytest.raises(SystemExit) as e:
-            cli.main([*argv, "--seed", "3"])
+            cli.main(argv)
         assert e.value.code == 2
-        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+        expected = (f"argument --seed: {argv[2]} reads no seed" if argv[0] == "--seed"
+                    else "unrecognized arguments: --seed 3")
+        assert expected in capsys.readouterr().err
 
     @pytest.mark.parametrize("sub, cls, flags", [
         ("synth", datagen.SynthConfig, {"--level": "deformation_level", "--noise": "noise_kind",

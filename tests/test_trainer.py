@@ -4,6 +4,8 @@ Everything runs on a deliberately narrow architecture and small datasets;
 the full-size training budget belongs to the acceptance suite.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -179,6 +181,37 @@ def scaled_sources_dataset(directory, scaled):
         path = ds.pair_paths(i)[0]
         datagen.save_points_file(path, datagen.load_points_file(path) * (0.9 - 0.05 * k))
     return ds
+
+
+class TestScratchPool:
+    def test_the_blocked_mlp_is_its_one_customer_and_it_stays_bounded(self, tmp_path):
+        # only the descriptor MLP takes from autodiff._scratch and gives back
+        # to it, so an epoch ends with the pool holding what the last one held
+        shape = datagen.sample_shape("fish", 96)
+        ds = datagen.generate_dataset(shape, datagen.SynthConfig(seed=5, pair_count=5), tmp_path / "d")
+        weights = model.init_weights(model.PrNetConfig.for_dim(2), seed=0)
+        pool = ad._scratch
+        callers, held = set(), {}
+
+        def recorded(fn):
+            def call(*args):
+                callers.add(sys._getframe(1).f_code.co_name)
+                return fn(*args)
+            return call
+
+        pool.clear()
+        pool.take, pool.give = recorded(pool.take), recorded(pool.give)
+        try:
+            trainer.train(trainer.TrainConfig(epochs=3, batch_size=4), ds, weights,
+                          log=lambda stats: held.setdefault(stats.epoch, pool._held))
+            evaluator.evaluate(weights, ds)
+        finally:
+            vars(pool).pop("take")
+            vars(pool).pop("give")
+            pool.clear()
+        assert callers == {"pooled_mlp_forward", "release"}
+        assert held[1] > 0
+        assert held[3] == held[1], held
 
 
 class TestSourceRuns:
