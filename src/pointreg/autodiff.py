@@ -16,6 +16,9 @@ Two properties the rest of the package relies on:
 
 from __future__ import annotations
 
+import contextvars
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,7 +111,8 @@ class _BufferPool:
     batch) made every batch-statistics pass fault in new memory, and the
     training step's time spread from run to run. Every other op allocates
     plainly. Arrays under ``MIN_BYTES`` are left to malloc; the pool holds
-    at most ``MAX_BYTES``.
+    at most ``MAX_BYTES``. It is not locked: only the main thread takes and
+    gives, ``pooled_mlp_forward`` before it starts the worker threads' tasks.
     """
 
     MIN_BYTES = 1 << 20
@@ -509,29 +513,39 @@ def dense_bn_act(
 MLP_BLOCK = 16  # grid points of one set per block of ``pooled_mlp_forward``
 
 
-def _moments(blocks) -> tuple:
+def _block_moments(a) -> tuple:
+    """Row count, float64 column mean and centred Gram ``cᵀc`` (in ``a``'s
+    dtype) of the rows ``a`` of one block, centred at their own mean."""
+    r = a.shape[0]
+    block_mean = (np.ones(r, a.dtype) @ a).astype(np.float64) / r
+    c = a - block_mean.astype(a.dtype)
+    return r, block_mean, c.T @ c
+
+
+def _moments(parts) -> tuple:
     """Float64 column mean and centred Gram ``Σ (a - mean)ᵀ (a - mean)``
-    (not divided by the row count) of the rows of ``blocks``, an iterable of
-    arrays. Each block is centred at its own mean and merged by Chan's
-    update, so no block needs the overall mean in advance."""
+    (not divided by the row count) of every block's rows, merged from their
+    ``_block_moments`` by Chan's update in the order given, so no block
+    needs the overall mean in advance."""
     n, mean, gram = 0, 0.0, 0.0
-    for a in blocks:
-        r = a.shape[0]
-        block_mean = (np.ones(r, a.dtype) @ a).astype(np.float64) / r
-        c = a - block_mean.astype(a.dtype)
+    for r, block_mean, cc in parts:
         delta = block_mean - mean
-        gram = gram + c.T @ c + np.outer(delta, delta) * (n * r / (n + r))
+        gram = gram + cc + np.outer(delta, delta) * (n * r / (n + r))
         mean = mean + delta * (r / (n + r))
         n += r
     return mean, gram
+
+
+_workers = None  # the executor of ``BlockedMlp.each_block``, made on its first call
 
 
 class BlockedMlp:
     """What ``pooled_mlp_forward`` computes and its backward reads. A
     block is ``(set, first row, first grid point, end grid point)``: the
     rows of up to ``MLP_BLOCK`` grid points of one set of ``k`` points, row
-    ``g * k + j`` of a set pairing grid point ``g`` with point ``j``. The
-    partition depends on each set's own size only."""
+    ``g * k + j`` of a set pairing grid point ``g`` with point ``j``;
+    ``blocks`` lists each set's. The partition depends on each set's own
+    size only."""
 
     def __init__(self, sets, grid, layers):
         dt = layers[0].weight.data.dtype
@@ -544,7 +558,7 @@ class BlockedMlp:
         self.blocks = []
         lo = 0
         for s, pts in enumerate(self.points):
-            self.blocks += [(s, lo + g0 * len(pts), g0, min(g0 + MLP_BLOCK, g)) for g0 in range(0, g, MLP_BLOCK)]
+            self.blocks.append([(s, lo + g0 * len(pts), g0, min(g0 + MLP_BLOCK, g)) for g0 in range(0, g, MLP_BLOCK)])
             lo += g * len(pts)
         self.n = lo
         self.folded, self.alpha, self.inv_std, self.stats, self.moments = [], [], [], [], []
@@ -563,6 +577,25 @@ class BlockedMlp:
         self.alpha.append(alpha)
         self.inv_std.append(inv_std)
         self.stats.append((mean, var))
+
+    def each_block(self, fn) -> list:
+        """``fn(block)`` for every block, one task per set on the worker
+        threads, one per core this process may run on; the results in block
+        order. ``fn`` writes only its own block's rows of shared arrays.
+
+        numpy's matrix products and ufuncs release the GIL, so the tasks run
+        side by side. Each runs in a copy of the caller's context, so the
+        caller's ``np.errstate`` holds in it. An exception raised by a task
+        reaches the caller once every task of the call has finished. Only
+        the main thread calls this, and a task never does.
+        """
+        global _workers
+        if _workers is None:
+            _workers = ThreadPoolExecutor(len(os.sched_getaffinity(0)))
+        futures = [_workers.submit(contextvars.copy_context().run, lambda blocks: [fn(b) for b in blocks], blocks)
+                   for blocks in self.blocks]
+        wait(futures)
+        return [r for f in futures for r in f.result()]
 
     def rows(self, block) -> slice:
         s, lo, g0, g1 = block
@@ -641,31 +674,39 @@ class BlockedMlp:
                               axis=1)
             return st.reshape(-1, dy.shape[1])
 
-        # the last layer reaches one row per grid point and column: gather them
-        p = np.zeros(self.folded[top][0].shape)
-        for block in self.blocks:
+        def gathered(block):
+            # the last layer reaches one row per grid point and column: its part of P
             s, _, g0, g1 = block
             picked = self.pick[s * g + g0:s * g + g1] + len(self.points[s]) * np.arange(g1 - g0)[:, None]
-            p += np.einsum("gfi,gf->if", self.layer_input(block, top)[picked], dy[s * g + g0:s * g + g1])
+            return np.einsum("gfi,gf->if", self.layer_input(block, top)[picked], dy[s * g + g0:s * g + g1])
+
+        def step(block):
+            # the gradient of layer l + 1's input, then of layer l's pre-activation,
+            # stored over layer l's activation; returns the block's parts of s and P
+            rows = self.rows(block)
+            a = self.hidden[l][rows] if l else self.layer_output(block, 0)
+            d_next = selected(block) if l + 1 == top else self.hidden[l + 1][rows]
+            da = a @ neg_m
+            da += d_next @ w_next.T
+            da += row
+            da *= _slope(a)
+            if l:
+                a[...] = da
+            return np.ones(len(da), dt) @ da, self.layer_input(block, l).T @ da
+
+        # the float64 sums take the blocks' parts in block order, whatever the threads did
+        p = np.zeros(self.folded[top][0].shape)
+        for part in self.each_block(gathered):
+            p += part
         neg_m, row = self.finish_layer(top, p, dy.sum(axis=0, dtype=np.float64))
         for l in range(top - 1, -1, -1):
             w_next = self.folded[l + 1][0]
             width = w_next.shape[0]
             p = np.zeros((self.folded[l][0].shape[0], width))
             col_sum = np.zeros(width)
-            for block in self.blocks:
-                rows = self.rows(block)
-                a = self.hidden[l][rows] if l else self.layer_output(block, 0)
-                d_next = selected(block) if l + 1 == top else self.hidden[l + 1][rows]
-                # the gradient of layer l + 1's input, then of layer l's pre-activation
-                da = a @ neg_m
-                da += d_next @ w_next.T
-                da += row
-                da *= _slope(a)
-                col_sum += np.ones(len(da), dt) @ da
-                p += self.layer_input(block, l).T @ da
-                if l:
-                    a[...] = da
+            for block_sum, part in self.each_block(step):
+                col_sum += block_sum
+                p += part
             neg_m, row = self.finish_layer(l, p, col_sum)
         self.release()
 
@@ -698,7 +739,16 @@ def pooled_mlp_forward(sets, grid, layers, batch: bool) -> BlockedMlp:
     for layer 0's, which is recomputed where it is read. Either way a layer
     applies its folded batch norm (``BlockedMlp.fold``) and the leaky ReLU,
     which is increasing: the last layer pools the folded pre-activation of
-    each block, ties to the first point, and activates the maximum.
+    each block, ties to the first point, and activates the maximum. The
+    pooled point's index, ``pick``, is kept for the backward under batch
+    statistics only (``None`` otherwise).
+
+    Each pass runs as one task per set on the worker threads
+    (``BlockedMlp.each_block``, one per core). A task writes only its own blocks' rows of the stored
+    activations, ``pick`` and ``y``, and returns its blocks' moments, which
+    this thread merges in block order. So every output and statistic is the
+    same bits for any number of workers. The arrays come from the scratch
+    pool, on this thread, before the tasks start.
     """
     mlp = BlockedMlp(sets, grid, layers)
     if batch:
@@ -720,17 +770,21 @@ def pooled_mlp_forward(sets, grid, layers, batch: bool) -> BlockedMlp:
             break
         if l:
             mlp.hidden[l] = _scratch.take((mlp.n, w.shape[1]), mlp.grid.dtype)
-        x_mean, gram = _moments(mlp.layer_output(block, l, mlp.hidden[l][mlp.rows(block)] if l else None)
-                                for block in mlp.blocks)
+        x_mean, gram = _moments(mlp.each_block(
+            lambda block: _block_moments(mlp.layer_output(block, l, mlp.hidden[l][mlp.rows(block)] if l else None))))
     g = len(mlp.grid)
-    mlp.pick = _scratch.take((len(mlp.points) * g, layers[-1].weight.data.shape[1]), np.intp)
-    mlp.y = _scratch.take(mlp.pick.shape, mlp.grid.dtype)
-    for block in mlp.blocks:
+    mlp.y = _scratch.take((len(mlp.points) * g, layers[-1].weight.data.shape[1]), mlp.grid.dtype)
+    mlp.pick = _scratch.take(mlp.y.shape, np.intp) if batch else None
+
+    def pool(block):
         s, _, g0, g1 = block
         z = mlp.layer_output(block, len(layers) - 1)
         pick = np.argmax(z, axis=2)
-        mlp.pick[s * g + g0:s * g + g1] = pick.T
+        if batch:
+            mlp.pick[s * g + g0:s * g + g1] = pick.T
         mlp.y[s * g + g0:s * g + g1] = np.take_along_axis(z, pick[..., None], axis=2)[..., 0].T
+
+    mlp.each_block(pool)
     mlp.out = np.maximum(mlp.y * LEAKY_SLOPE, mlp.y)
     return mlp
 
@@ -758,6 +812,12 @@ def pooled_mlp(sets, grid, layers) -> Tensor:
     the layer below, made in the pass below and stored over that layer's
     activation, which it no longer needs. Layer 0's input is constant, so
     it needs no ``dx``.
+
+    Like the forward's, each backward pass runs one task per set on the
+    worker threads. Each block's ``s`` and ``P`` (for the last layer its
+    gathered ``P``) come back to the calling thread, which adds them to the
+    float64 sums in block order, so the gradients are the same bits for any
+    number of workers; ``release`` gives the arrays back on that thread.
     """
     mlp = pooled_mlp_forward(sets, grid, layers, batch=True)
 

@@ -4,7 +4,11 @@ Derived expectations are checked against independent oracles: naive loop
 implementations, finite differences, and mpmath extended precision.
 """
 
+import sys
+import threading
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from itertools import product
 from types import SimpleNamespace
 
@@ -24,6 +28,22 @@ from conftest import assert_grads_match
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def use_workers(monkeypatch):
+    """``use_workers(pool)`` runs the blocked MLP on the executor ``pool``
+    for the rest of the test, and shuts it down after."""
+    pools = []
+
+    def use(pool):
+        pools.append(pool)
+        monkeypatch.setattr(ad, "_workers", pool)
+        return pool
+
+    yield use
+    for pool in pools:
+        pool.shutdown()
 
 
 def f64(data, requires_grad=False):
@@ -382,9 +402,12 @@ class TestFusedDensePool:
             else:
                 assert_rel_close(got.astype(np.float64), ref, 1e-4, what)
 
-    def test_activation_is_never_stored(self, rng):
+    def test_activation_is_never_stored(self, rng, use_workers):
         # forward plus backward on N rows allocates less than one [N, last
-        # width] array; the composed route allocates more
+        # width] array; the composed route allocates more. Each worker holds
+        # one block's arrays at a time, so the bound is for two workers, as
+        # on a two-core host, whatever cores this one has
+        use_workers(ThreadPoolExecutor(2))
         grid = self.grid(4, 4)
         sets = [rng.uniform(-0.9, 0.9, size=(64, 2)) for _ in range(16)]
         upstream = rng.normal(size=16 * 16 * 128)
@@ -404,11 +427,14 @@ class TestFusedDensePool:
             assert layers[0].weight.grad.shape == (4, 16)
         assert peaks["fused"] < bound < peaks["composed"], (peaks, bound)
 
-    def test_second_pass_reuses_the_stored_arrays(self, rng):
+    def test_second_pass_reuses_the_stored_arrays(self, rng, use_workers):
         # the stored activations come from the scratch pool and go back to
         # it, so a second pass, training or forward only, maps no fresh
         # [N, width] memory: fresh mappings cost page faults whose time
-        # varies from run to run
+        # varies from run to run. With one worker the blocks' own arrays
+        # peak alike in both passes; with more, the peak depends on how the
+        # threads interleave
+        use_workers(ThreadPoolExecutor(1))
         grid = self.grid(4, 4)
         sets = [rng.uniform(-0.9, 0.9, size=(64, 2)) for _ in range(16)]
         layers = mlp_layers(rng, (16, 64, 128), 2)
@@ -440,6 +466,115 @@ class TestFusedDensePool:
             ad.pooled_mlp([], grid, layers)
         with pytest.raises(ad.ShapeError, match="no empty one"):
             ad.pooled_mlp([np.zeros((3, 2)), np.zeros((0, 2))], grid, layers)
+
+
+class Boom(Exception):
+    """Raised on purpose inside one set's task."""
+
+
+class CountingPool(ThreadPoolExecutor):
+    """A worker pool that counts the tasks running at any moment."""
+
+    def __init__(self, workers):
+        super().__init__(workers)
+        self.lock = threading.Lock()
+        self.running = 0
+
+    def submit(self, fn, *args):
+        def task():
+            with self.lock:
+                self.running += 1
+            try:
+                return fn(*args)
+            finally:
+                with self.lock:
+                    self.running -= 1
+
+        return super().submit(task)
+
+
+class TestWorkers:
+    """The blocked MLP runs one task per set on ``ad._workers``; the number
+    of workers and their timing change no bit of what it computes."""
+
+    SIZES = (7, 1, 12, 5, 30)  # unequal sets, one of a single point
+
+    @staticmethod
+    def case(dim, dtype):
+        rng = np.random.default_rng(dim)
+        grid = TestFusedDensePool.grid(*((5, 4) if dim == 2 else (3, 3, 2)))  # more than one block per set
+        sets = [rng.uniform(-0.9, 0.9, size=(k, dim)).astype(dtype) for k in TestWorkers.SIZES]
+        layers = mlp_layers(rng, (6, 8, 5), dim, dtype, scales=(-0.7,))
+        for layer in layers:
+            width = layer.weight.data.shape[1]
+            layer.bn_mean = rng.normal(size=width).astype(dtype)
+            layer.bn_var = rng.uniform(0.5, 2.0, size=width).astype(dtype)
+        upstream = rng.normal(size=len(sets) * len(grid) * 5).astype(dtype)
+        return sets, grid, layers, upstream
+
+    @staticmethod
+    def results(sets, grid, layers, upstream) -> list:
+        """Bytes of the output and statistics under running and batch
+        statistics, and of every parameter gradient after the backward."""
+        got = []
+        for batch in (False, True):
+            mlp = ad.pooled_mlp_forward(sets, grid, layers, batch)
+            got += [mlp.out.tobytes()] + [a.tobytes() for mv in mlp.stats for a in mv]
+            mlp.release()
+        ad.zero_grads([t for layer in layers for t in vars(layer).values() if isinstance(t, ad.Tensor)])
+        TestFusedDensePool.backward(ad.pooled_mlp(sets, grid, layers), upstream)
+        return got + [g.tobytes() for g in layer_grads(layers)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_results_do_not_depend_on_the_worker_count(self, dim, dtype, use_workers):
+        # three workers, more than the cores of a two-core host, switching
+        # threads far more often than by default
+        case = self.case(dim, dtype)
+        got = {}
+        use_workers(ThreadPoolExecutor(1))
+        got[1] = self.results(*case)
+        use_workers(ThreadPoolExecutor(3))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got[3] = self.results(*case)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(got[1]) == len(got[3]) == 2 + 2 * 2 * 3 + 4 * 3
+        assert [i for i, (a, b) in enumerate(zip(got[1], got[3])) if a != b] == []
+
+    @pytest.mark.parametrize("where", ["running statistics", "batch statistics", "backward"])
+    def test_an_error_in_one_set_reaches_the_caller_after_the_other_tasks(self, where, monkeypatch, use_workers):
+        # once armed, set 0's blocks raise at once while the other sets' run
+        # slowly: the error comes out with its own type once no task runs
+        # any more, and the next call gives the same bits as a clean one
+        case = self.case(2, np.float32)
+        sets, grid, layers, upstream = case
+        layer_output = ad.BlockedMlp.layer_output
+        armed = []
+
+        def failing(mlp, block, l, out=None):
+            if armed and block[0] == 0:
+                raise Boom(where)
+            if armed:
+                time.sleep(0.005)
+            return layer_output(mlp, block, l, out)
+
+        monkeypatch.setattr(ad.BlockedMlp, "layer_output", failing)
+        pool = use_workers(CountingPool(3))
+        clean = self.results(*case)
+        with pytest.raises(Boom, match=where):
+            if where == "backward":
+                out = ad.pooled_mlp(sets, grid, layers)
+                armed.append(True)
+                TestFusedDensePool.backward(out, upstream)
+            else:
+                armed.append(True)
+                ad.pooled_mlp_forward(sets, grid, layers, where == "batch statistics")
+        assert pool.running == 0
+        armed.clear()
+        assert self.results(*case) == clean
 
 
 class TestFusedConvBatch:

@@ -8,8 +8,11 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 import tempfile
 import warnings
 import zipfile
@@ -89,6 +92,20 @@ class TestParsing:
             entry = options[options.index(f" {flag} "):]
             shown = entry[entry.index("(default: ") + len("(default: "):entry.index(")")]
             assert shown == str(defaults[name]), flag
+
+    def test_importing_and_help_start_no_thread(self):
+        # a fresh interpreter: the MLP's worker threads start with its first
+        # call, so importing the CLI and printing its help leave one thread
+        code = ("import contextlib, io, threading\n"
+                "import pointreg.cli\n"
+                "assert threading.active_count() == 1, threading.enumerate()\n"
+                "with contextlib.suppress(SystemExit), contextlib.redirect_stdout(io.StringIO()):\n"
+                "    pointreg.cli.main(['--help'])\n"
+                "assert threading.active_count() == 1, threading.enumerate()\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
 
     def test_unknown_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as e:

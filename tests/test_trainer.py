@@ -5,6 +5,7 @@ the full-size training budget belongs to the acceptance suite.
 """
 
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -186,16 +187,18 @@ def scaled_sources_dataset(directory, scaled):
 class TestScratchPool:
     def test_the_blocked_mlp_is_its_one_customer_and_it_stays_bounded(self, tmp_path):
         # only the descriptor MLP takes from autodiff._scratch and gives back
-        # to it, so an epoch ends with the pool holding what the last one held
+        # to it, on the main thread alone, so an epoch ends with the pool
+        # holding what the last one held
         shape = datagen.sample_shape("fish", 96)
         ds = datagen.generate_dataset(shape, datagen.SynthConfig(seed=5, pair_count=5), tmp_path / "d")
         weights = model.init_weights(model.PrNetConfig.for_dim(2), seed=0)
         pool = ad._scratch
-        callers, held = set(), {}
+        callers, threads, held = set(), set(), {}
 
         def recorded(fn):
             def call(*args):
                 callers.add(sys._getframe(1).f_code.co_name)
+                threads.add(threading.current_thread())
                 return fn(*args)
             return call
 
@@ -210,6 +213,7 @@ class TestScratchPool:
             vars(pool).pop("give")
             pool.clear()
         assert callers == {"pooled_mlp_forward", "release"}
+        assert threads == {threading.main_thread()}
         assert held[1] > 0
         assert held[3] == held[1], held
 
