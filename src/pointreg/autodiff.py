@@ -112,7 +112,7 @@ class _BufferPool:
     training step's time spread from run to run. Every other op allocates
     plainly. Arrays under ``MIN_BYTES`` are left to malloc; the pool holds
     at most ``MAX_BYTES``. It is not locked: only the main thread takes and
-    gives, ``pooled_mlp_forward`` before it starts the worker threads' tasks.
+    gives, ``pooled_mlp_forward`` before any worker thread's task starts.
     """
 
     MIN_BYTES = 1 << 20
@@ -536,7 +536,24 @@ def _moments(parts) -> tuple:
     return mean, gram
 
 
+MAX_WORKERS = 2  # the most worker threads measured; each holds one block's arrays at a time
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
 _workers = None  # the executor of ``BlockedMlp.each_block``, made on its first call
+
+
+def _worker_count() -> int:
+    """Worker threads for the blocked MLP: the cores this process may run
+    on, divided by BLAS's threads, at most ``MAX_WORKERS``. BLAS's threads
+    are the first positive count among its own variables; unset, it runs one
+    per core, which leaves one worker, since more workers only oversubscribe
+    the cores together with BLAS's threads."""
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    counts = (os.environ.get(name, "").strip() for name in _BLAS_THREADS)
+    blas = next((int(c) for c in counts if c.isdigit() and int(c) > 0), cores)
+    return max(1, min(MAX_WORKERS, cores // blas))
 
 
 class BlockedMlp:
@@ -544,8 +561,8 @@ class BlockedMlp:
     block is ``(set, first row, first grid point, end grid point)``: the
     rows of up to ``MLP_BLOCK`` grid points of one set of ``k`` points, row
     ``g * k + j`` of a set pairing grid point ``g`` with point ``j``;
-    ``blocks`` lists each set's. The partition depends on each set's own
-    size only."""
+    ``blocks`` lists them in row order. The partition depends on each set's
+    own size only."""
 
     def __init__(self, sets, grid, layers):
         dt = layers[0].weight.data.dtype
@@ -558,7 +575,7 @@ class BlockedMlp:
         self.blocks = []
         lo = 0
         for s, pts in enumerate(self.points):
-            self.blocks.append([(s, lo + g0 * len(pts), g0, min(g0 + MLP_BLOCK, g)) for g0 in range(0, g, MLP_BLOCK)])
+            self.blocks += [(s, lo + g0 * len(pts), g0, min(g0 + MLP_BLOCK, g)) for g0 in range(0, g, MLP_BLOCK)]
             lo += g * len(pts)
         self.n = lo
         self.folded, self.alpha, self.inv_std, self.stats, self.moments = [], [], [], [], []
@@ -579,23 +596,33 @@ class BlockedMlp:
         self.stats.append((mean, var))
 
     def each_block(self, fn) -> list:
-        """``fn(block)`` for every block, one task per set on the worker
-        threads, one per core this process may run on; the results in block
-        order. ``fn`` writes only its own block's rows of shared arrays.
+        """``fn(block)`` for every block, split into one contiguous run of
+        blocks with about equal rows per worker (``_worker_count``); the
+        results in block order. The calling thread runs the first run, and
+        a worker thread each other one. ``fn`` writes only its own block's
+        rows of shared arrays.
 
-        numpy's matrix products and ufuncs release the GIL, so the tasks run
-        side by side. Each runs in a copy of the caller's context, so the
-        caller's ``np.errstate`` holds in it. An exception raised by a task
-        reaches the caller once every task of the call has finished. Only
-        the main thread calls this, and a task never does.
+        numpy's matrix products and ufuncs release the GIL, so the runs go
+        side by side. A worker's task runs in a copy of the caller's
+        context, so the caller's ``np.errstate`` holds in it. An exception
+        raised in a run reaches the caller once every run of the call has
+        finished. Only the main thread calls this, and a task never does.
+        With one worker no thread starts.
         """
         global _workers
         if _workers is None:
-            _workers = ThreadPoolExecutor(len(os.sched_getaffinity(0)))
-        futures = [_workers.submit(contextvars.copy_context().run, lambda blocks: [fn(b) for b in blocks], blocks)
-                   for blocks in self.blocks]
-        wait(futures)
-        return [r for f in futures for r in f.result()]
+            _workers = ThreadPoolExecutor(_worker_count())
+        count = _workers._max_workers
+        runs = [[] for _ in range(count)]
+        for block in self.blocks:
+            runs[block[1] * count // self.n].append(block)
+        futures = [_workers.submit(contextvars.copy_context().run, lambda run: [fn(b) for b in run], run)
+                   for run in runs[1:] if run]
+        try:
+            first = [fn(b) for b in runs[0]]
+        finally:
+            wait(futures)
+        return first + [r for f in futures for r in f.result()]
 
     def rows(self, block) -> slice:
         s, lo, g0, g1 = block
@@ -743,12 +770,13 @@ def pooled_mlp_forward(sets, grid, layers, batch: bool) -> BlockedMlp:
     pooled point's index, ``pick``, is kept for the backward under batch
     statistics only (``None`` otherwise).
 
-    Each pass runs as one task per set on the worker threads
-    (``BlockedMlp.each_block``, one per core). A task writes only its own blocks' rows of the stored
-    activations, ``pick`` and ``y``, and returns its blocks' moments, which
-    this thread merges in block order. So every output and statistic is the
-    same bits for any number of workers. The arrays come from the scratch
-    pool, on this thread, before the tasks start.
+    Each pass splits the blocks into one contiguous run per worker, the
+    first run on this thread (``BlockedMlp.each_block``). A run writes only
+    its own blocks' rows of the stored activations, ``pick`` and ``y``, and
+    returns its blocks' moments, which this thread merges in block order. So every
+    output and statistic is the same bits for any number of workers. The
+    arrays come from the scratch pool, on this thread, before the tasks
+    start.
     """
     mlp = BlockedMlp(sets, grid, layers)
     if batch:
@@ -813,11 +841,12 @@ def pooled_mlp(sets, grid, layers) -> Tensor:
     activation, which it no longer needs. Layer 0's input is constant, so
     it needs no ``dx``.
 
-    Like the forward's, each backward pass runs one task per set on the
-    worker threads. Each block's ``s`` and ``P`` (for the last layer its
-    gathered ``P``) come back to the calling thread, which adds them to the
-    float64 sums in block order, so the gradients are the same bits for any
-    number of workers; ``release`` gives the arrays back on that thread.
+    Like the forward's, each backward pass runs one contiguous run of
+    blocks per worker. Each block's ``s`` and ``P`` (for the last layer its
+    gathered ``P``) come back to the calling thread, which
+    adds them to the float64 sums in block order, so the gradients are the
+    same bits for any number of workers; ``release`` gives the arrays back
+    on that thread.
     """
     mlp = pooled_mlp_forward(sets, grid, layers, batch=True)
 

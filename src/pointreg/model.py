@@ -32,11 +32,15 @@ mean and Gram of the activation below it. Only the hidden activations
 between the first and the last layer are stored; the first is recomputed,
 and the last, the widest, is pooled block by block. Recalibration and
 inference run the same forward (``_descriptors``). Every pass of the MLP,
-forward and backward, runs one task per set on worker threads, one per
-core, since numpy's products and ufuncs release the GIL. The blocks'
-moments and gradient parts are merged in block order on the calling
-thread, so the results are the same bits for any number of workers. The
-head, the loss and Adam run on the calling thread alone.
+forward and backward, splits its blocks into one contiguous run per
+worker: the calling thread runs the first, a worker thread each other one,
+since numpy's products and ufuncs release the GIL. There are as many
+workers as the cores divided by BLAS's own threads, at most
+``autodiff.MAX_WORKERS``: with BLAS left at one thread per core there is
+one, and no thread starts. The blocks' moments and gradient parts are
+merged in block order on the calling thread, so the results are the same
+bits for any number of workers. The head, the loss and Adam run on the
+calling thread alone.
 """
 
 from __future__ import annotations

@@ -405,9 +405,9 @@ class TestFusedDensePool:
     def test_activation_is_never_stored(self, rng, use_workers):
         # forward plus backward on N rows allocates less than one [N, last
         # width] array; the composed route allocates more. Each worker holds
-        # one block's arrays at a time, so the bound is for two workers, as
-        # on a two-core host, whatever cores this one has
-        use_workers(ThreadPoolExecutor(2))
+        # one block's arrays at a time, so this runs the most workers the
+        # module ever starts
+        use_workers(ThreadPoolExecutor(ad.MAX_WORKERS))
         grid = self.grid(4, 4)
         sets = [rng.uniform(-0.9, 0.9, size=(64, 2)) for _ in range(16)]
         upstream = rng.normal(size=16 * 16 * 128)
@@ -427,27 +427,35 @@ class TestFusedDensePool:
             assert layers[0].weight.grad.shape == (4, 16)
         assert peaks["fused"] < bound < peaks["composed"], (peaks, bound)
 
-    def test_second_pass_reuses_the_stored_arrays(self, rng, use_workers):
+    def test_second_pass_reuses_the_stored_arrays(self, rng, use_workers, monkeypatch):
         # the stored activations come from the scratch pool and go back to
         # it, so a second pass, training or forward only, maps no fresh
         # [N, width] memory: fresh mappings cost page faults whose time
-        # varies from run to run. With one worker the blocks' own arrays
-        # peak alike in both passes; with more, the peak depends on how the
-        # threads interleave
-        use_workers(ThreadPoolExecutor(1))
+        # varies from run to run. The pool is used on this thread alone, so
+        # this holds however the workers interleave
+        use_workers(ThreadPoolExecutor(ad.MAX_WORKERS))
         grid = self.grid(4, 4)
         sets = [rng.uniform(-0.9, 0.9, size=(64, 2)) for _ in range(16)]
         layers = mlp_layers(rng, (16, 64, 128), 2)
         upstream = rng.normal(size=16 * 16 * 128)
-        hidden = 16 * 16 * 64 * 64 * np.dtype(np.float64).itemsize
-        peaks = []
+        take = ad._scratch.take
+        taken = []
+        monkeypatch.setattr(ad._scratch, "take", lambda *args: taken.append(take(*args)) or taken[-1])
         ad._scratch.clear()
         try:
-            for _ in range(2):
-                tracemalloc.start()
-                self.backward(ad.pooled_mlp(sets, grid, layers), upstream)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-                tracemalloc.stop()
+            self.backward(ad.pooled_mlp(sets, grid, layers), upstream)
+            held = ad._scratch._held
+            pooled = {id(a) for stack in ad._scratch._free.values() for a in stack}
+            assert len(pooled) == 1 and held >= ad._scratch.MIN_BYTES  # layer 1's activation
+            for second in ("training", "forward only"):
+                taken.clear()
+                if second == "training":
+                    self.backward(ad.pooled_mlp(sets, grid, layers), upstream)
+                else:
+                    ad.pooled_mlp_forward(sets, grid, layers, True).release()
+                large = {id(a) for a in taken if a.nbytes >= ad._scratch.MIN_BYTES}
+                assert large == pooled, second
+                assert ad._scratch._held == held, second
             first = ad.pooled_mlp_forward(sets, grid, layers, True)
             kept = first.hidden[1]
             first.release()
@@ -455,9 +463,7 @@ class TestFusedDensePool:
             assert ad.pooled_mlp_forward(sets, grid, layers, True).hidden[1] is kept
             assert ad.pooled_mlp_forward(sets, grid, layers, True).hidden[1] is not kept
         finally:
-            tracemalloc.stop()
             ad._scratch.clear()
-        assert peaks[1] < peaks[0] - hidden, peaks
 
     def test_set_layout_validated(self, rng):
         layers = mlp_layers(rng, (3,), 2)
@@ -469,33 +475,37 @@ class TestFusedDensePool:
 
 
 class Boom(Exception):
-    """Raised on purpose inside one set's task."""
+    """Raised on purpose inside one set's run."""
 
 
 class CountingPool(ThreadPoolExecutor):
-    """A worker pool that counts the tasks running at any moment."""
+    """A worker pool that counts the tasks submitted and those submitted
+    but not yet finished."""
 
     def __init__(self, workers):
         super().__init__(workers)
         self.lock = threading.Lock()
-        self.running = 0
+        self.unfinished = self.submitted = 0
 
     def submit(self, fn, *args):
+        with self.lock:
+            self.submitted += 1
+            self.unfinished += 1
+
         def task():
-            with self.lock:
-                self.running += 1
             try:
                 return fn(*args)
             finally:
                 with self.lock:
-                    self.running -= 1
+                    self.unfinished -= 1
 
         return super().submit(task)
 
 
 class TestWorkers:
-    """The blocked MLP runs one task per set on ``ad._workers``; the number
-    of workers and their timing change no bit of what it computes."""
+    """The blocked MLP splits each pass into one run per worker of
+    ``ad._workers``, the first on the calling thread; the number of workers
+    and their timing change no bit of what it computes."""
 
     SIZES = (7, 1, 12, 5, 30)  # unequal sets, one of a single point
 
@@ -544,24 +554,71 @@ class TestWorkers:
         assert len(got[1]) == len(got[3]) == 2 + 2 * 2 * 3 + 4 * 3
         assert [i for i, (a, b) in enumerate(zip(got[1], got[3])) if a != b] == []
 
+    @pytest.mark.parametrize("workers", [1, 2, 3, 40])
+    def test_a_pass_runs_one_run_per_worker_in_block_order(self, workers, use_workers):
+        # a worker takes a contiguous run of blocks of about equal rows, the
+        # calling thread the first one, so one worker starts no task; with
+        # more workers than blocks, some runs are empty and start no task
+        sets, grid, layers, _ = self.case(2, np.float32)
+        mlp = ad.BlockedMlp(sets, grid, layers)
+        pool = use_workers(CountingPool(workers))
+        got = mlp.each_block(lambda block: (block, threading.current_thread()))
+        assert [block for block, _ in got] == mlp.blocks
+        assert got[0][1] is threading.main_thread()
+        assert (got[-1][1] is threading.main_thread()) == (workers == 1)
+        if workers <= 3:
+            assert pool.submitted == workers - 1
+        else:
+            assert 2 < pool.submitted < len(mlp.blocks) - 1
+
+    @pytest.mark.parametrize("cores, blas, expected", [
+        (2, {}, 1),  # BLAS at its default of one thread per core
+        (2, {"OPENBLAS_NUM_THREADS": "1"}, 2),
+        (2, {"OMP_NUM_THREADS": "1"}, 2),
+        (2, {"MKL_NUM_THREADS": "2"}, 1),
+        (8, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2),  # BLAS's own variable first
+        (8, {"OPENBLAS_NUM_THREADS": "8"}, 1),
+        (1, {"OPENBLAS_NUM_THREADS": "1"}, 1),
+        (16, {"OPENBLAS_NUM_THREADS": "1"}, ad.MAX_WORKERS),
+        (2, {"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "0"}, 1),  # no positive count: the default
+    ])
+    def test_the_worker_count_leaves_the_cores_to_blas(self, cores, blas, expected, monkeypatch):
+        monkeypatch.setattr(ad.os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+        for name in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        for name, value in blas.items():
+            monkeypatch.setenv(name, value)
+        assert ad._worker_count() == expected
+
+    @pytest.mark.parametrize("cpu_count, expected", [(4, 2), (None, 1)])
+    def test_the_worker_count_without_an_affinity_call(self, cpu_count, expected, monkeypatch):
+        # macOS and Windows have no os.sched_getaffinity
+        monkeypatch.delattr(ad.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(ad.os, "cpu_count", lambda: cpu_count)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert ad._worker_count() == expected
+
+    @pytest.mark.parametrize("failing", [0, len(SIZES) - 1], ids=["calling thread", "worker thread"])
     @pytest.mark.parametrize("where", ["running statistics", "batch statistics", "backward"])
-    def test_an_error_in_one_set_reaches_the_caller_after_the_other_tasks(self, where, monkeypatch, use_workers):
-        # once armed, set 0's blocks raise at once while the other sets' run
-        # slowly: the error comes out with its own type once no task runs
-        # any more, and the next call gives the same bits as a clean one
+    def test_an_error_in_one_set_reaches_the_caller_after_the_other_runs(self, where, failing, monkeypatch,
+                                                                         use_workers):
+        # once armed, one set's blocks raise at once while the other sets'
+        # run slowly: the first set runs on the calling thread, the last on
+        # a worker. The error comes out with its own type once every task
+        # has finished, and the next call gives the same bits as a clean one
         case = self.case(2, np.float32)
         sets, grid, layers, upstream = case
         layer_output = ad.BlockedMlp.layer_output
         armed = []
 
-        def failing(mlp, block, l, out=None):
-            if armed and block[0] == 0:
+        def failing_output(mlp, block, l, out=None):
+            if armed and block[0] == failing:
                 raise Boom(where)
             if armed:
                 time.sleep(0.005)
             return layer_output(mlp, block, l, out)
 
-        monkeypatch.setattr(ad.BlockedMlp, "layer_output", failing)
+        monkeypatch.setattr(ad.BlockedMlp, "layer_output", failing_output)
         pool = use_workers(CountingPool(3))
         clean = self.results(*case)
         with pytest.raises(Boom, match=where):
@@ -572,7 +629,7 @@ class TestWorkers:
             else:
                 armed.append(True)
                 ad.pooled_mlp_forward(sets, grid, layers, where == "batch statistics")
-        assert pool.running == 0
+        assert pool.unfinished == 0
         armed.clear()
         assert self.results(*case) == clean
 
