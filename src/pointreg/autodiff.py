@@ -538,11 +538,11 @@ def _moments(parts) -> tuple:
 
 MAX_WORKERS = 2  # the most worker threads measured; each holds one block's arrays at a time
 _BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
-_workers = None  # the executor of ``BlockedMlp.each_block``, made on its first call
+_workers = None  # the executor of ``each_run``, made on its first call
 
 
 def _worker_count() -> int:
-    """Worker threads for the blocked MLP: the cores this process may run
+    """Worker threads of ``each_run``: the cores this process may run
     on, divided by BLAS's threads, at most ``MAX_WORKERS``. BLAS's threads
     are the first positive count among its own variables; unset, it runs one
     per core, which leaves one worker, since more workers only oversubscribe
@@ -554,6 +554,40 @@ def _worker_count() -> int:
     counts = (os.environ.get(name, "").strip() for name in _BLAS_THREADS)
     blas = next((int(c) for c in counts if c.isdigit() and int(c) > 0), cores)
     return max(1, min(MAX_WORKERS, cores // blas))
+
+
+def each_run(fn, items, sizes) -> list:
+    """``fn(item)`` for every item, the results in item order. The items
+    split into one contiguous run per worker (``_worker_count``) of about
+    equal total ``sizes``: an item joins the run in which its first unit
+    falls. The calling thread runs the first run, and a worker thread each
+    other one. The blocked MLP's passes and the eval head's pair blocks run
+    here.
+
+    numpy's matrix products and ufuncs release the GIL, so the runs go
+    side by side. A worker's task runs in a copy of the caller's context,
+    so the caller's ``np.errstate`` holds in it. An exception raised in a
+    run reaches the caller once every run of the call has finished. Only
+    the main thread calls this, and a task never does. With one worker no
+    thread starts.
+    """
+    global _workers
+    if _workers is None:
+        _workers = ThreadPoolExecutor(_worker_count())
+    count = _workers._max_workers
+    total = sum(sizes)
+    runs = [[] for _ in range(count)]
+    start = 0
+    for item, size in zip(items, sizes):
+        runs[start * count // total].append(item)
+        start += size
+    futures = [_workers.submit(contextvars.copy_context().run, lambda run: [fn(i) for i in run], run)
+               for run in runs[1:] if run]
+    try:
+        first = [fn(i) for i in runs[0]]
+    finally:
+        wait(futures)
+    return first + [r for f in futures for r in f.result()]
 
 
 class BlockedMlp:
@@ -596,33 +630,10 @@ class BlockedMlp:
         self.stats.append((mean, var))
 
     def each_block(self, fn) -> list:
-        """``fn(block)`` for every block, split into one contiguous run of
-        blocks with about equal rows per worker (``_worker_count``); the
-        results in block order. The calling thread runs the first run, and
-        a worker thread each other one. ``fn`` writes only its own block's
-        rows of shared arrays.
-
-        numpy's matrix products and ufuncs release the GIL, so the runs go
-        side by side. A worker's task runs in a copy of the caller's
-        context, so the caller's ``np.errstate`` holds in it. An exception
-        raised in a run reaches the caller once every run of the call has
-        finished. Only the main thread calls this, and a task never does.
-        With one worker no thread starts.
-        """
-        global _workers
-        if _workers is None:
-            _workers = ThreadPoolExecutor(_worker_count())
-        count = _workers._max_workers
-        runs = [[] for _ in range(count)]
-        for block in self.blocks:
-            runs[block[1] * count // self.n].append(block)
-        futures = [_workers.submit(contextvars.copy_context().run, lambda run: [fn(b) for b in run], run)
-                   for run in runs[1:] if run]
-        try:
-            first = [fn(b) for b in runs[0]]
-        finally:
-            wait(futures)
-        return first + [r for f in futures for r in f.result()]
+        """``fn(block)`` for every block, in runs of about equal rows per
+        worker (``each_run``); the results in block order. ``fn`` writes
+        only its own block's rows of shared arrays."""
+        return each_run(fn, self.blocks, [(g1 - g0) * len(self.points[s]) for s, _, g0, g1 in self.blocks])
 
     def rows(self, block) -> slice:
         s, lo, g0, g1 = block

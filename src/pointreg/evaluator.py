@@ -76,9 +76,12 @@ def evaluate(weights, data) -> EvaluationSummary:
     ``model.forward_shared_source``, which checks every pair and maps each
     into its source's network frame and back. Results and Chamfer numbers
     are in the pairs' own coordinates. A result equals registering the pair
-    alone up to rounding, as the head's matrix products, and so their last
-    bits, depend on the batch. ``model_time_s`` excludes dataset loading and
-    metric computation, and each pair's ``elapsed`` is an equal share of it.
+    alone up to rounding: the head's matrix products take a chunk's pairs in
+    blocks of ``model.HEAD_BLOCK``, or all of them in a shorter chunk, and
+    BLAS picks its kernel, and so the last bits, by their row count. The
+    number of worker threads changes no bit. ``model_time_s`` excludes
+    dataset loading and metric computation, and each pair's ``elapsed`` is
+    an equal share of it.
     """
     t0 = time.perf_counter()
     pairs, dataset_id = load_pairs(data) if isinstance(data, (Dataset, str, Path)) else (list(data), "pairs")

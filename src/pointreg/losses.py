@@ -21,8 +21,16 @@ def _check_sets(a: np.ndarray, b: np.ndarray, op: str) -> None:
 
 
 def _nearest_sqdists(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    diff = a[:, None, :] - b[None, :, :]
-    d = np.sum(diff * diff, axis=2)
+    """Each point's squared distance to its nearest neighbour in the other
+    set, ``(for a, for b)``. The squared differences are summed one
+    coordinate at a time, the order in which numpy sums a length-2 or
+    length-3 axis, so the result is the bits of ``np.sum(diff * diff,
+    axis=2)`` with no ``[|a|, |b|, dim]`` array."""
+    d = np.zeros((a.shape[0], b.shape[0]))
+    for k in range(a.shape[1]):
+        diff = a[:, None, k] - b[None, :, k]
+        diff *= diff
+        d += diff
     return d.min(axis=1), d.min(axis=0)
 
 

@@ -39,8 +39,10 @@ workers as the cores divided by BLAS's own threads, at most
 ``autodiff.MAX_WORKERS``: with BLAS left at one thread per core there is
 one, and no thread starts. The blocks' moments and gradient parts are
 merged in block order on the calling thread, so the results are the same
-bits for any number of workers. The head, the loss and Adam run on the
-calling thread alone.
+bits for any number of workers. Under running statistics (inference and
+validation) the head runs on the same workers, in fixed blocks of
+``HEAD_BLOCK`` pairs (``_head``); the training head, the loss and Adam run
+on the calling thread alone.
 """
 
 from __future__ import annotations
@@ -414,9 +416,44 @@ def _correlations(desc: ad.Tensor, owners, g: int) -> ad.Tensor:
     return ad.concat_rows(parts)
 
 
+HEAD_BLOCK = 32  # pairs per block of the head under running statistics
+
+
+def _head_blocks(batch: int) -> list:
+    """``(lo, hi)`` pair ranges of ``batch`` pairs in blocks of
+    ``HEAD_BLOCK``, in order. The remainder joins the last block, so no
+    block has fewer than ``HEAD_BLOCK`` pairs unless the whole batch does:
+    BLAS picks its kernel by row count, and a trailing block of one pair
+    would move that pair's bits (ROADMAP item 4)."""
+    bounds = [HEAD_BLOCK * i for i in range(max(1, batch // HEAD_BLOCK))] + [batch]
+    return list(zip(bounds, bounds[1:]))
+
+
 def _head(corr: np.ndarray, weights: PrNetWeights, stats) -> np.ndarray:
     """Control-point displacements ``[B, theta_count*dim]`` from the stacked
-    correlation tensors ``[B*G, G]`` of ``_correlations``."""
+    correlation tensors ``[B*G, G]`` of ``_correlations``.
+
+    Under running statistics the pairs are independent, so they go through
+    the whole head in blocks of pairs (``_head_blocks``), one contiguous
+    run of blocks per worker (``autodiff.each_run``), and their outputs are
+    concatenated in block order. No block has fewer than ``HEAD_BLOCK``
+    pairs unless the whole batch does, which on the OpenBLAS build measured
+    gives the same bits as the whole batch in one block, while each block
+    holds only its own pairs' window rows. Under batch statistics the head is one block,
+    since its statistics span the batch.
+    """
+    if stats is not None:
+        return _head_block(corr, weights, stats)
+    g = weights.config.grid_count
+    blocks = _head_blocks(corr.shape[0] // g)
+    parts = ad.each_run(lambda b: _head_block(corr[b[0] * g:b[1] * g], weights, None), blocks,
+                        [hi - lo for lo, hi in blocks])
+    return np.concatenate(parts)
+
+
+def _head_block(corr: np.ndarray, weights: PrNetWeights, stats) -> np.ndarray:
+    """``_head`` of the pairs of ``corr`` as one block: the conv layers on
+    their window rows, fc1 and the output layer."""
     cfg = weights.config
     g = cfg.grid_count
     batch = corr.shape[0] // g
@@ -433,9 +470,11 @@ def _head(corr: np.ndarray, weights: PrNetWeights, stats) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # full forward
 
-# Pairs per graph-free inference pass: bounds the conv stage's window rows,
-# which grow with the batch (81 rows of 1089 columns per pair at conv0 of
-# the default 2D net).
+# Pairs per graph-free inference pass: bounds the arrays that grow with the
+# pairs of a pass, the pooled descriptors and the correlation tensors. The
+# head's window rows (81 rows of 1089 columns per pair at conv0 of the
+# default 2D net) are bounded by ``HEAD_BLOCK`` instead: each worker holds
+# one block's at a time.
 EVAL_CHUNK = 64
 
 
@@ -510,7 +549,10 @@ def forward_shared_source(pairs, weights: PrNetWeights):
 
     Graph-free, with every batch norm by its running statistics. The pairs
     go through ``EVAL_CHUNK`` at a time; in a chunk, each run of pairs with
-    one source (``source_runs``) computes its descriptor once.
+    one source (``source_runs``) computes its descriptor once, and the head
+    takes the chunk's pairs in blocks of ``HEAD_BLOCK`` (``_head``). Both
+    stages split their work over ``autodiff.each_run``'s workers, with the
+    same bits for any number of them.
     """
     cfg = weights.config
     runs, owners, targets = source_runs(pairs, cfg, "forward_shared_source")

@@ -1,13 +1,74 @@
 """Shared helpers for the test suite."""
 
+import contextlib
 import json
+import sys
+import threading
 import zipfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from pointreg import autodiff as ad
 from pointreg import model, trainer
+
+
+@pytest.fixture
+def use_workers(monkeypatch):
+    """``use_workers(pool)`` runs ``autodiff.each_run``, and so the blocked
+    MLP and the eval head, on the executor ``pool`` for the rest of the
+    test, and shuts it down after."""
+    pools = []
+
+    def use(pool):
+        pools.append(pool)
+        monkeypatch.setattr(ad, "_workers", pool)
+        return pool
+
+    yield use
+    for pool in pools:
+        pool.shutdown()
+
+
+@contextlib.contextmanager
+def switching_often():
+    """Switch threads every microsecond, far more often than by default."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class Boom(Exception):
+    """Raised on purpose inside one run of a parallel pass."""
+
+
+class CountingPool(ThreadPoolExecutor):
+    """A worker pool that counts the tasks submitted and those submitted
+    but not yet finished."""
+
+    def __init__(self, workers):
+        super().__init__(workers)
+        self.lock = threading.Lock()
+        self.unfinished = self.submitted = 0
+
+    def submit(self, fn, *args):
+        with self.lock:
+            self.submitted += 1
+            self.unfinished += 1
+
+        def task():
+            try:
+                return fn(*args)
+            finally:
+                with self.lock:
+                    self.unfinished -= 1
+
+        return super().submit(task)
 
 
 def finite_difference_grads(build, tensors, h=1e-6):

@@ -2,7 +2,8 @@
 
 Each is a plain autodiff op built from ``pointreg.autodiff``'s graph
 helpers: a leaky ReLU, a batch norm by batch statistics, a per-element
-valid convolution, a 2-d transpose, and the one-directional GMM loss.
+valid convolution, a 2-d transpose, and the one-directional GMM loss; and
+the nearest-neighbour distances of Chamfer as one summed difference array.
 The package runs only the fused forms (``dense_bn_act``,
 ``conv_bn_act_batch``, ``pooled_mlp``) and the symmetric loss, so
 these routes live here, with the arithmetic the tests compare against.
@@ -128,3 +129,11 @@ def gmm_loss(transformed, target, sigma: float):
     if isinstance(transformed, ad.Tensor):
         return loss
     return float(loss.data)
+
+
+def nearest_sqdists(a: np.ndarray, b: np.ndarray) -> tuple:
+    """``losses._nearest_sqdists`` by summing the whole ``[|a|, |b|, dim]``
+    array of squared differences over its last axis."""
+    diff = a[:, None, :] - b[None, :, :]
+    d = np.sum(diff * diff, axis=2)
+    return d.min(axis=1), d.min(axis=0)

@@ -4,7 +4,6 @@ Derived expectations are checked against independent oracles: naive loop
 implementations, finite differences, and mpmath extended precision.
 """
 
-import sys
 import threading
 import time
 import tracemalloc
@@ -22,28 +21,12 @@ from hypothesis.extra import numpy as hnp
 from pointreg import autodiff as ad
 
 import reference_ops as refops
-from conftest import assert_grads_match
+from conftest import Boom, CountingPool, assert_grads_match, switching_often
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
-
-
-@pytest.fixture
-def use_workers(monkeypatch):
-    """``use_workers(pool)`` runs the blocked MLP on the executor ``pool``
-    for the rest of the test, and shuts it down after."""
-    pools = []
-
-    def use(pool):
-        pools.append(pool)
-        monkeypatch.setattr(ad, "_workers", pool)
-        return pool
-
-    yield use
-    for pool in pools:
-        pool.shutdown()
 
 
 def f64(data, requires_grad=False):
@@ -474,34 +457,6 @@ class TestFusedDensePool:
             ad.pooled_mlp([np.zeros((3, 2)), np.zeros((0, 2))], grid, layers)
 
 
-class Boom(Exception):
-    """Raised on purpose inside one set's run."""
-
-
-class CountingPool(ThreadPoolExecutor):
-    """A worker pool that counts the tasks submitted and those submitted
-    but not yet finished."""
-
-    def __init__(self, workers):
-        super().__init__(workers)
-        self.lock = threading.Lock()
-        self.unfinished = self.submitted = 0
-
-    def submit(self, fn, *args):
-        with self.lock:
-            self.submitted += 1
-            self.unfinished += 1
-
-        def task():
-            try:
-                return fn(*args)
-            finally:
-                with self.lock:
-                    self.unfinished -= 1
-
-        return super().submit(task)
-
-
 class TestWorkers:
     """The blocked MLP splits each pass into one run per worker of
     ``ad._workers``, the first on the calling thread; the number of workers
@@ -545,12 +500,8 @@ class TestWorkers:
         use_workers(ThreadPoolExecutor(1))
         got[1] = self.results(*case)
         use_workers(ThreadPoolExecutor(3))
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
+        with switching_often():
             got[3] = self.results(*case)
-        finally:
-            sys.setswitchinterval(interval)
         assert len(got[1]) == len(got[3]) == 2 + 2 * 2 * 3 + 4 * 3
         assert [i for i, (a, b) in enumerate(zip(got[1], got[3])) if a != b] == []
 
@@ -570,6 +521,17 @@ class TestWorkers:
             assert pool.submitted == workers - 1
         else:
             assert 2 < pool.submitted < len(mlp.blocks) - 1
+
+    def test_an_item_joins_the_run_in_which_it_starts(self, use_workers):
+        # 8 units over two workers: the second run takes the items that
+        # start at unit 4 or later, however long the first run's last item
+        pool = use_workers(CountingPool(2))
+        got = ad.each_run(lambda item: (item, threading.current_thread()), list("abcde"), [3, 1, 1, 1, 2])
+        assert [item for item, _ in got] == list("abcde")
+        threads = [thread for _, thread in got]
+        assert threads[:2] == [threading.main_thread()] * 2
+        assert threading.main_thread() not in threads[2:] and len(set(threads[2:])) == 1
+        assert pool.submitted == 1
 
     @pytest.mark.parametrize("cores, blas, expected", [
         (2, {}, 1),  # BLAS at its default of one thread per core

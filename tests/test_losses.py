@@ -76,6 +76,20 @@ class TestChamfer:
         moved = losses.chamfer(a @ rot.T + shift, b @ rot.T + shift)
         np.testing.assert_allclose(moved, losses.chamfer(a, b), rtol=1e-9)
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_nearest_distances_equal_the_summed_difference_array(self, dim):
+        # one coordinate at a time gives the bits of numpy's sum over a
+        # length-2 or length-3 axis; sets of unequal sizes, with repeated
+        # points within a set and across both
+        rng = np.random.default_rng(44 + dim)
+        for na, nb in ((1, 1), (1, 7), (96, 144), (72, 96), (256, 255)):
+            a = rng.normal(size=(na, dim)) * rng.uniform(0.01, 100.0)
+            b = rng.normal(size=(nb, dim)) + rng.normal(size=dim)
+            a[na // 2:] = a[:na - na // 2]
+            b[:nb // 3] = a[0]
+            got, want = losses._nearest_sqdists(a, b), refops.nearest_sqdists(a, b)
+            assert [x.tobytes() for x in got] == [x.tobytes() for x in want], (na, nb)
+
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
             losses.chamfer(np.zeros((0, 2)), np.zeros((3, 2)))

@@ -6,6 +6,10 @@ property, bitwise permutation invariance, and finite-difference gradient
 agreement on a narrow float64 configuration.
 """
 
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -15,7 +19,7 @@ from pointreg import losses
 from pointreg import model
 
 import reference_ops as refops
-from conftest import array_data_spans, assert_grads_match
+from conftest import Boom, CountingPool, array_data_spans, assert_grads_match, switching_often
 
 
 def tiny_config(dtype="float64"):
@@ -509,6 +513,97 @@ class TestGraphFreeForward:
         assert len(seen) == len(stats) == len(bn_layers(weights))
         for layer, ((m, v), (m2, v2)) in enumerate(zip(seen, stats)):
             assert m.tobytes() == m2.tobytes() and v.tobytes() == v2.tobytes(), layer
+
+
+class TestHeadBlocks:
+    """Under running statistics the head runs in blocks of
+    ``model.HEAD_BLOCK`` pairs, one contiguous run of blocks per worker of
+    ``autodiff.each_run``; neither the blocks nor the workers change a bit
+    of what ``forward_shared_source`` returns."""
+
+    HB = model.HEAD_BLOCK
+    SIZES = sorted({1, 2, HB - 1, HB + 1, 2 * HB + 1, model.EVAL_CHUNK + 1})  # the last crosses EVAL_CHUNK
+
+    def test_the_remainder_joins_the_last_block(self):
+        hb = self.HB
+        assert model._head_blocks(1) == [(0, 1)]
+        assert model._head_blocks(hb - 1) == [(0, hb - 1)]
+        assert model._head_blocks(hb) == [(0, hb)]
+        assert model._head_blocks(2 * hb - 1) == [(0, 2 * hb - 1)]
+        assert model._head_blocks(2 * hb) == [(0, hb), (hb, 2 * hb)]
+        assert model._head_blocks(2 * hb + 1) == [(0, hb), (hb, 2 * hb + 1)]
+        for batch in range(1, 4 * hb + 2):
+            blocks = model._head_blocks(batch)
+            assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]] and blocks[-1][1] == batch
+            assert all(hi - lo == hb for lo, hi in blocks[:-1]), batch
+            assert min(batch, hb) <= blocks[-1][1] - blocks[-1][0] < 2 * hb, batch
+
+    @staticmethod
+    def env(case):
+        dim = 3 if case == "3d" else 2
+        cfg = tiny_config_3d("float32") if dim == 3 else tiny_config(case)
+        weights = model.init_weights(cfg, seed=61)
+        rng = np.random.default_rng(67)
+        randomize_weights(weights, rng)
+        sources = [rng.uniform(-0.9, 0.9, size=(n, dim)) for n in (11, 14)]
+        targets = [rng.uniform(-0.9, 0.9, size=(5 + i % 7, dim)) for i in range(max(TestHeadBlocks.SIZES))]
+        # a second source from pair 20 on, so some chunks hold two runs
+        return weights, [(sources[i >= 20], t) for i, t in enumerate(targets)]
+
+    @staticmethod
+    def outputs(pairs, weights) -> bytes:
+        thetas, transformed = model.forward_shared_source(pairs, weights)
+        return b"".join(a.tobytes() for a in (thetas, *transformed))
+
+    @pytest.mark.parametrize("batch", SIZES)
+    @pytest.mark.parametrize("case", ["float32", "float64", "3d"])
+    def test_outputs_do_not_depend_on_blocks_or_workers(self, case, batch, use_workers, monkeypatch):
+        # three workers, more than the cores of a two-core host, switching
+        # threads far more often than by default; and the head as one block
+        # per chunk, which gives the same bits on the OpenBLAS build measured
+        weights, pairs = self.env(case)
+        pairs = pairs[:batch]
+        use_workers(ThreadPoolExecutor(1))
+        got = self.outputs(pairs, weights)
+        use_workers(ThreadPoolExecutor(2))
+        assert self.outputs(pairs, weights) == got
+        use_workers(ThreadPoolExecutor(3))
+        with switching_often():
+            assert self.outputs(pairs, weights) == got
+        monkeypatch.setattr(model, "HEAD_BLOCK", model.EVAL_CHUNK)
+        assert self.outputs(pairs, weights) == got
+
+    @pytest.mark.parametrize("failing", ["calling thread", "worker thread"])
+    def test_an_error_in_one_block_reaches_the_caller_after_the_other_runs(self, failing, monkeypatch,
+                                                                          use_workers):
+        # two blocks on two workers: once armed, the block on one thread
+        # raises at once while the other runs slowly. The error comes out
+        # with its own type once the other block has finished, and the next
+        # call gives the same bits as a clean one
+        monkeypatch.setattr(model, "EVAL_CHUNK", 2 * self.HB)
+        weights, pairs = self.env("float32")
+        pairs = pairs[:2 * self.HB]
+        head_block = model._head_block
+        armed, finished = [], []
+
+        def failing_block(corr, weights, stats):
+            if armed and (threading.current_thread() is threading.main_thread()) == (failing == "calling thread"):
+                raise Boom(failing)
+            if armed:
+                time.sleep(0.05)
+            out = head_block(corr, weights, stats)
+            finished.append(armed[:])
+            return out
+
+        monkeypatch.setattr(model, "_head_block", failing_block)
+        pool = use_workers(CountingPool(2))
+        clean = self.outputs(pairs, weights)
+        armed.append(True)
+        with pytest.raises(Boom, match=failing):
+            model.forward_shared_source(pairs, weights)
+        assert finished[-1] == [True] and pool.unfinished == 0
+        armed.clear()
+        assert self.outputs(pairs, weights) == clean
 
 
 class TestOneBatchNormLayer:
