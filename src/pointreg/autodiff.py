@@ -387,16 +387,22 @@ def batch_stats(z: np.ndarray) -> tuple:
     return mean, np.einsum("nf,nf->f", z, z) / z.shape[0]
 
 
-def window_rows(xd: np.ndarray, ksize) -> tuple:
+def window_rows(xd: np.ndarray, ksize, out=None) -> tuple:
     """Valid-convolution windows of ``[B, C, *spatial]`` as rows ``[B * P,
     C * prod(k)]``, batch-major, one row per output position: the window
-    view reshaped, which copies it where windows overlap. Returns ``(rows,
-    out_spatial)``."""
+    view reshaped, which copies it where windows overlap. With ``out``, a
+    flat array of at least as many entries, the rows are copied into its
+    head instead of a new array. Returns ``(rows, out_spatial)``."""
     nd = xd.ndim - 2
     out_spatial = tuple(s - k + 1 for s, k in zip(xd.shape[2:], ksize))
     windows = np.lib.stride_tricks.sliding_window_view(xd, ksize, axis=tuple(range(2, nd + 2)))
     windows = np.moveaxis(windows, 1, nd + 1)  # (B, *out, C, *k)
-    return windows.reshape(-1, xd.shape[1] * int(np.prod(ksize))), out_spatial
+    width = xd.shape[1] * int(np.prod(ksize))
+    if out is None:
+        return windows.reshape(-1, width), out_spatial
+    rows = out[:windows.size].reshape(windows.shape)
+    np.copyto(rows, windows)
+    return rows.reshape(-1, width), out_spatial
 
 
 def _unwindow(drows: np.ndarray, x_shape, ksize) -> np.ndarray:

@@ -369,15 +369,16 @@ def compute_correlation(f_s: ad.Tensor, f_g_all: ad.Tensor, grid_count: int) -> 
 # ``autodiff.bn_act_forward`` for the norm and activation of the head.
 
 
-def _bn_act(x, w, layer: _Layer, stats) -> np.ndarray:
+def _bn_act(x, w, layer: _Layer, stats, out=None) -> np.ndarray:
     """``leaky_relu(batch_norm(x @ w + bias))`` for rows ``x``; ``w`` is the
-    layer's weight as ``[in, out]``.
+    layer's weight as ``[in, out]``. The result is written to ``out`` if
+    given, or a new array.
 
     The statistics apply to the product rows, not folded into ``w``: in the
     head, which calls this with running statistics, the weights outnumber
     the rows (conv2 alone has 3.3M entries against 4 rows per pair).
     """
-    z = x @ w
+    z = np.matmul(x, w, out=out)
     z += layer.bias.data
     running = (layer.bn_mean, layer.bn_var) if stats is None else ()
     act, mean, var, _, _ = ad.bn_act_forward(z, layer.bn_scale.data, layer.bn_shift.data, *running, out=z)
@@ -441,27 +442,49 @@ def _head(corr: np.ndarray, weights: PrNetWeights, stats) -> np.ndarray:
     gives the same bits as the whole batch in one block, while each block
     holds only its own pairs' window rows. Under batch statistics the head is one block,
     since its statistics span the batch.
+
+    Each block's window rows and conv products go to arrays this thread
+    allocates before the workers start (``_head_work``). No worker then
+    allocates or frees a large array, so the process's peak memory does
+    not depend on how the runs interleave.
     """
     if stats is not None:
         return _head_block(corr, weights, stats)
     g = weights.config.grid_count
     blocks = _head_blocks(corr.shape[0] // g)
-    parts = ad.each_run(lambda b: _head_block(corr[b[0] * g:b[1] * g], weights, None), blocks,
-                        [hi - lo for lo, hi in blocks])
-    return np.concatenate(parts)
+
+    def run(item):
+        (lo, hi), work = item
+        return _head_block(corr[lo * g:hi * g], weights, None, work)
+
+    items = [(b, _head_work(b[1] - b[0], weights, corr.dtype)) for b in blocks]
+    return np.concatenate(ad.each_run(run, items, [hi - lo for lo, hi in blocks]))
 
 
-def _head_block(corr: np.ndarray, weights: PrNetWeights, stats) -> np.ndarray:
+def _head_work(batch: int, weights: PrNetWeights, dtype) -> tuple:
+    """Flat ``(rows, products)`` arrays that hold any conv layer's window
+    rows and products for ``batch`` pairs, for ``_head_block``."""
+    layers = [(int(np.prod(out)), layer.weight.data.shape)
+              for out, layer in zip(weights.config.spatial_trace()[1:], weights.convs)]
+    rows = max(p * int(np.prod(shape[1:])) for p, shape in layers)
+    products = max(p * shape[0] for p, shape in layers)
+    return np.empty(batch * rows, dtype), np.empty(batch * products, dtype)
+
+
+def _head_block(corr: np.ndarray, weights: PrNetWeights, stats, work=None) -> np.ndarray:
     """``_head`` of the pairs of ``corr`` as one block: the conv layers on
-    their window rows, fc1 and the output layer."""
+    their window rows, fc1 and the output layer. With ``work`` from
+    ``_head_work`` the conv layers' window rows and products are written
+    there, each layer over the last's, instead of to new arrays."""
     cfg = weights.config
     g = cfg.grid_count
     batch = corr.shape[0] // g
     h = corr.reshape((batch, g) + cfg.grid_shape)
     for layer in weights.convs:
         kd = layer.weight.data
-        cols, out_spatial = ad.window_rows(h, kd.shape[2:])
-        act = _bn_act(cols, kd.reshape(kd.shape[0], -1).T, layer, stats)
+        cols, out_spatial = ad.window_rows(h, kd.shape[2:], None if work is None else work[0])
+        z = None if work is None else work[1][:len(cols) * kd.shape[0]].reshape(len(cols), kd.shape[0])
+        act = _bn_act(cols, kd.reshape(kd.shape[0], -1).T, layer, stats, z)
         h = np.moveaxis(act.reshape((batch,) + out_spatial + (-1,)), -1, 1)
     h = _bn_act(h.reshape(batch, -1), weights.fc1.weight.data, weights.fc1, stats)
     return h @ weights.out.weight.data + weights.out.bias.data
@@ -471,10 +494,10 @@ def _head_block(corr: np.ndarray, weights: PrNetWeights, stats) -> np.ndarray:
 # full forward
 
 # Pairs per graph-free inference pass: bounds the arrays that grow with the
-# pairs of a pass, the pooled descriptors and the correlation tensors. The
+# pairs of a pass, the pooled descriptors, the correlation tensors and the
 # head's window rows (81 rows of 1089 columns per pair at conv0 of the
-# default 2D net) are bounded by ``HEAD_BLOCK`` instead: each worker holds
-# one block's at a time.
+# default 2D net), which every block of a pass holds in its own
+# ``_head_work`` arrays for the whole head.
 EVAL_CHUNK = 64
 
 

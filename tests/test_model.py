@@ -586,12 +586,12 @@ class TestHeadBlocks:
         head_block = model._head_block
         armed, finished = [], []
 
-        def failing_block(corr, weights, stats):
+        def failing_block(corr, weights, stats, work):
             if armed and (threading.current_thread() is threading.main_thread()) == (failing == "calling thread"):
                 raise Boom(failing)
             if armed:
                 time.sleep(0.05)
-            out = head_block(corr, weights, stats)
+            out = head_block(corr, weights, stats, work)
             finished.append(armed[:])
             return out
 
@@ -604,6 +604,52 @@ class TestHeadBlocks:
         assert finished[-1] == [True] and pool.unfinished == 0
         armed.clear()
         assert self.outputs(pairs, weights) == clean
+
+    @pytest.mark.parametrize("case", ["float32", "float64", "3d"])
+    def test_work_arrays_give_the_bits_of_fresh_ones(self, case):
+        weights, _ = self.env(case)
+        g = weights.config.grid_count
+        corr = np.random.default_rng(5).uniform(-1, 1, (self.HB * g, g)).astype(weights.config.dtype)
+        fresh = model._head_block(corr, weights, None)
+        work = model._head_work(self.HB, weights, corr.dtype)
+        assert model._head_block(corr, weights, None, work).tobytes() == fresh.tobytes()
+
+    def test_the_workers_write_into_arrays_the_calling_thread_allocated(self, monkeypatch, use_workers):
+        # every block's window rows and conv products go to the arrays of its
+        # _head_work, made on the calling thread before the tasks start, so
+        # no worker allocates a large array
+        weights, pairs = self.env("float32")
+        head_work, window_rows, bn_act = model._head_work, ad.window_rows, model._bn_act
+        made, rows, products = [], [], []
+
+        def recording_work(*args):
+            made.append((threading.current_thread(), head_work(*args)))
+            return made[-1][1]
+
+        def recording_rows(*args):
+            out = window_rows(*args)
+            rows.append((threading.current_thread(), out[0]))
+            return out
+
+        def recording_bn_act(x, w, layer, stats, out=None):
+            act = bn_act(x, w, layer, stats, out)
+            if any(layer is conv for conv in weights.convs):
+                products.append((threading.current_thread(), act))
+            return act
+
+        monkeypatch.setattr(model, "_head_work", recording_work)
+        monkeypatch.setattr(ad, "window_rows", recording_rows)
+        monkeypatch.setattr(model, "_bn_act", recording_bn_act)
+        use_workers(ThreadPoolExecutor(2))
+        model.forward_shared_source(pairs[:2 * self.HB], weights)
+        assert [t for t, _ in made] == [threading.main_thread()] * 2
+        layers = len(weights.convs)
+        for arrays, which in ((rows, 0), (products, 1)):
+            assert len(arrays) == 2 * layers and len({t for t, _ in arrays}) == 2
+            for thread, a in arrays:
+                owners = [i for i, (_, work) in enumerate(made) if np.shares_memory(a, work[which])]
+                assert len(owners) == 1
+                assert [t for t, b in arrays if np.shares_memory(b, made[owners[0]][1][which])] == [thread] * layers
 
 
 class TestOneBatchNormLayer:
