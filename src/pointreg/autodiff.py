@@ -657,19 +657,26 @@ class BlockedMlp:
             return self.hidden[l - 1][self.rows(block)]
         return self.layer_output(block, l - 1)
 
+    def halves(self, block) -> tuple:
+        """Layer 0's folded pre-activation in ``block`` as the two terms of
+        its outer sum, one per half of its weight: ``grid @ W_g + b`` over
+        the block's grid points and ``points @ W_p`` over the set's."""
+        s, _, g0, g1 = block
+        w, b = self.folded[0]
+        dim = self.grid.shape[1]
+        return self.grid[g0:g1] @ w[:dim] + b, self.points[s] @ w[dim:]
+
     def layer_output(self, block, l: int, out=None) -> np.ndarray:
         """Layer ``l``'s activation rows in ``block``, written to ``out`` when
-        given; for the last layer its pre-activation ``[width, grid points,
-        set points]``, so that the pool runs along contiguous memory. Layer 0
-        is the outer sum ``grid @ W_g + points @ W_p + b`` of the halves of
-        its weight."""
-        s, _, g0, g1 = block
+        given. For the last layer, which only the batch-statistics pool
+        reads here, its pre-activation ``[width, grid points, set points]``,
+        so that ``argmax`` runs along contiguous memory. Layer 0 is the outer
+        sum of its ``halves``."""
+        _, _, g0, g1 = block
         w, b = self.folded[l]
         top = l == len(self.layers) - 1
         if l == 0:
-            dim = self.grid.shape[1]
-            gpart = self.grid[g0:g1] @ w[:dim] + b
-            ppart = self.points[s] @ w[dim:]
+            gpart, ppart = self.halves(block)
             if top:
                 return gpart.T[:, :, None] + ppart.T[:, None, :]
             z = (gpart[:, None, :] + ppart).reshape(-1, len(b))
@@ -817,17 +824,26 @@ def pooled_mlp_forward(sets, grid, layers, batch: bool) -> BlockedMlp:
             mlp.hidden[l] = _scratch.take((mlp.n, w.shape[1]), mlp.grid.dtype)
         x_mean, gram = _moments(mlp.each_block(
             lambda block: _block_moments(mlp.layer_output(block, l, mlp.hidden[l][mlp.rows(block)] if l else None))))
-    g = len(mlp.grid)
+    g, top = len(mlp.grid), len(layers) - 1
     mlp.y = _scratch.take((len(mlp.points) * g, layers[-1].weight.data.shape[1]), mlp.grid.dtype)
     mlp.pick = _scratch.take(mlp.y.shape, np.intp) if batch else None
 
     def pool(block):
         s, _, g0, g1 = block
-        z = mlp.layer_output(block, len(layers) - 1)
-        pick = np.argmax(z, axis=2)
+        y = mlp.y[s * g + g0:s * g + g1]
         if batch:
+            z = mlp.layer_output(block, top)
+            pick = np.argmax(z, axis=2)
             mlp.pick[s * g + g0:s * g + g1] = pick.T
-        mlp.y[s * g + g0:s * g + g1] = np.take_along_axis(z, pick[..., None], axis=2)[..., 0].T
+            y[...] = np.take_along_axis(z, pick[..., None], axis=2)[..., 0].T
+        elif top:
+            w, b = mlp.folded[top]
+            z = mlp.layer_input(block, top) @ w
+            np.max(z.reshape(g1 - g0, -1, len(b)), axis=1, out=y)
+            y += b
+        else:
+            gpart, ppart = mlp.halves(block)
+            np.max(gpart[:, None, :] + ppart, axis=1, out=y)
 
     mlp.each_block(pool)
     mlp.out = np.maximum(mlp.y * LEAKY_SLOPE, mlp.y)

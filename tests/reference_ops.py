@@ -3,10 +3,11 @@
 Each is a plain autodiff op built from ``pointreg.autodiff``'s graph
 helpers: a leaky ReLU, a batch norm by batch statistics, a per-element
 valid convolution, a 2-d transpose, and the one-directional GMM loss; and
-the nearest-neighbour distances of Chamfer as one summed difference array.
-The package runs only the fused forms (``dense_bn_act``,
-``conv_bn_act_batch``, ``pooled_mlp``) and the symmetric loss, so
-these routes live here, with the arithmetic the tests compare against.
+the nearest-neighbour distances of Chamfer as one summed difference array,
+and the descriptor MLP's running-statistics pool by ``argmax``. The package
+runs only the fused forms (``dense_bn_act``, ``conv_bn_act_batch``,
+``pooled_mlp``), the symmetric loss and the pool by ``np.max``, so these
+routes live here, with the arithmetic the tests compare against.
 """
 
 import numpy as np
@@ -137,3 +138,32 @@ def nearest_sqdists(a: np.ndarray, b: np.ndarray) -> tuple:
     diff = a[:, None, :] - b[None, :, :]
     d = np.sum(diff * diff, axis=2)
     return d.min(axis=1), d.min(axis=0)
+
+
+def running_pool(sets, grid, layers) -> np.ndarray:
+    """``pooled_mlp_forward(sets, grid, layers, batch=False).out`` by the
+    pool's earlier route: per block, the last layer's folded pre-activation
+    ``Wᵀ xᵀ + b`` as ``[width, grid points, set points]`` (for one layer,
+    layer 0's outer sum in that layout), the first maximal point of each
+    row by ``argmax``, its value gathered, then the leaky ReLU. The layers
+    below the last run as ``BlockedMlp`` runs them."""
+    mlp = ad.BlockedMlp(sets, grid, layers)
+    for layer in layers:
+        mlp.fold(layer.bn_mean.astype(np.float64), layer.bn_var.astype(np.float64))
+    top = len(layers) - 1
+    w, b = mlp.folded[top]
+    dim = mlp.grid.shape[1]
+    pooled = []
+    for block in mlp.blocks:
+        s, _, g0, g1 = block
+        if top:
+            z = w.T @ mlp.layer_input(block, top).T
+            z += b[:, None]
+            z = z.reshape(len(b), g1 - g0, -1)
+        else:
+            gpart = mlp.grid[g0:g1] @ w[:dim] + b
+            z = gpart.T[:, :, None] + (mlp.points[s] @ w[dim:]).T[:, None, :]
+        pick = np.argmax(z, axis=2)
+        pooled.append(np.take_along_axis(z, pick[..., None], axis=2)[..., 0].T)
+    y = np.concatenate(pooled)
+    return np.maximum(y * ad.LEAKY_SLOPE, y)

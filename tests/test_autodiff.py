@@ -4,6 +4,7 @@ Derived expectations are checked against independent oracles: naive loop
 implementations, finite differences, and mpmath extended precision.
 """
 
+import contextlib
 import threading
 import time
 import tracemalloc
@@ -594,6 +595,47 @@ class TestWorkers:
         assert pool.unfinished == 0
         armed.clear()
         assert self.results(*case) == clean
+
+
+class TestRunningPool:
+    """Under running statistics the last layer's product is pooled in its
+    own ``[grid points, set points, width]`` rows by ``np.max`` and the
+    folded bias added to the pooled rows alone; the output is the bits of
+    the earlier ``argmax`` route (``refops.running_pool``)."""
+
+    SIZES = (1, 2, 7, 5, 13)  # odd sizes, a single point and two
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("widths", [(8,), (6, 8), (16, 32, 64, 128)], ids=["one", "two", "default"])
+    def test_the_pool_gives_the_reference_bits(self, widths, dim, dtype, use_workers):
+        # each set of two or more holds a copy of its first point, so the
+        # pooled maxima tie; the last layer has a negative scale and a zero
+        # one; one set holds a NaN row. 1, 2 and 3 workers, the last
+        # switching threads far more often than by default
+        rng = np.random.default_rng([dim, len(widths)])
+        grid = TestFusedDensePool.grid(*((5, 4) if dim == 2 else (3, 3, 2)))  # more than one block per set
+        sets = []
+        for k in self.SIZES:
+            pts = rng.uniform(-0.9, 0.9, size=(k, dim))
+            pts[-1] = pts[0]
+            sets.append(pts.astype(dtype))
+        sets[3][2] = np.nan
+        layers = mlp_layers(rng, widths, dim, dtype, scales=(-0.7, 0.0))
+        for layer in layers:
+            width = layer.weight.data.shape[1]
+            layer.bn_mean = rng.normal(size=width).astype(dtype)
+            layer.bn_var = rng.uniform(0.5, 2.0, size=width).astype(dtype)
+        ref = refops.running_pool(sets, grid, layers)
+        g = len(grid)
+        assert np.isnan(ref[3 * g:4 * g]).all() and not np.isnan(np.delete(ref, np.s_[3 * g:4 * g], 0)).any()
+        for workers in (1, 2, 3):
+            use_workers(ThreadPoolExecutor(workers))
+            with switching_often() if workers == 3 else contextlib.nullcontext():
+                mlp = ad.pooled_mlp_forward(sets, grid, layers, batch=False)
+            mlp.release()
+            assert mlp.out.dtype == dtype and mlp.out.shape == ref.shape
+            assert mlp.out.tobytes() == ref.tobytes(), workers
 
 
 class TestFusedConvBatch:
