@@ -790,9 +790,20 @@ def pooled_mlp_forward(sets, grid, layers, batch: bool) -> BlockedMlp:
     for layer 0's, which is recomputed where it is read. Either way a layer
     applies its folded batch norm (``BlockedMlp.fold``) and the leaky ReLU,
     which is increasing: the last layer pools the folded pre-activation of
-    each block, ties to the first point, and activates the maximum. The
-    pooled point's index, ``pick``, is kept for the backward under batch
-    statistics only (``None`` otherwise).
+    each block into ``y`` and activates the maximum.
+
+    Under batch statistics the pool runs ``argmax`` along the points of
+    ``BlockedMlp.layer_output``'s ``[width, grid points, set points]``
+    layout, ties to the first point, and keeps the pooled point's index,
+    ``pick``, for the backward. Under running statistics nothing reads the
+    index (``pick`` is None): the last layer's product ``x @ W`` stays in
+    its own ``[grid points, set points, width]`` rows, ``np.max`` pools it,
+    and the folded bias is added to the pooled rows alone. Rounding is
+    monotone, so ``max_j fl(z_j + b) = fl(max_j z_j + b)``, and on OpenBLAS
+    ``x @ W`` gives the bits of ``(Wᵀ xᵀ)ᵀ``: the output has the bits
+    that pooling ``z + b`` by ``argmax`` gives, but for the sign of a zero
+    maximum where the bias is ``-0.0``. A one-layer MLP pools layer 0's
+    outer sum, whose bias is in its grid half (``BlockedMlp.halves``).
 
     Each pass splits the blocks into one contiguous run per worker, the
     first run on this thread (``BlockedMlp.each_block``). A run writes only

@@ -31,7 +31,11 @@ the grid's and the points' own moments, each later one's from the column
 mean and Gram of the activation below it. Only the hidden activations
 between the first and the last layer are stored; the first is recomputed,
 and the last, the widest, is pooled block by block. Recalibration and
-inference run the same forward (``_descriptors``). Every pass of the MLP,
+inference run the same forward (``_descriptors``). Training's pool keeps
+each pooled point's index for the backward; inference reads none, so there
+the last layer's product is pooled in its own row layout by ``np.max`` and
+its bias added to the pooled rows alone, with the same bits
+(``autodiff.pooled_mlp_forward``). Every pass of the MLP,
 forward and backward, splits its blocks into one contiguous run per
 worker: the calling thread runs the first, a worker thread each other one,
 since numpy's products and ufuncs release the GIL. There are as many
