@@ -10,6 +10,7 @@ order and parallelism cannot change the output.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -89,10 +90,49 @@ _MESH_STRUCTURE = {"f", "l", "vn", "vt", "vp", "o", "g", "s", "usemtl", "mtllib"
 MAX_COORDINATE = 2.0 ** 500
 
 
+# the bytes of plain numeric text, which ``_plain_points`` parses whole
+_PLAIN_BYTES = b"0123456789+-.eE \t\n"
+
+
+def _plain_points(data: bytes):
+    """The points of a file of plain numeric text, or None for any other.
+
+    Plain text holds only ``_PLAIN_BYTES``, and every line the same 2 or 3
+    tokens, each a finite float no larger in magnitude than
+    ``MAX_COORDINATE``. Each token goes through ``float`` as in the line
+    parser, so what this returns is what that parser would; for any other
+    text, and any failed check, it returns None and leaves the error and
+    its line number to that parser.
+    """
+    if data.translate(None, _PLAIN_BYTES):
+        return None
+    text = data.decode("ascii")
+    lines = text.splitlines()
+    if {len(line.split()) for line in lines} not in ({2}, {3}):
+        return None
+    try:
+        pts = np.array(list(map(float, text.split())), dtype=np.float64).reshape(len(lines), -1)
+    except ValueError:
+        return None
+    if not np.isfinite(pts).all() or np.abs(pts).max() > MAX_COORDINATE:
+        return None
+    return pts
+
+
 def load_points_file(path) -> np.ndarray:
+    """The ``[N, 2]`` or ``[N, 3]`` float64 points of a file in the text
+    format above. The file is read once: plain numeric text is parsed whole
+    (``_plain_points``), and any other text line by line, which raises
+    ``PointFileError`` with the file and line of the first fault."""
+    with open(path, "rb") as f:
+        data = f.read()
+    plain = _plain_points(data)
+    if plain is not None:
+        return plain
     pts = []
     ncols = None
-    with open(path, "r", encoding="utf-8") as f:
+    # universal newlines, as a file opened in text mode reads them
+    with io.StringIO(data.decode("utf-8"), newline=None) as f:
         for lineno, raw in enumerate(f, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:

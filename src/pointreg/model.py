@@ -46,7 +46,10 @@ merged in block order on the calling thread, so the results are the same
 bits for any number of workers. Under running statistics (inference and
 validation) the head runs on the same workers, in fixed blocks of
 ``HEAD_BLOCK`` pairs (``_head``); the training head, the loss and Adam run
-on the calling thread alone.
+on the calling thread alone. Those blocks build a large conv layer's window
+rows in sub-blocks of ``HEAD_BLOCK // 4`` pairs (``_conv_blocks``), so a
+default 2D block holds 4.6 MB of work arrays rather than 12.6 MB, with the
+same bits; the split costs about 3% of the head's time.
 """
 
 from __future__ import annotations
@@ -277,8 +280,15 @@ def _build_weights(config: PrNetConfig, array) -> PrNetWeights:
     return weights
 
 
+_INIT_CHUNK = 1 << 16  # entries of a weight drawn at a time by ``init_weights``
+
+
 def init_weights(config: PrNetConfig, seed: int) -> PrNetWeights:
-    """Fan-in-scaled uniform init everywhere; the output layer starts at zero."""
+    """Fan-in-scaled uniform init everywhere; the output layer starts at zero.
+
+    Each drawn array holds ``rng.uniform(-limit, limit, size).astype(dtype)``
+    of its own stream, filled ``_INIT_CHUNK`` entries at a time from that
+    stream: the same values, with no float64 copy of the whole array."""
     dt = config.np_dtype()
     stream = 0
 
@@ -289,7 +299,12 @@ def init_weights(config: PrNetConfig, seed: int) -> PrNetWeights:
         stream += 1
         limit = np.sqrt(6.0 / fan_in)
         rng = np.random.default_rng([int(seed), stream])
-        return rng.uniform(-limit, limit, size=shape).astype(dt)
+        out = np.empty(shape, dtype=dt)
+        flat = out.reshape(-1)
+        for lo in range(0, flat.size, _INIT_CHUNK):
+            part = flat[lo:lo + _INIT_CHUNK]
+            part[:] = rng.uniform(-limit, limit, size=part.size)
+        return out
 
     return _build_weights(config, array)
 
@@ -373,16 +388,19 @@ def compute_correlation(f_s: ad.Tensor, f_g_all: ad.Tensor, grid_count: int) -> 
 # ``autodiff.bn_act_forward`` for the norm and activation of the head.
 
 
-def _bn_act(x, w, layer: _Layer, stats, out=None) -> np.ndarray:
+def _bn_act(x, w, layer: _Layer, stats) -> np.ndarray:
     """``leaky_relu(batch_norm(x @ w + bias))`` for rows ``x``; ``w`` is the
-    layer's weight as ``[in, out]``. The result is written to ``out`` if
-    given, or a new array.
+    layer's weight as ``[in, out]``.
 
     The statistics apply to the product rows, not folded into ``w``: in the
     head, which calls this with running statistics, the weights outnumber
     the rows (conv2 alone has 3.3M entries against 4 rows per pair).
     """
-    z = np.matmul(x, w, out=out)
+    return _norm_act(x @ w, layer, stats)
+
+
+def _norm_act(z, layer: _Layer, stats) -> np.ndarray:
+    """``_bn_act`` of the layer's product rows ``z``, in place."""
     z += layer.bias.data
     running = (layer.bn_mean, layer.bn_var) if stats is None else ()
     act, mean, var, _, _ = ad.bn_act_forward(z, layer.bn_scale.data, layer.bn_shift.data, *running, out=z)
@@ -422,16 +440,40 @@ def _correlations(desc: ad.Tensor, owners, g: int) -> ad.Tensor:
 
 
 HEAD_BLOCK = 32  # pairs per block of the head under running statistics
+# bytes of one conv layer's window rows for a head block, past which the
+# layer builds its rows and product in sub-blocks of HEAD_BLOCK // 4 pairs.
+# Default 2D conv2 (3.3 MB) stays under it: split too, its 13 MB weight made
+# the 64-pair head 1.18x slower. So do test-sized nets, whose sub-blocks
+# would move bits.
+HEAD_ROWS_BUDGET = 4 << 20
 
 
-def _head_blocks(batch: int) -> list:
-    """``(lo, hi)`` pair ranges of ``batch`` pairs in blocks of
-    ``HEAD_BLOCK``, in order. The remainder joins the last block, so no
-    block has fewer than ``HEAD_BLOCK`` pairs unless the whole batch does:
-    BLAS picks its kernel by row count, and a trailing block of one pair
-    would move that pair's bits (ROADMAP item 4)."""
-    bounds = [HEAD_BLOCK * i for i in range(max(1, batch // HEAD_BLOCK))] + [batch]
+def _head_blocks(batch: int, size: int = HEAD_BLOCK) -> list:
+    """``(lo, hi)`` pair ranges of ``batch`` pairs in blocks of ``size``,
+    in order. The remainder joins the last block, so no block has fewer
+    than ``size`` pairs unless the whole batch does: BLAS picks its kernel
+    by row count, and a trailing block of one pair would move that pair's
+    bits (ROADMAP item 4)."""
+    bounds = [size * i for i in range(max(1, batch // size))] + [batch]
     return list(zip(bounds, bounds[1:]))
+
+
+def _conv_sizes(weights: PrNetWeights) -> list:
+    """``(positions, width, channels)`` of each conv layer: per pair, its
+    output positions, the width of its window rows, and its channels."""
+    return [(int(np.prod(out)), int(np.prod(layer.weight.data.shape[1:])), layer.weight.data.shape[0])
+            for out, layer in zip(weights.config.spatial_trace()[1:], weights.convs)]
+
+
+def _conv_blocks(batch: int, pair_bytes: int) -> list:
+    """``(lo, hi)`` pair ranges in which a conv layer whose window rows take
+    ``pair_bytes`` per pair builds its rows and product for a head block of
+    ``batch`` pairs: the whole block while its rows fit in
+    ``HEAD_ROWS_BUDGET``, else sub-blocks of ``HEAD_BLOCK // 4`` pairs by
+    ``_head_blocks``' rule."""
+    if batch * pair_bytes <= HEAD_ROWS_BUDGET:
+        return [(0, batch)]
+    return _head_blocks(batch, HEAD_BLOCK // 4)
 
 
 def _head(corr: np.ndarray, weights: PrNetWeights, stats) -> np.ndarray:
@@ -450,7 +492,9 @@ def _head(corr: np.ndarray, weights: PrNetWeights, stats) -> np.ndarray:
     Each block's window rows and conv products go to arrays this thread
     allocates before the workers start (``_head_work``). No worker then
     allocates or frees a large array, so the process's peak memory does
-    not depend on how the runs interleave.
+    not depend on how the runs interleave. A conv layer whose rows for a
+    block pass ``HEAD_ROWS_BUDGET`` builds them in sub-blocks
+    (``_conv_blocks``), so a block holds one sub-block's rows at a time.
     """
     if stats is not None:
         return _head_block(corr, weights, stats)
@@ -466,29 +510,45 @@ def _head(corr: np.ndarray, weights: PrNetWeights, stats) -> np.ndarray:
 
 
 def _head_work(batch: int, weights: PrNetWeights, dtype) -> tuple:
-    """Flat ``(rows, products)`` arrays that hold any conv layer's window
-    rows and products for ``batch`` pairs, for ``_head_block``."""
-    layers = [(int(np.prod(out)), layer.weight.data.shape)
-              for out, layer in zip(weights.config.spatial_trace()[1:], weights.convs)]
-    rows = max(p * int(np.prod(shape[1:])) for p, shape in layers)
-    products = max(p * shape[0] for p, shape in layers)
-    return np.empty(batch * rows, dtype), np.empty(batch * products, dtype)
+    """Flat ``(rows, products)`` arrays for ``_head_block`` of ``batch``
+    pairs. ``rows`` holds the window rows of any conv layer's largest
+    sub-block (``_conv_blocks``), the whole block for a layer that does not
+    split; ``products`` holds any conv layer's product for the block."""
+    itemsize, sizes = np.dtype(dtype).itemsize, _conv_sizes(weights)
+    rows = max(max(hi - lo for lo, hi in _conv_blocks(batch, p * k * itemsize)) * p * k for p, k, _ in sizes)
+    products = max(batch * p * c for p, _, c in sizes)
+    return np.empty(rows, dtype), np.empty(products, dtype)
 
 
 def _head_block(corr: np.ndarray, weights: PrNetWeights, stats, work=None) -> np.ndarray:
     """``_head`` of the pairs of ``corr`` as one block: the conv layers on
-    their window rows, fc1 and the output layer. With ``work`` from
-    ``_head_work`` the conv layers' window rows and products are written
-    there, each layer over the last's, instead of to new arrays."""
+    their window rows, fc1 and the output layer.
+
+    With ``work`` from ``_head_work`` each conv layer's window rows and
+    product are written there, each layer over the last's, instead of to
+    new arrays. A layer whose rows for the block pass ``HEAD_ROWS_BUDGET``
+    builds them in the sub-blocks of ``_conv_blocks``, each over the last
+    one's, and writes each sub-block's product to its own rows of the
+    block's product. The bias, batch norm and leaky ReLU then run over the
+    whole product; under running statistics they act on each entry alone,
+    so they give the bits of the unsplit layer wherever its products do.
+    """
     cfg = weights.config
     g = cfg.grid_count
     batch = corr.shape[0] // g
     h = corr.reshape((batch, g) + cfg.grid_shape)
-    for layer in weights.convs:
+    for layer, (positions, width, channels) in zip(weights.convs, _conv_sizes(weights)):
         kd = layer.weight.data
-        cols, out_spatial = ad.window_rows(h, kd.shape[2:], None if work is None else work[0])
-        z = None if work is None else work[1][:len(cols) * kd.shape[0]].reshape(len(cols), kd.shape[0])
-        act = _bn_act(cols, kd.reshape(kd.shape[0], -1).T, layer, stats, z)
+        w = kd.reshape(channels, width).T
+        if work is None:
+            cols, out_spatial = ad.window_rows(h, kd.shape[2:])
+            act = _bn_act(cols, w, layer, stats)
+        else:
+            z = work[1][:batch * positions * channels].reshape(-1, channels)
+            for lo, hi in _conv_blocks(batch, positions * width * z.itemsize):
+                cols, out_spatial = ad.window_rows(h[lo:hi], kd.shape[2:], work[0])
+                np.matmul(cols, w, out=z[lo * positions:hi * positions])
+            act = _norm_act(z, layer, stats)
         h = np.moveaxis(act.reshape((batch,) + out_spatial + (-1,)), -1, 1)
     h = _bn_act(h.reshape(batch, -1), weights.fc1.weight.data, weights.fc1, stats)
     return h @ weights.out.weight.data + weights.out.bias.data
@@ -499,9 +559,10 @@ def _head_block(corr: np.ndarray, weights: PrNetWeights, stats, work=None) -> np
 
 # Pairs per graph-free inference pass: bounds the arrays that grow with the
 # pairs of a pass, the pooled descriptors, the correlation tensors and the
-# head's window rows (81 rows of 1089 columns per pair at conv0 of the
-# default 2D net), which every block of a pass holds in its own
-# ``_head_work`` arrays for the whole head.
+# head's conv products, which every block of a pass holds in its own
+# ``_head_work`` arrays for the whole head. A block's window rows stay
+# within about ``HEAD_ROWS_BUDGET`` whatever the chunk: conv0 of the default
+# 2D net, 81 rows of 1089 columns per pair, builds them 8 pairs at a time.
 EVAL_CHUNK = 64
 
 

@@ -4,9 +4,10 @@ Each is a plain autodiff op built from ``pointreg.autodiff``'s graph
 helpers: a leaky ReLU, a batch norm by batch statistics, a per-element
 valid convolution, a 2-d transpose, and the one-directional GMM loss; and
 the nearest-neighbour distances of Chamfer as one summed difference array,
-and the descriptor MLP's running-statistics pool by ``argmax``. The package
-runs only the fused forms (``dense_bn_act``, ``conv_bn_act_batch``,
-``pooled_mlp``), the symmetric loss and the pool by ``np.max``, so these
+the descriptor MLP's running-statistics pool by ``argmax``; and the
+initial weights drawn whole. The package runs only the fused forms
+(``dense_bn_act``, ``conv_bn_act_batch``, ``pooled_mlp``), the symmetric
+loss, the pool by ``np.max`` and weights drawn chunk by chunk, so these
 routes live here, with the arithmetic the tests compare against.
 """
 
@@ -14,6 +15,7 @@ import numpy as np
 
 from pointreg import autodiff as ad
 from pointreg import losses
+from pointreg import model
 
 
 def transpose2d(x: ad.Tensor) -> ad.Tensor:
@@ -167,3 +169,22 @@ def running_pool(sets, grid, layers) -> np.ndarray:
         pooled.append(np.take_along_axis(z, pick[..., None], axis=2)[..., 0].T)
     y = np.concatenate(pooled)
     return np.maximum(y * ad.LEAKY_SLOPE, y)
+
+
+def init_weights(config, seed: int):
+    """``model.init_weights`` with each array drawn whole and then cast:
+    ``rng.uniform(-limit, limit, size).astype(dtype)`` of the array's own
+    stream, whose float64 draws are held whole until the cast."""
+    dt = config.np_dtype()
+    stream = 0
+
+    def array(name, shape, fan_in, fill):
+        nonlocal stream
+        if fan_in is None:
+            return np.full(shape, fill, dtype=dt)
+        stream += 1
+        limit = np.sqrt(6.0 / fan_in)
+        rng = np.random.default_rng([int(seed), stream])
+        return rng.uniform(-limit, limit, size=shape).astype(dt)
+
+    return model._build_weights(config, array)

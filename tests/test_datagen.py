@@ -77,6 +77,35 @@ class TestPointFiles:
         loaded = datagen.load_points_file(path)
         assert loaded.tobytes() == pts.tobytes()
 
+    @pytest.mark.parametrize("text", [
+        "-0.0 1e-400\n-1e-400 5.\n+.5\t-2E+3\n",
+        "1 2 3\n  4 5 6  \n7 8 9",
+    ])
+    def test_plain_text_takes_the_whole_file_parse_with_the_line_parser_s_values(self, tmp_path, text,
+                                                                                  monkeypatch):
+        # every value, sign bits included, is the line parser's float()
+        path = tmp_path / "p.txt"
+        path.write_text(text)
+        assert datagen._plain_points(path.read_bytes()) is not None
+        loaded = datagen.load_points_file(path)
+        monkeypatch.setattr(datagen, "_plain_points", lambda data: None)
+        expected = datagen.load_points_file(path)
+        assert loaded.shape == expected.shape and loaded.tobytes() == expected.tobytes()
+        assert expected.tobytes() == np.array([[float(t) for t in ln.split()] for ln in text.splitlines()]).tobytes()
+
+    @pytest.mark.parametrize("text,match", [
+        ("1 2\n3 1e400\n", r":2: non-finite"),
+        ("1 2\n3 -1e200\n", r":2: coordinate beyond"),
+        ("1 2\n3 1e\n", r":2: non-numeric"),
+        ("1 2\n\n3 4 5\n", r":3: 3 columns in a 2-column file"),
+    ])
+    def test_plain_looking_text_that_fails_reports_the_line(self, tmp_path, text, match):
+        path = tmp_path / "p.txt"
+        path.write_text(text)
+        assert datagen._plain_points(path.read_bytes()) is None
+        with pytest.raises(datagen.PointFileError, match=match):
+            datagen.load_points_file(path)
+
     def test_comments_and_commas_accepted(self, tmp_path):
         path = tmp_path / "p.txt"
         path.write_text("# header\n1.0, 2.0\n\n3.0 4.0  # trailing\n")

@@ -6,8 +6,10 @@ property, bitwise permutation invariance, and finite-difference gradient
 agreement on a narrow float64 configuration.
 """
 
+import dataclasses
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -617,9 +619,10 @@ class TestHeadBlocks:
     def test_the_workers_write_into_arrays_the_calling_thread_allocated(self, monkeypatch, use_workers):
         # every block's window rows and conv products go to the arrays of its
         # _head_work, made on the calling thread before the tasks start, so
-        # no worker allocates a large array
+        # no worker allocates a large array. With no rows budget every conv
+        # layer builds its rows in four sub-blocks, each over the last
         weights, pairs = self.env("float32")
-        head_work, window_rows, bn_act = model._head_work, ad.window_rows, model._bn_act
+        head_work, window_rows, norm_act = model._head_work, ad.window_rows, model._norm_act
         made, rows, products = [], [], []
 
         def recording_work(*args):
@@ -631,25 +634,123 @@ class TestHeadBlocks:
             rows.append((threading.current_thread(), out[0]))
             return out
 
-        def recording_bn_act(x, w, layer, stats, out=None):
-            act = bn_act(x, w, layer, stats, out)
+        def recording_norm_act(z, layer, stats):
+            act = norm_act(z, layer, stats)
             if any(layer is conv for conv in weights.convs):
                 products.append((threading.current_thread(), act))
             return act
 
+        monkeypatch.setattr(model, "HEAD_ROWS_BUDGET", 0)
         monkeypatch.setattr(model, "_head_work", recording_work)
         monkeypatch.setattr(ad, "window_rows", recording_rows)
-        monkeypatch.setattr(model, "_bn_act", recording_bn_act)
+        monkeypatch.setattr(model, "_norm_act", recording_norm_act)
         use_workers(ThreadPoolExecutor(2))
         model.forward_shared_source(pairs[:2 * self.HB], weights)
         assert [t for t, _ in made] == [threading.main_thread()] * 2
         layers = len(weights.convs)
-        for arrays, which in ((rows, 0), (products, 1)):
-            assert len(arrays) == 2 * layers and len({t for t, _ in arrays}) == 2
+        for arrays, which, calls in ((rows, 0, 4 * layers), (products, 1, layers)):
+            assert len(arrays) == 2 * calls and len({t for t, _ in arrays}) == 2
             for thread, a in arrays:
                 owners = [i for i, (_, work) in enumerate(made) if np.shares_memory(a, work[which])]
                 assert len(owners) == 1
-                assert [t for t, b in arrays if np.shares_memory(b, made[owners[0]][1][which])] == [thread] * layers
+                assert [t for t, b in arrays if np.shares_memory(b, made[owners[0]][1][which])] == [thread] * calls
+
+    @staticmethod
+    def default_env(dim):
+        cfg = model.PrNetConfig.for_dim(dim)
+        weights = model.init_weights(cfg, seed=73)
+        rng = np.random.default_rng(79)
+        randomize_weights(weights, rng, scale=0.05)
+        sources = [rng.uniform(-0.9, 0.9, size=(n, dim)) for n in (12, 9)]
+        targets = [rng.uniform(-0.9, 0.9, size=(4 + i % 5, dim)) for i in range(model.EVAL_CHUNK + 1)]
+        return weights, [(sources[i >= 20], t) for i, t in enumerate(targets)]
+
+    def test_large_window_rows_split_into_sub_blocks(self):
+        # per 32-pair block of the default nets, the window rows of a layer
+        # past the budget (2D conv0 and conv1, 3D conv0) split into four
+        # sub-blocks of 8 pairs; a one-pair block never splits. The block's
+        # work arrays then hold 4.6 MB, against 12.6 MB unsplit
+        for dim, split in ((2, [True, True, False]), (3, [True, False, False])):
+            weights = model.init_weights(model.PrNetConfig.for_dim(dim), seed=0)
+            for (p, k, _), splits in zip(model._conv_sizes(weights), split):
+                blocks = model._conv_blocks(self.HB, p * k * 4)
+                assert blocks == ([(0, 8), (8, 16), (16, 24), (24, 32)] if splits else [(0, self.HB)])
+                assert model._conv_blocks(1, p * k * 4) == [(0, 1)]
+        weights = model.init_weights(model.PrNetConfig(), seed=0)
+        rows, products = model._head_work(self.HB, weights, np.float32)
+        assert rows.nbytes + products.nbytes < 4.7e6
+        assert model._head_work(1, weights, np.float32)[0].size == 81 * 1089
+
+    @pytest.mark.parametrize("batch", [1, 7, 8, 9, 15, 16, 17, 32, 33, 41, 64, 65])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_sub_blocks_give_the_bits_of_whole_layers(self, dim, batch, use_workers, monkeypatch):
+        # the default nets' large conv layers in sub-blocks, on 1, 2 and 3
+        # workers, against no layer split: the same bits on the OpenBLAS
+        # build measured. Test-sized nets never reach the budget, since
+        # their sub-blocks would change bits
+        weights, pairs = self.default_env(dim)
+        pairs = pairs[:batch]
+        use_workers(ThreadPoolExecutor(1))
+        with monkeypatch.context() as whole:
+            whole.setattr(model, "HEAD_ROWS_BUDGET", np.inf)
+            expected = self.outputs(pairs, weights)
+        for workers in (1, 2, 3):
+            use_workers(ThreadPoolExecutor(workers))
+            assert self.outputs(pairs, weights) == expected, workers
+
+    def test_a_round_never_holds_two_blocks_whole_conv0_rows(self, use_workers):
+        # a 64-pair default 2D forward holds each block's conv0 window rows
+        # one 8-pair sub-block at a time, so its traced peak stays below
+        # the size of both blocks' whole conv0 rows
+        use_workers(ThreadPoolExecutor(ad.MAX_WORKERS))
+        weights = model.init_weights(model.PrNetConfig(), seed=83)
+        rng = np.random.default_rng(89)
+        source = rng.uniform(-0.9, 0.9, size=(96, 2))
+        pairs = [(source, rng.uniform(-0.9, 0.9, size=(96, 2))) for _ in range(2 * self.HB)]
+        model.forward_shared_source(pairs, weights)
+        bound = 2 * self.HB * 81 * 1089 * np.dtype(np.float32).itemsize
+        tracemalloc.start()
+        try:
+            model.forward_shared_source(pairs, weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (peak, bound)
+
+
+class TestInitWeights:
+    """Each drawn weight is the whole-array draw of its stream cast to the
+    network dtype (``reference_ops.init_weights``), filled chunk by chunk,
+    so no float64 copy of a whole array is held."""
+
+    @pytest.mark.parametrize("chunk", [model._INIT_CHUNK, 999])
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_arrays_equal_the_whole_draw(self, dim, dtype, chunk, monkeypatch):
+        # 999 entries divide no drawn weight of either default net
+        monkeypatch.setattr(model, "_INIT_CHUNK", chunk)
+        cfg = dataclasses.replace(model.PrNetConfig.for_dim(dim), dtype=dtype)
+        for seed in (0, 7):
+            got = model.init_weights(cfg, seed).named_arrays()
+            expected = refops.init_weights(cfg, seed).named_arrays()
+            assert list(got) == list(expected)
+            for name, a in got.items():
+                assert a.dtype == expected[name].dtype and a.tobytes() == expected[name].tobytes(), name
+
+    def test_holds_one_chunk_beyond_the_weights(self):
+        # a whole draw would hold 26 MB more, conv2's float64 copy; the
+        # layer objects take well under the 64 KiB allowed for them
+        cfg = model.PrNetConfig()
+        model.init_weights(tiny_config(), seed=0)  # first-call module state
+        tracemalloc.start()
+        try:
+            weights = model.init_weights(cfg, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = sum(a.nbytes for a in weights.named_arrays().values())
+        bound = held + model._INIT_CHUNK * np.dtype(np.float64).itemsize + 64 * 1024
+        assert peak < bound, (peak, bound)
 
 
 class TestOneBatchNormLayer:
