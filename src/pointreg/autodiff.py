@@ -5,6 +5,14 @@ array; each op computes its result eagerly and attaches a closure that knows
 how to push gradients back to the op's inputs. ``Tensor.backward`` walks the
 recorded graph once in reverse topological order.
 
+The ops are the network's stages, each with its own closed-form backward:
+the descriptor MLP with its pool (``pooled_mlp``), the correlation
+(``correlation``), the head's conv and fully connected layers
+(``conv_bn_act_batch``, ``dense_bn_act``, ``linear``, joined by
+``reshape``), each pair's warp (``warp``) and loss (``gmm_symmetric``), and
+the batch mean (``batch_mean``). A training step of B pairs records 10 + 2B
+nodes.
+
 Two properties the rest of the package relies on:
 
 * gradients only flow where they are needed. An op inspects its inputs at
@@ -20,6 +28,7 @@ import contextvars
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -203,51 +212,7 @@ def recycle_graph(root: Tensor) -> None:
 
 
 # ---------------------------------------------------------------------------
-# arithmetic
-
-
-def add(a: Tensor, b) -> Tensor:
-    """Elementwise sum; ``b`` may be a Tensor or a constant array."""
-    bd = _as_array(b)
-    if a.data.shape != bd.shape:
-        raise ShapeError(f"add: shapes {a.data.shape} and {bd.shape} differ")
-    out_data = a.data + bd
-
-    def grad_fn(gradient):
-        if _needs_grad(a):
-            _accumulate(a, gradient)
-        if _needs_grad(b):
-            _accumulate(b, gradient)
-
-    return _make_node(out_data, (a, b), grad_fn)
-
-
-def scale(x: Tensor, c: float) -> Tensor:
-    c = float(c)
-    out_data = x.data * c
-
-    def grad_fn(gradient):
-        _accumulate(x, gradient * c)
-
-    return _make_node(out_data, (x,), grad_fn)
-
-
-def neg(x: Tensor) -> Tensor:
-    return scale(x, -1.0)
-
-
-def tensor_sum(x: Tensor) -> Tensor:
-    """Sum of all entries, as a scalar tensor."""
-    out_data = np.sum(x.data)
-
-    def grad_fn(gradient):
-        _accumulate(x, np.broadcast_to(gradient, x.data.shape))
-
-    return _make_node(out_data, (x,), grad_fn)
-
-
-# ---------------------------------------------------------------------------
-# shape plumbing
+# shape plumbing and linear algebra
 
 
 def reshape(x: Tensor, shape) -> Tensor:
@@ -257,65 +222,6 @@ def reshape(x: Tensor, shape) -> Tensor:
         _accumulate(x, gradient.reshape(x.data.shape))
 
     return _make_node(out_data, (x,), grad_fn)
-
-
-def row_slice(x: Tensor, start: int, stop: int) -> Tensor:
-    """Rows ``start:stop`` of a 2-d tensor."""
-    if x.data.ndim != 2:
-        raise ShapeError(f"row_slice: expected 2-d input, got {x.data.shape}")
-    out_data = x.data[start:stop]
-
-    def grad_fn(gradient):
-        if x.grad is None:
-            x.grad = np.zeros_like(x.data)
-        x.grad[start:stop] += gradient.astype(x.data.dtype, copy=False)
-
-    return _make_node(out_data, (x,), grad_fn)
-
-
-def concat_rows(parts) -> Tensor:
-    """2-d tensors of equal width stacked by rows; the backward hands each
-    part its slice of the gradient. A single part is returned as it is."""
-    if len(parts) == 1:
-        return parts[0]
-    out_data = np.concatenate([p.data for p in parts])
-    stops = np.cumsum([p.data.shape[0] for p in parts])
-
-    def grad_fn(gradient):
-        for p, stop in zip(parts, stops):
-            if _needs_grad(p):
-                _accumulate(p, gradient[stop - p.data.shape[0]:stop])
-
-    return _make_node(out_data, tuple(parts), grad_fn)
-
-
-# ---------------------------------------------------------------------------
-# linear algebra
-
-
-def matmul(a: Tensor, b, transpose_b: bool = False) -> Tensor:
-    """``a @ b`` (or ``a @ b.T``); either operand may be a constant array."""
-    ad, bd = _as_array(a), _as_array(b)
-    if ad.ndim != 2 or bd.ndim != 2:
-        raise ShapeError(f"matmul: expected 2-d operands, got {ad.shape} and {bd.shape}")
-    inner = bd.shape[1] if transpose_b else bd.shape[0]
-    if ad.shape[1] != inner:
-        raise ShapeError(f"matmul: inner dims {ad.shape} vs {bd.shape} (transpose_b={transpose_b})")
-    out_data = ad @ bd.T if transpose_b else ad @ bd
-
-    def grad_fn(gradient):
-        if transpose_b:
-            if _needs_grad(a):
-                _accumulate(a, gradient @ bd)
-            if _needs_grad(b):
-                _accumulate(b, gradient.T @ ad)
-        else:
-            if _needs_grad(a):
-                _accumulate(a, gradient @ bd.T)
-            if _needs_grad(b):
-                _accumulate(b, ad.T @ gradient)
-
-    return _make_node(out_data, (a, b), grad_fn)
 
 
 def linear(x, weight: Tensor, bias: Tensor) -> Tensor:
@@ -958,92 +864,154 @@ def conv_bn_act_batch(
     return _make_node(out_data, (x, kernel, bias, scale_t, shift_t), grad_fn)
 
 
-def l2_normalize_block_cols(x: Tensor, block_rows: int) -> Tensor:
-    """Normalize each column to unit norm within consecutive row blocks.
-
-    ``[B*R, S]`` input is treated as B blocks of R rows; every length-R
-    column vector inside a block is scaled to unit Euclidean norm.
-    """
-    if x.data.ndim != 2:
-        raise ShapeError(f"l2_normalize_block_cols: expected 2-d input, got {x.data.shape}")
-    n, s = x.data.shape
-    if block_rows < 1 or n % block_rows != 0:
-        raise ShapeError(f"l2_normalize_block_cols: {n} rows not divisible into blocks of {block_rows}")
-    blocks = x.data.reshape(n // block_rows, block_rows, s)
-    norms = np.sqrt(np.einsum("brs,brs->bs", blocks, blocks))[:, None, :]
-    safe = np.maximum(norms, _NORM_EPS)
-    out_data = (blocks / safe).reshape(n, s)
-
-    def grad_fn(gradient):
-        gb = gradient.reshape(blocks.shape)
-        dot = np.einsum("brs,brs->bs", gb, blocks)[:, None, :]
-        dx = gb / safe - blocks * (dot / (safe * safe * safe))
-        _accumulate(x, dx.reshape(n, s), fresh=True)
-
-    return _make_node(out_data, (x,), grad_fn)
+# ---------------------------------------------------------------------------
+# the stages after the descriptor MLP: correlation, warp, loss, batch mean
 
 
 def unit_rows(x: np.ndarray, out=None) -> tuple:
-    """Plain-array forward of ``l2_normalize_rows``: ``(out, safe)``, the
-    rows of ``[N, F]`` divided by their Euclidean norms, written to ``out``
-    (``x`` itself is allowed) or a new array, and the ``[N, 1]`` norms
-    clamped below at ``_NORM_EPS`` that they were divided by."""
+    """``(out, safe)``: the rows of ``[N, F]`` divided by their Euclidean
+    norms, written to ``out`` (``x`` itself is allowed) or a new array, and
+    the ``[N, 1]`` norms clamped below at ``_NORM_EPS`` that they were
+    divided by. The clamp is a constant to ``correlation``'s backward."""
     norms = np.sqrt(np.sum(x * x, axis=1, keepdims=True))
     safe = np.maximum(norms, _NORM_EPS)
     return np.divide(x, safe, out=out), safe
 
 
-def l2_normalize_rows(x: Tensor) -> Tensor:
-    """Scale each row of ``[N, F]`` to unit Euclidean norm (``unit_rows``).
+def correlation_forward(x: np.ndarray, owners, g: int, out=None) -> tuple:
+    """``(corr, saved)``: each target's correlation tensor against its own
+    source, from the pooled descriptors ``x``, the one correlation of
+    training, recalibration and inference.
 
-    Rows with norm below ``_NORM_EPS`` divide by it instead, and the clamp is
-    treated as constant in the backward pass.
+    ``x`` stacks descriptors of ``g`` rows: first the ``owners[-1] + 1``
+    sources of ``model.source_runs``, then one target per entry of
+    ``owners``, which indexes that target's source. The rows are scaled to
+    unit norm by ``unit_rows`` into ``out`` (``x`` itself is allowed) or a
+    new array. Each run of targets with one source takes ``tgt @ src.T``,
+    and each column of a target's ``[g, g]`` block is scaled to unit norm
+    (clamped at ``_NORM_EPS``): ``corr`` stacks the blocks as ``[B*g, g]``
+    in conv layout, row j of a block (a target grid point, the channel)
+    against every source grid point (the spatial position). ``saved`` holds
+    what ``correlation``'s backward reads, among it every run's pre-norm
+    products, so a caller that only needs ``corr`` drops it at once.
     """
-    if x.data.ndim != 2:
-        raise ShapeError(f"l2_normalize_rows: expected 2-d input, got {x.data.shape}")
-    out_data, safe = unit_rows(x.data)
+    unit, safe = unit_rows(x, out=out)
+    parts, runs, lo = [], [], owners[-1] + 1
+    for owner, run in groupby(owners):
+        hi = lo + len(list(run))
+        blocks = (unit[lo * g:hi * g] @ unit[owner * g:(owner + 1) * g].T).reshape(hi - lo, g, g)
+        col_safe = np.maximum(np.sqrt(np.einsum("brs,brs->bs", blocks, blocks))[:, None, :], _NORM_EPS)
+        parts.append((blocks / col_safe).reshape(-1, g))
+        runs.append((owner, lo, hi, blocks, col_safe))
+        lo = hi
+    corr = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return corr, (unit, safe, runs)
+
+
+def correlation(x: Tensor, owners, g: int) -> Tensor:
+    """``correlation_forward`` as an autodiff op over the pooled descriptors
+    ``x``. The backward takes each run's block-column norms back, then its
+    product to both descriptor slices, summed into a zero-filled gradient,
+    then the row norms, in the arithmetic of the composed route."""
+    corr, (unit, safe, runs) = correlation_forward(x.data, owners, g)
+    first = owners[-1] + 1
 
     def grad_fn(gradient):
-        dot = np.sum(gradient * x.data, axis=1, keepdims=True)
-        _accumulate(x, gradient / safe - x.data * (dot / (safe * safe * safe)))
+        d_unit = np.zeros_like(unit)
+        for owner, lo, hi, blocks, col_safe in runs:
+            gb = gradient[(lo - first) * g:(hi - first) * g].reshape(blocks.shape)
+            dot = np.einsum("brs,brs->bs", gb, blocks)[:, None, :]
+            d_prod = (gb / col_safe - blocks * (dot / (col_safe * col_safe * col_safe))).reshape(-1, g)
+            src, tgt = slice(owner * g, (owner + 1) * g), slice(lo * g, hi * g)
+            d_unit[tgt] += d_prod @ unit[src]
+            d_unit[src] += d_prod.T @ unit[tgt]
+        dot = np.sum(d_unit * x.data, axis=1, keepdims=True)
+        _accumulate(x, d_unit / safe - x.data * (dot / (safe * safe * safe)), fresh=True)
 
-    return _make_node(out_data, (x,), grad_fn)
+    return _make_node(corr, (x,), grad_fn)
 
 
-# ---------------------------------------------------------------------------
-# distance and log-sum-exp
-
-def pairwise_sqdist(x, y) -> Tensor:
-    """Squared Euclidean distances between rows of ``[N, d]`` and ``[M, d]``."""
-    xd, yd = _as_array(x), _as_array(y)
-    if xd.ndim != 2 or yd.ndim != 2 or xd.shape[1] != yd.shape[1]:
-        raise ShapeError(f"pairwise_sqdist: incompatible shapes {xd.shape} and {yd.shape}")
-    diff = xd[:, None, :] - yd[None, :, :]
-    out_data = np.sum(diff * diff, axis=2)
+def warp(deltas: Tensor, i: int, basis: np.ndarray, theta0: np.ndarray) -> Tensor:
+    """Pair ``i``'s warped source ``basis @ (deltas[i] + theta0)``: ``basis``
+    is the ``[N, K]`` warp basis and ``theta0`` the ``[1, K * dim]``
+    flattened control points, both in ``deltas``' dtype. An autodiff op over
+    ``deltas`` alone, whose backward adds into row ``i`` of a zero-filled
+    gradient."""
+    theta = (deltas.data[i:i + 1] + theta0).reshape(basis.shape[1], -1)
 
     def grad_fn(gradient):
-        if _needs_grad(x):
-            _accumulate(x, 2.0 * (xd * gradient.sum(axis=1, keepdims=True) - gradient @ yd))
-        if _needs_grad(y):
-            _accumulate(y, 2.0 * (yd * gradient.sum(axis=0)[:, None] - gradient.T @ xd))
+        if deltas.grad is None:
+            deltas.grad = np.zeros_like(deltas.data)
+        deltas.grad[i:i + 1] += (basis.T @ gradient).reshape(1, -1)
 
-    return _make_node(out_data, (x, y), grad_fn)
+    return _make_node(basis @ theta, (deltas,), grad_fn)
 
 
-def log_sum_exp(x: Tensor, axis: int) -> Tensor:
-    """``log(sum(exp(x), axis))`` evaluated stably; the axis is removed."""
-    xd = x.data
-    if not -xd.ndim <= axis < xd.ndim:
-        raise ShapeError(f"log_sum_exp: axis {axis} out of range for shape {xd.shape}")
-    m = np.max(xd, axis=axis, keepdims=True)
-    w = np.exp(xd - m)
+def sqdists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances ``[|a|, |b|]`` between the rows of ``a``
+    and ``b``, in ``np.result_type(a, b)``. The squared differences are
+    summed one coordinate at a time, the order in which numpy sums a
+    length-2 or length-3 axis, so the result is the bits of ``np.sum(diff *
+    diff, axis=2)`` with no ``[|a|, |b|, dim]`` array."""
+    d = np.zeros((a.shape[0], b.shape[0]), np.result_type(a, b))
+    for k in range(a.shape[1]):
+        diff = a[:, None, k] - b[None, :, k]
+        diff *= diff
+        d += diff
+    return d
+
+
+def _log_sum_exp(z: np.ndarray, axis: int) -> tuple:
+    """``log(sum(exp(z), axis))`` by the maximum along ``axis``, which is
+    removed, and the softmax weights ``exp(z - max) / sum`` of its
+    gradient."""
+    m = np.max(z, axis=axis, keepdims=True)
+    w = np.exp(z - m)
     s = np.sum(w, axis=axis, keepdims=True)
-    out_data = np.squeeze(m + np.log(s), axis=axis)
+    out = np.squeeze(m + np.log(s), axis=axis)
+    w /= s
+    return out, w
+
+
+def gmm_symmetric(x: Tensor, y: np.ndarray, c: float) -> Tensor:
+    """``-(Σ_i lse_j(c d_ij) + Σ_j lse_i(c d_ij))`` for the squared distances
+    ``d = sqdists(x, y)`` of the ``[N, dim]`` rows of ``x`` and the constant
+    ``[M, dim]`` ``y``: the symmetric GMM loss of ``losses`` with ``c =
+    -1 / (2 sigma²)``. An autodiff op over ``x`` alone. ``d`` is in the
+    wider dtype of the two, and so is the gradient until it is handed to
+    ``x``."""
+    xd = x.data
+    z = sqdists(xd, y)
+    z *= c
+    fwd, w_fwd = _log_sum_exp(z, 1)
+    rev, w_rev = _log_sum_exp(z, 0)
+    out = (np.sum(fwd) + np.sum(rev)) * -1.0
 
     def grad_fn(gradient):
-        _accumulate(x, np.expand_dims(gradient, axis) * (w / s))
+        g = gradient * -1.0
+        dz = g * w_fwd
+        dz += g * w_rev
+        dz *= c
+        _accumulate(x, 2.0 * (xd * dz.sum(axis=1, keepdims=True) - dz @ y), fresh=True)
 
-    return _make_node(out_data, (x,), grad_fn)
+    return _make_node(out, (x,), grad_fn)
+
+
+def batch_mean(terms) -> Tensor:
+    """The mean of the scalar tensors ``terms``, an autodiff op over each:
+    their sum in order, times ``1 / len(terms)``."""
+    c = 1.0 / len(terms)
+    total = terms[0].data
+    for t in terms[1:]:
+        total = total + t.data
+
+    def grad_fn(gradient):
+        g = gradient * c
+        for t in terms:
+            if _needs_grad(t):
+                _accumulate(t, g)
+
+    return _make_node(total * c, tuple(terms), grad_fn)
 
 
 # ---------------------------------------------------------------------------

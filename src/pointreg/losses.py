@@ -2,7 +2,7 @@
 
 Chamfer distance is the evaluation metric; it needs no gradients and works
 on plain arrays. The symmetric GMM loss drives training: it takes a tensor
-of transformed points and records its autodiff graph. Sigma follows a
+of transformed points and records one autodiff node. Sigma follows a
 deterministic annealing schedule indexed by the optimizer step.
 """
 
@@ -22,15 +22,8 @@ def _check_sets(a: np.ndarray, b: np.ndarray, op: str) -> None:
 
 def _nearest_sqdists(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each point's squared distance to its nearest neighbour in the other
-    set, ``(for a, for b)``. The squared differences are summed one
-    coordinate at a time, the order in which numpy sums a length-2 or
-    length-3 axis, so the result is the bits of ``np.sum(diff * diff,
-    axis=2)`` with no ``[|a|, |b|, dim]`` array."""
-    d = np.zeros((a.shape[0], b.shape[0]))
-    for k in range(a.shape[1]):
-        diff = a[:, None, k] - b[None, :, k]
-        diff *= diff
-        d += diff
+    set, ``(for a, for b)``, from ``autodiff.sqdists``."""
+    d = ad.sqdists(a, b)
     return d.min(axis=1), d.min(axis=0)
 
 
@@ -68,18 +61,16 @@ def gmm_loss_symmetric(transformed: ad.Tensor, target, sigma: float) -> ad.Tenso
     onto the densest arc of the target raises the likelihood while leaving
     most of the target uncovered. The reverse term charges for each
     uncovered target, which removes that optimum, so this is the loss the
-    trainer minimizes. Both directions share one pairwise-distance graph,
-    which the scalar tensor returned records.
+    trainer minimizes. Both directions share one distance matrix; the
+    scalar tensor returned is one ``autodiff.gmm_symmetric`` node over
+    ``transformed``.
     """
     sigma = float(sigma)
     if sigma <= 0:
         raise ValueError(f"gmm_loss_symmetric: sigma must be positive, got {sigma}")
     tgt = np.asarray(target, dtype=None if isinstance(target, np.ndarray) else np.float64)
     _check_sets(transformed.data, tgt, "gmm_loss_symmetric")
-    scaled = ad.scale(ad.pairwise_sqdist(transformed, tgt), -0.5 / (sigma * sigma))
-    fwd = ad.tensor_sum(ad.log_sum_exp(scaled, axis=1))
-    rev = ad.tensor_sum(ad.log_sum_exp(scaled, axis=0))
-    return ad.neg(ad.add(fwd, rev))
+    return ad.gmm_symmetric(transformed, tgt, -0.5 / (sigma * sigma))
 
 
 def sigma_at(step: int, initial: float, floor: float) -> float:

@@ -35,7 +35,11 @@ inference run the same forward (``_descriptors``). Training's pool keeps
 each pooled point's index for the backward; inference reads none, so there
 the last layer's product is pooled in its own row layout by ``np.max`` and
 its bias added to the pooled rows alone, with the same bits
-(``autodiff.pooled_mlp_forward``). Every pass of the MLP,
+(``autodiff.pooled_mlp_forward``). After the MLP every training stage is
+one op as well: the correlation, whose plain forward recalibration and
+inference run too (``autodiff.correlation_forward``), the head's layers,
+each pair's warp and loss, and the batch mean, so a 16-pair step records
+42 graph nodes. Every pass of the MLP,
 forward and backward, splits its blocks into one contiguous run per
 worker: the calling thread runs the first, a worker thread each other one,
 since numpy's products and ufuncs release the GIL. There are as many
@@ -62,7 +66,7 @@ import zipfile
 import zlib
 from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
-from itertools import groupby, product
+from itertools import product
 
 import numpy as np
 
@@ -360,32 +364,18 @@ def canonical_order(points: np.ndarray) -> np.ndarray:
     return pts[np.lexsort(pts.T[::-1])]
 
 
-def compute_correlation(f_s: ad.Tensor, f_g_all: ad.Tensor, grid_count: int) -> ad.Tensor:
-    """Correlation tensors of one source against a stack of targets.
-
-    ``f_s`` is the source descriptor ``[G, d]``; ``f_g_all`` stacks the
-    targets' descriptors as ``[B*G, d]``. The result is ``[B*G, G]`` in conv
-    layout: in each pair's block, row j (a target grid point, the channel)
-    holds its inner products with every source grid point (the spatial
-    position), and each column of the block is scaled to unit norm.
-    """
-    if f_s.data.shape[1] != f_g_all.data.shape[1]:
-        raise ValueError(
-            f"compute_correlation: feature dims differ, {f_s.data.shape} vs {f_g_all.data.shape}"
-        )
-    return ad.l2_normalize_block_cols(ad.matmul(f_g_all, f_s, transpose_b=True), grid_count)
-
-
 # ---------------------------------------------------------------------------
 # graph-free forward
 #
-# Two stages, descriptors and head, compute what the training graph computes
-# without recording one. Each takes ``stats``: ``None`` normalises every
+# Three stages, descriptors, correlation and head, compute what the training
+# graph computes without recording one, each by the training ops' own
+# forward: ``autodiff.pooled_mlp_forward`` for the MLP,
+# ``autodiff.correlation_forward`` for the correlation, and
+# ``autodiff.bn_act_forward`` for the norm and activation of the head. The
+# descriptors and the head take ``stats``: ``None`` normalises every
 # batch-norm layer by its running statistics (eval); a list normalises by
 # the call's own batch statistics and appends each layer's ``(mean, var)``
-# to it, in layer order (recalibration). Either way each stage runs the
-# training ops' own forward: ``autodiff.pooled_mlp_forward`` for the MLP,
-# ``autodiff.bn_act_forward`` for the norm and activation of the head.
+# to it, in layer order (recalibration).
 
 
 def _bn_act(x, w, layer: _Layer, stats) -> np.ndarray:
@@ -410,33 +400,19 @@ def _norm_act(z, layer: _Layer, stats) -> np.ndarray:
 
 
 def _descriptors(ordered_sets, weights: PrNetWeights, stats) -> np.ndarray:
-    """Unit-norm descriptors of pre-sorted sets, stacked as ``[(num_sets * G), d]``.
-
-    The MLP and its pool are ``autodiff.pooled_mlp_forward``, the training
-    op's own forward, by running statistics or, with ``stats``, by batch
-    statistics, whose ``(mean, var)`` per layer it appends. The pooled rows
-    are normalised in place by ``autodiff.unit_rows``, the forward of
-    training's ``l2_normalize_rows``, so the head's batch statistics are
-    the training forward's bit for bit.
+    """Pooled descriptors of pre-sorted sets, stacked as ``[(num_sets * G),
+    d]``: ``autodiff.pooled_mlp_forward``, the training op's own forward, by
+    running statistics or, with ``stats``, by batch statistics, whose
+    ``(mean, var)`` per layer it appends. ``autodiff.correlation_forward``
+    normalises the rows, in place, and correlates them, as the training
+    forward does, so the head's batch statistics are the training forward's
+    bit for bit.
     """
     mlp = ad.pooled_mlp_forward(ordered_sets, weights.config.reference_grid, weights.mlp, stats is not None)
     mlp.release()
     if stats is not None:
         stats += mlp.stats
-    return ad.unit_rows(mlp.out, out=mlp.out)[0]
-
-
-def _correlations(desc: ad.Tensor, owners, g: int) -> ad.Tensor:
-    """Each target's correlation tensor against its own source, stacked as
-    ``[B*G, G]``. ``desc`` stacks descriptors of ``G`` rows, first the
-    ``owners[-1] + 1`` sources of ``source_runs``, then the B targets."""
-    parts, lo = [], owners[-1] + 1
-    for owner, run in groupby(owners):
-        hi = lo + len(list(run))
-        parts.append(compute_correlation(ad.row_slice(desc, owner * g, (owner + 1) * g),
-                                         ad.row_slice(desc, lo * g, hi * g), g))
-        lo = hi
-    return ad.concat_rows(parts)
+    return mlp.out
 
 
 HEAD_BLOCK = 32  # pairs per block of the head under running statistics
@@ -478,7 +454,7 @@ def _conv_blocks(batch: int, pair_bytes: int) -> list:
 
 def _head(corr: np.ndarray, weights: PrNetWeights, stats) -> np.ndarray:
     """Control-point displacements ``[B, theta_count*dim]`` from the stacked
-    correlation tensors ``[B*G, G]`` of ``_correlations``.
+    correlation tensors ``[B*G, G]`` of ``autodiff.correlation_forward``.
 
     Under running statistics the pairs are independent, so they go through
     the whole head in blocks of pairs (``_head_blocks``), one contiguous
@@ -654,8 +630,8 @@ def forward_shared_source(pairs, weights: PrNetWeights):
         sets += [canonical_order(t) for t in targets[lo:lo + EVAL_CHUNK]]
         with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught below
             desc = _descriptors(sets, weights, None)
-            corr = _correlations(ad.Tensor(desc), [o - first for o in chunk_owners], cfg.grid_count)
-            deltas = _head(corr.data, weights, None)
+            corr = ad.correlation_forward(desc, [o - first for o in chunk_owners], cfg.grid_count, out=desc)[0]
+            deltas = _head(corr, weights, None)
         bad = np.flatnonzero(~np.isfinite(deltas).all(axis=1))
         if bad.size:  # coordinates in the dtype's range can still overflow the network
             raise ValueError(f"forward_shared_source: pair {lo + bad[0]} overflows the {cfg.dtype} network")
@@ -679,6 +655,10 @@ def train_forward(pairs, weights: PrNetWeights):
     the displacements and of each pair's warped source (by the basis in the
     network dtype), and each pair's target as an array in the caller's
     point order, which the loss scores the warped source against.
+
+    The graph has one node per stage: ``autodiff.pooled_mlp``,
+    ``autodiff.correlation``, the head's layers and their two reshapes, and
+    one ``autodiff.warp`` per pair.
     """
     cfg = weights.config
     runs, owners, targets = source_runs(pairs, cfg, "train_forward")
@@ -686,8 +666,8 @@ def train_forward(pairs, weights: PrNetWeights):
     batch = len(targets)
     g = cfg.grid_count
     sets = [src for src, _ in prepared] + [canonical_order(t) for t in targets]
-    desc = ad.l2_normalize_rows(ad.pooled_mlp(sets, cfg.reference_grid, weights.mlp))
-    h = ad.reshape(_correlations(desc, owners, g), (batch, g) + cfg.grid_shape)
+    desc = ad.pooled_mlp(sets, cfg.reference_grid, weights.mlp)
+    h = ad.reshape(ad.correlation(desc, owners, g), (batch, g) + cfg.grid_shape)
     for layer in weights.convs:
         h = ad.conv_bn_act_batch(h, layer.weight, layer.bias, layer.bn_scale, layer.bn_shift)
     fc1 = weights.fc1
@@ -696,11 +676,8 @@ def train_forward(pairs, weights: PrNetWeights):
     deltas = ad.linear(h, weights.out.weight, weights.out.bias)
 
     theta0 = cfg.control_points.astype(deltas.data.dtype).reshape(1, -1)
-    bases = [ad.Tensor(basis.astype(cfg.np_dtype())) for _, basis in prepared]
-    transformed = []
-    for i, owner in enumerate(owners):
-        theta_i = ad.reshape(ad.add(ad.row_slice(deltas, i, i + 1), theta0), (cfg.theta_count, cfg.dim))
-        transformed.append(ad.matmul(bases[owner], theta_i))
+    bases = [basis.astype(cfg.np_dtype()) for _, basis in prepared]
+    transformed = [ad.warp(deltas, i, bases[owner], theta0) for i, owner in enumerate(owners)]
     return deltas, transformed, targets
 
 
@@ -717,7 +694,7 @@ def batch_norm_statistics(pairs, weights: PrNetWeights) -> list:
     stats = []
     sets = [canonical_order(s) for s in [*(src for _, src in runs), *targets]]
     desc = _descriptors(sets, weights, stats)
-    _head(_correlations(ad.Tensor(desc), owners, cfg.grid_count).data, weights, stats)
+    _head(ad.correlation_forward(desc, owners, cfg.grid_count, out=desc)[0], weights, stats)
     return stats
 
 

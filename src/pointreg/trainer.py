@@ -153,11 +153,7 @@ def _train_batch(batch, weights, sigma, state):
     ``model.train_forward``. Returns the symmetric GMM loss, in the network
     frame, averaged over its pairs."""
     _, transformed, targets = prnet.train_forward(batch, weights)
-    total = None
-    for t, g in zip(transformed, targets):
-        term = losses.gmm_loss_symmetric(t, g, sigma)
-        total = term if total is None else ad.add(total, term)
-    loss = ad.scale(total, 1.0 / len(batch))
+    loss = ad.batch_mean([losses.gmm_loss_symmetric(t, g, sigma) for t, g in zip(transformed, targets)])
     loss.backward()
     value = float(loss.data)
     ad.recycle_graph(loss)

@@ -1,21 +1,250 @@
-"""Reference routes the fused ops and the training loss are tested against.
+"""Reference routes the fused ops and the training stages are tested against.
 
-Each is a plain autodiff op built from ``pointreg.autodiff``'s graph
-helpers: a leaky ReLU, a batch norm by batch statistics, a per-element
-valid convolution, a 2-d transpose, and the one-directional GMM loss; and
-the nearest-neighbour distances of Chamfer as one summed difference array,
-the descriptor MLP's running-statistics pool by ``argmax``; and the
-initial weights drawn whole. The package runs only the fused forms
-(``dense_bn_act``, ``conv_bn_act_batch``, ``pooled_mlp``), the symmetric
-loss, the pool by ``np.max`` and weights drawn chunk by chunk, so these
-routes live here, with the arithmetic the tests compare against.
+Each is a plain autodiff op or a composition of them: a leaky ReLU, a batch
+norm by batch statistics, a per-element valid convolution, a 2-d
+transpose, and the one-directional GMM loss; the generic graph ops the
+training stages after the descriptor MLP were once built from (``add``,
+``scale``, ``neg``, ``tensor_sum``, ``row_slice``, ``concat_rows``,
+``matmul``, ``l2_normalize_rows``, ``l2_normalize_block_cols``,
+``pairwise_sqdist`` and ``log_sum_exp``) and those stages composed from
+them (``correlation``, ``warp``, ``gmm_symmetric``, ``batch_mean``); the
+nearest-neighbour distances of Chamfer as one summed difference array, the
+descriptor MLP's running-statistics pool by ``argmax``; and the initial
+weights drawn whole. The package runs only the fused forms
+(``dense_bn_act``, ``conv_bn_act_batch``, ``pooled_mlp``, one op per
+stage), the symmetric loss, the distances one coordinate at a time, the
+pool by ``np.max`` and weights drawn chunk by chunk, so these routes live
+here, with the arithmetic the tests compare against.
 """
+
+from itertools import groupby
 
 import numpy as np
 
 from pointreg import autodiff as ad
 from pointreg import losses
 from pointreg import model
+
+
+def add(a: ad.Tensor, b) -> ad.Tensor:
+    """Elementwise sum; ``b`` may be a Tensor or a constant array."""
+    bd = ad._as_array(b)
+    if a.data.shape != bd.shape:
+        raise ad.ShapeError(f"add: shapes {a.data.shape} and {bd.shape} differ")
+    out_data = a.data + bd
+
+    def grad_fn(gradient):
+        if ad._needs_grad(a):
+            ad._accumulate(a, gradient)
+        if ad._needs_grad(b):
+            ad._accumulate(b, gradient)
+
+    return ad._make_node(out_data, (a, b), grad_fn)
+
+
+def scale(x: ad.Tensor, c: float) -> ad.Tensor:
+    c = float(c)
+    out_data = x.data * c
+
+    def grad_fn(gradient):
+        ad._accumulate(x, gradient * c)
+
+    return ad._make_node(out_data, (x,), grad_fn)
+
+
+def neg(x: ad.Tensor) -> ad.Tensor:
+    return scale(x, -1.0)
+
+
+def tensor_sum(x: ad.Tensor) -> ad.Tensor:
+    """Sum of all entries, as a scalar tensor."""
+    out_data = np.sum(x.data)
+
+    def grad_fn(gradient):
+        ad._accumulate(x, np.broadcast_to(gradient, x.data.shape))
+
+    return ad._make_node(out_data, (x,), grad_fn)
+
+
+def row_slice(x: ad.Tensor, start: int, stop: int) -> ad.Tensor:
+    """Rows ``start:stop`` of a 2-d tensor."""
+    if x.data.ndim != 2:
+        raise ad.ShapeError(f"row_slice: expected 2-d input, got {x.data.shape}")
+    out_data = x.data[start:stop]
+
+    def grad_fn(gradient):
+        if x.grad is None:
+            x.grad = np.zeros_like(x.data)
+        x.grad[start:stop] += gradient.astype(x.data.dtype, copy=False)
+
+    return ad._make_node(out_data, (x,), grad_fn)
+
+
+def concat_rows(parts) -> ad.Tensor:
+    """2-d tensors of equal width stacked by rows; the backward hands each
+    part its slice of the gradient. A single part is returned as it is."""
+    if len(parts) == 1:
+        return parts[0]
+    out_data = np.concatenate([p.data for p in parts])
+    stops = np.cumsum([p.data.shape[0] for p in parts])
+
+    def grad_fn(gradient):
+        for p, stop in zip(parts, stops):
+            if ad._needs_grad(p):
+                ad._accumulate(p, gradient[stop - p.data.shape[0]:stop])
+
+    return ad._make_node(out_data, tuple(parts), grad_fn)
+
+
+def matmul(a: ad.Tensor, b, transpose_b: bool = False) -> ad.Tensor:
+    """``a @ b`` (or ``a @ b.T``); either operand may be a constant array."""
+    a_d, bd = ad._as_array(a), ad._as_array(b)
+    if a_d.ndim != 2 or bd.ndim != 2:
+        raise ad.ShapeError(f"matmul: expected 2-d operands, got {a_d.shape} and {bd.shape}")
+    inner = bd.shape[1] if transpose_b else bd.shape[0]
+    if a_d.shape[1] != inner:
+        raise ad.ShapeError(f"matmul: inner dims {a_d.shape} vs {bd.shape} (transpose_b={transpose_b})")
+    out_data = a_d @ bd.T if transpose_b else a_d @ bd
+
+    def grad_fn(gradient):
+        if transpose_b:
+            if ad._needs_grad(a):
+                ad._accumulate(a, gradient @ bd)
+            if ad._needs_grad(b):
+                ad._accumulate(b, gradient.T @ a_d)
+        else:
+            if ad._needs_grad(a):
+                ad._accumulate(a, gradient @ bd.T)
+            if ad._needs_grad(b):
+                ad._accumulate(b, a_d.T @ gradient)
+
+    return ad._make_node(out_data, (a, b), grad_fn)
+
+
+def l2_normalize_block_cols(x: ad.Tensor, block_rows: int) -> ad.Tensor:
+    """Normalize each column to unit norm within consecutive row blocks.
+
+    ``[B*R, S]`` input is treated as B blocks of R rows; every length-R
+    column vector inside a block is scaled to unit Euclidean norm.
+    """
+    if x.data.ndim != 2:
+        raise ad.ShapeError(f"l2_normalize_block_cols: expected 2-d input, got {x.data.shape}")
+    n, s = x.data.shape
+    if block_rows < 1 or n % block_rows != 0:
+        raise ad.ShapeError(f"l2_normalize_block_cols: {n} rows not divisible into blocks of {block_rows}")
+    blocks = x.data.reshape(n // block_rows, block_rows, s)
+    norms = np.sqrt(np.einsum("brs,brs->bs", blocks, blocks))[:, None, :]
+    safe = np.maximum(norms, ad._NORM_EPS)
+    out_data = (blocks / safe).reshape(n, s)
+
+    def grad_fn(gradient):
+        gb = gradient.reshape(blocks.shape)
+        dot = np.einsum("brs,brs->bs", gb, blocks)[:, None, :]
+        dx = gb / safe - blocks * (dot / (safe * safe * safe))
+        ad._accumulate(x, dx.reshape(n, s), fresh=True)
+
+    return ad._make_node(out_data, (x,), grad_fn)
+
+
+def l2_normalize_rows(x: ad.Tensor) -> ad.Tensor:
+    """Scale each row of ``[N, F]`` to unit Euclidean norm (``autodiff.unit_rows``).
+
+    Rows with norm below ``autodiff._NORM_EPS`` divide by it instead, and the
+    clamp is treated as constant in the backward pass.
+    """
+    if x.data.ndim != 2:
+        raise ad.ShapeError(f"l2_normalize_rows: expected 2-d input, got {x.data.shape}")
+    out_data, safe = ad.unit_rows(x.data)
+
+    def grad_fn(gradient):
+        dot = np.sum(gradient * x.data, axis=1, keepdims=True)
+        ad._accumulate(x, gradient / safe - x.data * (dot / (safe * safe * safe)))
+
+    return ad._make_node(out_data, (x,), grad_fn)
+
+
+def pairwise_sqdist(x, y) -> ad.Tensor:
+    """Squared Euclidean distances between rows of ``[N, d]`` and ``[M, d]``."""
+    xd, yd = ad._as_array(x), ad._as_array(y)
+    if xd.ndim != 2 or yd.ndim != 2 or xd.shape[1] != yd.shape[1]:
+        raise ad.ShapeError(f"pairwise_sqdist: incompatible shapes {xd.shape} and {yd.shape}")
+    diff = xd[:, None, :] - yd[None, :, :]
+    out_data = np.sum(diff * diff, axis=2)
+
+    def grad_fn(gradient):
+        if ad._needs_grad(x):
+            ad._accumulate(x, 2.0 * (xd * gradient.sum(axis=1, keepdims=True) - gradient @ yd))
+        if ad._needs_grad(y):
+            ad._accumulate(y, 2.0 * (yd * gradient.sum(axis=0)[:, None] - gradient.T @ xd))
+
+    return ad._make_node(out_data, (x, y), grad_fn)
+
+
+def log_sum_exp(x: ad.Tensor, axis: int) -> ad.Tensor:
+    """``log(sum(exp(x), axis))`` evaluated stably; the axis is removed."""
+    xd = x.data
+    if not -xd.ndim <= axis < xd.ndim:
+        raise ad.ShapeError(f"log_sum_exp: axis {axis} out of range for shape {xd.shape}")
+    m = np.max(xd, axis=axis, keepdims=True)
+    w = np.exp(xd - m)
+    s = np.sum(w, axis=axis, keepdims=True)
+    out_data = np.squeeze(m + np.log(s), axis=axis)
+
+    def grad_fn(gradient):
+        ad._accumulate(x, np.expand_dims(gradient, axis) * (w / s))
+
+    return ad._make_node(out_data, (x,), grad_fn)
+
+
+def compute_correlation(f_s: ad.Tensor, f_g_all: ad.Tensor, grid_count: int) -> ad.Tensor:
+    """Correlation tensors of one source against a stack of targets.
+
+    ``f_s`` is the source descriptor ``[G, d]``; ``f_g_all`` stacks the
+    targets' descriptors as ``[B*G, d]``. The result is ``[B*G, G]`` in conv
+    layout: in each pair's block, row j (a target grid point, the channel)
+    holds its inner products with every source grid point (the spatial
+    position), and each column of the block is scaled to unit norm.
+    """
+    if f_s.data.shape[1] != f_g_all.data.shape[1]:
+        raise ValueError(
+            f"compute_correlation: feature dims differ, {f_s.data.shape} vs {f_g_all.data.shape}"
+        )
+    return l2_normalize_block_cols(matmul(f_g_all, f_s, transpose_b=True), grid_count)
+
+
+def correlation(x: ad.Tensor, owners, g: int) -> ad.Tensor:
+    """``autodiff.correlation`` composed of generic ops: the rows of ``x``
+    normalised, then per run of one source its ``compute_correlation``
+    against row slices, stacked."""
+    desc = l2_normalize_rows(x)
+    parts, lo = [], owners[-1] + 1
+    for owner, run in groupby(owners):
+        hi = lo + len(list(run))
+        parts.append(compute_correlation(row_slice(desc, owner * g, (owner + 1) * g),
+                                         row_slice(desc, lo * g, hi * g), g))
+        lo = hi
+    return concat_rows(parts)
+
+
+def warp(deltas: ad.Tensor, i: int, basis: np.ndarray, theta0: np.ndarray) -> ad.Tensor:
+    """``autodiff.warp`` composed of generic ops."""
+    theta = ad.reshape(add(row_slice(deltas, i, i + 1), theta0), (basis.shape[1], -1))
+    return matmul(ad.Tensor(basis), theta)
+
+
+def gmm_symmetric(x: ad.Tensor, y: np.ndarray, c: float) -> ad.Tensor:
+    """``autodiff.gmm_symmetric`` composed of generic ops."""
+    scaled = scale(pairwise_sqdist(x, y), c)
+    return neg(add(tensor_sum(log_sum_exp(scaled, axis=1)), tensor_sum(log_sum_exp(scaled, axis=0))))
+
+
+def batch_mean(terms) -> ad.Tensor:
+    """``autodiff.batch_mean`` composed of generic ops: an ``add`` chain in
+    order, then ``scale``."""
+    total = terms[0]
+    for t in terms[1:]:
+        total = add(total, t)
+    return scale(total, 1.0 / len(terms))
 
 
 def transpose2d(x: ad.Tensor) -> ad.Tensor:
@@ -126,9 +355,9 @@ def gmm_loss(transformed, target, sigma: float):
     tgt = np.asarray(target, dtype=None if isinstance(target, np.ndarray) else np.float64)
     x = transformed if isinstance(transformed, ad.Tensor) else ad.Tensor(np.asarray(transformed, dtype=np.float64))
     losses._check_sets(x.data, tgt, "gmm_loss")
-    sq = ad.pairwise_sqdist(x, tgt)
-    lse = ad.log_sum_exp(ad.scale(sq, -0.5 / (sigma * sigma)), axis=1)
-    loss = ad.neg(ad.tensor_sum(lse))
+    sq = pairwise_sqdist(x, tgt)
+    lse = log_sum_exp(scale(sq, -0.5 / (sigma * sigma)), axis=1)
+    loss = neg(tensor_sum(lse))
     if isinstance(transformed, ad.Tensor):
         return loss
     return float(loss.data)

@@ -154,9 +154,9 @@ def batch_env():
 
 
 def eval_descriptor(points, weights):
-    """The source descriptor an eval-mode forward computes."""
+    """The unit-norm source descriptor an eval-mode forward correlates."""
     ordered, _ = model.prepare_source(points, weights)
-    return model._descriptors([ordered], weights, None)
+    return ad.unit_rows(model._descriptors([ordered], weights, None))[0]
 
 
 class TestDescriptor:
@@ -275,7 +275,7 @@ class TestCorrelation:
         g = 12
         f_s = ad.Tensor(rng.normal(size=(g, 7)))
         f_g_all = ad.Tensor(rng.normal(size=(2 * g, 7)))
-        corr = model.compute_correlation(f_s, f_g_all, g)
+        corr = refops.compute_correlation(f_s, f_g_all, g)
         assert corr.data.shape == (2 * g, g)
         for b in range(2):
             f_g = f_g_all.data[b * g : (b + 1) * g]
@@ -288,7 +288,7 @@ class TestCorrelation:
 
     def test_feature_dim_mismatch(self):
         with pytest.raises(ValueError, match="feature dims"):
-            model.compute_correlation(ad.Tensor(np.zeros((3, 4))), ad.Tensor(np.zeros((3, 5))), 3)
+            refops.compute_correlation(ad.Tensor(np.zeros((3, 4))), ad.Tensor(np.zeros((3, 5))), 3)
 
 
 class TestIdentityAtInitialization:
@@ -351,9 +351,9 @@ class TestSharedSourceBatch:
     def test_train_mode_builds_graph_over_all_pairs(self, batch_env):
         weights, src, targets = batch_env
         deltas, transformed, _ = model.train_forward([(src, t) for t in targets], weights)
-        total = ad.tensor_sum(transformed[0])
+        total = refops.tensor_sum(transformed[0])
         for t in transformed[1:]:
-            total = ad.add(total, ad.tensor_sum(t))
+            total = refops.add(total, refops.tensor_sum(t))
         total.backward()
         for layer in weights.mlp:
             assert layer.weight.grad is not None
@@ -404,7 +404,7 @@ class TestFullNetworkGradients:
             _, transformed, frame_targets = model.train_forward(pairs, weights)
             total = refops.gmm_loss(transformed[0], frame_targets[0], 0.5)
             for t, g in zip(transformed[1:], frame_targets[1:]):
-                total = ad.add(total, refops.gmm_loss(t, g, 0.5))
+                total = refops.add(total, refops.gmm_loss(t, g, 0.5))
             return total
 
         assert_grads_match(build, weights.params(), h=1e-6, rtol=1e-4, atol=1e-7)
@@ -460,8 +460,8 @@ class TestGraphFreeForward:
         targets = [norms[i // 2].apply(t) for i, (_, t) in enumerate(pairs)]
         sets = [model.canonical_order(p) for p in [*sources, *targets]]
         desc = model._descriptors(sets, weights, stats)
-        corr = model._correlations(ad.Tensor(desc), [0, 0, 1, 1], weights.config.grid_count)
-        return model._head(corr.data, weights, stats), stats
+        corr = ad.correlation_forward(desc, [0, 0, 1, 1], weights.config.grid_count)[0]
+        return model._head(corr, weights, stats), stats
 
     def test_batch_mode_matches_train_route(self, env):
         weights, pairs = env

@@ -4,6 +4,7 @@ Everything runs on a deliberately narrow architecture and small datasets;
 the full-size training budget belongs to the acceptance suite.
 """
 
+import dataclasses
 import sys
 import threading
 
@@ -12,6 +13,8 @@ import pytest
 
 from pointreg import autodiff as ad
 from pointreg import datagen, evaluator, losses, model, trainer
+
+import reference_ops as refops
 
 
 def small_config():
@@ -132,15 +135,15 @@ class TestTrainBasics:
         ds = datagen.generate_dataset(
             shape, datagen.SynthConfig(seed=1, pair_count=8), tmp_path / "d"
         )
-        # poison the loss; the abort must name epoch, batch, and the schedule
-        # values. The network rejects non-finite input, so the poison goes in
-        # after it.
-        gmm_loss_symmetric = losses.gmm_loss_symmetric
+        # poison the batch's mean loss; the abort must name epoch, batch, and
+        # the schedule values. The network rejects non-finite input, so the
+        # poison goes in after it.
+        batch_mean = ad.batch_mean
 
-        def poisoned(transformed, target, sigma):
-            return ad.scale(gmm_loss_symmetric(transformed, target, sigma), float("nan"))
+        def poisoned(terms):
+            return refops.scale(batch_mean(terms), float("nan"))
 
-        monkeypatch.setattr(losses, "gmm_loss_symmetric", poisoned)
+        monkeypatch.setattr(ad, "batch_mean", poisoned)
         with pytest.raises(trainer.TrainingDivergedError, match=r"epoch 1.*sigma"):
             trainer.train(trainer.TrainConfig(epochs=1, batch_size=8), ds, fresh_weights())
 
@@ -227,7 +230,7 @@ class TestSourceRuns:
         # exactly 1; pair 3's source is its own, and it trains with the rest
         # of its batch
         def unit_loss(transformed, target, sigma):
-            return ad.add(ad.scale(ad.tensor_sum(transformed), 0.0), np.ones((), transformed.data.dtype))
+            return refops.add(refops.scale(refops.tensor_sum(transformed), 0.0), np.ones((), transformed.data.dtype))
 
         monkeypatch.setattr(losses, "gmm_loss_symmetric", unit_loss)
         ds = scaled_sources_dataset(tmp_path / "d", scaled=[3])
@@ -242,6 +245,66 @@ class TestSourceRuns:
         assert len(history) == 1 and np.isfinite(history[0].train_loss)
         after = weights.named_arrays()
         assert all(after[k].tobytes() != before[k].tobytes() for k in before if k.endswith(".weight"))
+
+
+def step_pairs(size, runs):
+    """``size`` pairs of jittered fish; with two runs the second half of
+    the pairs share a scaled source of their own."""
+    rng = np.random.default_rng([size, runs])
+    src = datagen.sample_shape("fish", 32)
+    pairs = []
+    for i in range(size):
+        own = src * 0.8 if runs == 2 and i >= size // 2 else src
+        pairs.append((own, own + rng.normal(0.0, 0.02, size=own.shape)))
+    return pairs
+
+
+class TestStageGraph:
+    """After the descriptor MLP, a training step is one autodiff op per
+    stage: the correlation, each pair's warp and loss, and the batch mean."""
+
+    STAGES = ("correlation", "warp", "gmm_symmetric", "batch_mean")
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("runs", [1, 2])
+    def test_a_step_gives_the_bits_of_the_composed_stages(self, runs, dtype, monkeypatch):
+        # every parameter gradient, read at the Adam step, and the loss;
+        # the output layer is drawn so that gradients reach every layer
+        cfg = dataclasses.replace(small_config(), dtype=dtype)
+        pairs = step_pairs(6, runs)
+        got = {}
+        for route in ("ops", "composed"):
+            weights = model.init_weights(cfg, seed=3)
+            out = weights.out.weight.data
+            out[...] = np.random.default_rng(4).normal(0.0, 0.05, size=out.shape)
+            state = ad.init_adam(weights.params(), 1e-4)
+            grads = []
+            with monkeypatch.context() as m:
+                m.setattr(ad, "adam_step", lambda params, _: grads.extend(p.grad.tobytes() for p in params))
+                if route == "composed":
+                    for name in self.STAGES:
+                        m.setattr(ad, name, getattr(refops, name))
+                loss = trainer._train_batch(pairs, weights, 0.3, state)
+            got[route] = (loss, grads)
+        assert len(got["ops"][1]) == len(weights.params())
+        assert got["ops"] == got["composed"]
+
+    @pytest.mark.parametrize("runs", [1, 2])
+    @pytest.mark.parametrize("size", [2, 5, 16])
+    def test_a_step_records_ten_nodes_plus_two_per_pair(self, size, runs, monkeypatch):
+        # pooled_mlp, the correlation, two reshapes, three convs, fc1 and
+        # the output layer, then a warp and a loss per pair and their mean
+        counts = []
+        recycle_graph = ad.recycle_graph
+
+        def counted(root):
+            counts.append(sum(node._backward is not None for node in ad._topological_order(root)))
+            recycle_graph(root)
+
+        monkeypatch.setattr(ad, "recycle_graph", counted)
+        weights = fresh_weights()
+        trainer._train_batch(step_pairs(size, runs), weights, 0.3, ad.init_adam(weights.params(), 1e-4))
+        assert counts == [10 + 2 * size]
 
 
 class TestNetworkFrame:
